@@ -5,9 +5,9 @@ A triangle with sides (a, b, 1) is "special" in two independent ways:
 
   Sigma1: its angles satisfy c1*alpha + c2*beta + c3*pi = 0 with small
           integers (c1, c2) != (0, 0), i.e. the angles are commensurable;
-  Sigma2: log a and log b satisfy a small-integer relation with the logs
-          of a fixed basis of primes, i.e. the sides are multiplicatively
-          dependent on {1, 2, 3, 5}.
+  Sigma2: its sides satisfy q1*a + q2*b + sum n_d*sqrt(d) = 0 with small
+          integers (q1, q2) != (0, 0) over a fixed squarefree basis, i.e.
+          the sides are linearly dependent on {1, sqrt(2), sqrt(3), sqrt(5)}.
 
 Famous right triangles hit Sigma1 at tiny heights.  A generic triangle
 hits neither: the finder then certifies, with interval arithmetic at a

@@ -47,11 +47,12 @@ from .exact import (
     tower_to_k,
 )
 from .geom import AngleVec, Isometry, Pt, Triangle, congruent, find_isometry
-from .intervals import NumericReal, RatInterval
+from .intervals import NumericReal, RatInterval, RefinementLimitError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
     RelationResult,
     RelationStatus,
+    SearchSpaceError,
     find_angle_relation,
     find_angle_relation_pi_fractions,
     find_integer_relation,
@@ -95,9 +96,11 @@ __all__ = [
     "PatternKind",
     "Pt",
     "RatInterval",
+    "RefinementLimitError",
     "RelationResult",
     "RelationStatus",
     "SearchOutcome",
+    "SearchSpaceError",
     "SearchSpec",
     "SquarefreeBoundError",
     "TileReport",

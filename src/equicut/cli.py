@@ -37,9 +37,11 @@ from .dissect import (
     standard_from_region,
     verify_dissection,
 )
+from .exact import SquarefreeBoundError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
     RelationStatus,
+    SearchSpaceError,
     find_angle_relation,
     find_angle_relation_pi_fractions,
     find_side_relation,
@@ -67,7 +69,7 @@ class _UsageError(Exception):
 def _parse_literal(text: str):
     try:
         return parse_number(text)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError, or a value such as sqrt(-1)
         raise _UsageError(f"bad number literal {text!r}: {exc}") from exc
 
 
@@ -117,17 +119,24 @@ def _relation_lines(tag: str, result) -> List[str]:
 
 def _cmd_analyze(args) -> int:
     _, a, b = _parse_region(args.region)
+    if args.height is not None and args.height < 1:
+        raise _UsageError("--height must be at least 1")
+    if args.basis and min(args.basis) < 1:
+        raise _UsageError("--basis entries must be at least 1")
     alpha, beta, _ = angles_from_sides(a, b)
     angle_height = args.height if args.height is not None else 12
     side_height = args.height if args.height is not None else 8
     basis = tuple(args.basis) if args.basis else (1, 2, 3, 5)
 
-    sigma1 = find_angle_relation(
-        alpha, beta, angle_height, start_bits=args.precision
-    )
-    sigma2 = find_side_relation(
-        a, b, side_height, basis, start_bits=args.precision
-    )
+    try:
+        sigma1 = find_angle_relation(
+            alpha, beta, angle_height, start_bits=args.precision
+        )
+        sigma2 = find_side_relation(
+            a, b, side_height, basis, start_bits=args.precision
+        )
+    except (SearchSpaceError, SquarefreeBoundError) as exc:
+        raise _UsageError(str(exc)) from exc
     if args.json:
         print(
             json.dumps(

@@ -17,15 +17,17 @@ intervals are trustworthy enclosures.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import mpmath
 
 from .exact import TowerReal, fraction_sqrt_bounds
 
 __all__ = [
+    "MAX_WORK_BITS",
     "NumericReal",
     "RatInterval",
+    "RefinementLimitError",
     "acos_interval",
     "acos_numeric",
     "mpf_to_fraction",
@@ -38,6 +40,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _GUARD_BITS = 16
+
+# Working precision past which a refinement loop gives up.  The relation
+# finder asks for at most 4096 bits; each nested operation adds two bits, or
+# doubles them where it amplifies width, so 16x leaves room for four doublings.
+MAX_WORK_BITS = 1 << 16
+
+
+class RefinementLimitError(ArithmeticError):
+    """An enclosure did not reach its target width before the working
+    precision passed ``MAX_WORK_BITS`` (for instance a divisor that is
+    exactly zero)."""
 
 
 class RatInterval:
@@ -189,6 +202,23 @@ def sin_interval(x: RatInterval, bits: int) -> RatInterval:
     return RatInterval(lo, max(lo, hi))
 
 
+def _refine_to(bits: int, attempt: Callable[[int], Optional[RatInterval]]) -> RatInterval:
+    """Run ``attempt`` at doubling working precision, from ``bits + 2``, until
+    it returns an enclosure of width at most 2**-bits.  ``attempt`` returns
+    None when it cannot form an enclosure at that precision yet."""
+    target = Fraction(1, 1 << bits)
+    work = bits + 2
+    while True:
+        out = attempt(work)
+        if out is not None and out.width <= target:
+            return out
+        if work >= MAX_WORK_BITS:
+            raise RefinementLimitError(
+                f"no enclosure of width 2**-{bits} by {work} working bits"
+            )
+        work *= 2
+
+
 ExactLike = Union[TowerReal, Fraction, int]
 
 
@@ -241,15 +271,9 @@ class NumericReal:
         parts: tuple["NumericReal", ...],
         op: Callable[..., RatInterval],
     ) -> "NumericReal":
-        def refine(bits: int) -> RatInterval:
-            work = bits + 2
-            while True:
-                out = op(*(p.enclosure(work) for p in parts))
-                if out.width <= Fraction(1, 1 << bits):
-                    return out
-                work *= 2
-
-        return NumericReal(refine)
+        return NumericReal(
+            lambda bits: _refine_to(bits, lambda work: op(*(p.enclosure(work) for p in parts)))
+        )
 
     def __add__(self, other):
         try:
@@ -289,20 +313,13 @@ class NumericReal:
         except TypeError:
             return NotImplemented
 
-        def div(a: RatInterval, b: RatInterval) -> RatInterval:
-            return a * b.inverse()
+        def div(work: int) -> Optional[RatInterval]:
+            bi = o.enclosure(work)
+            if bi.contains_zero():
+                return None
+            return self.enclosure(work) * bi.inverse()
 
-        def refine(bits: int) -> RatInterval:
-            work = bits + 2
-            while True:
-                bi = o.enclosure(work)
-                if not bi.contains_zero():
-                    out = div(self.enclosure(work), bi)
-                    if out.width <= Fraction(1, 1 << bits):
-                        return out
-                work *= 2
-
-        return NumericReal(refine)
+        return NumericReal(lambda bits: _refine_to(bits, div))
 
     def __rtruediv__(self, other):
         try:
@@ -315,15 +332,9 @@ class NumericReal:
         return NumericReal._combine((self,), lambda a: -a)
 
     def sqrt(self) -> "NumericReal":
-        def refine(bits: int) -> RatInterval:
-            work = bits + 2
-            while True:
-                out = self.enclosure(work).sqrt(work)
-                if out.width <= Fraction(1, 1 << bits):
-                    return out
-                work *= 2
-
-        return NumericReal(refine)
+        return NumericReal(
+            lambda bits: _refine_to(bits, lambda work: self.enclosure(work).sqrt(work))
+        )
 
     def __float__(self) -> float:
         return float(self.enclosure(64).mid)
@@ -334,24 +345,12 @@ class NumericReal:
 
 
 def acos_numeric(x: NumericReal) -> NumericReal:
-    def refine(bits: int) -> RatInterval:
-        work = bits + 2
-        while True:
-            out = acos_interval(x.enclosure(work), work)
-            if out.width <= Fraction(1, 1 << bits):
-                return out
-            work *= 2
-
-    return NumericReal(refine)
+    return NumericReal(
+        lambda bits: _refine_to(bits, lambda work: acos_interval(x.enclosure(work), work))
+    )
 
 
 def sin_numeric(x: NumericReal) -> NumericReal:
-    def refine(bits: int) -> RatInterval:
-        work = bits + 2
-        while True:
-            out = sin_interval(x.enclosure(work), work)
-            if out.width <= Fraction(1, 1 << bits):
-                return out
-            work *= 2
-
-    return NumericReal(refine)
+    return NumericReal(
+        lambda bits: _refine_to(bits, lambda work: sin_interval(x.enclosure(work), work))
+    )

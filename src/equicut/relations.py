@@ -13,11 +13,18 @@ The search is exhaustive and every reported answer carries a guarantee:
 * ``UNDECIDED``        -- some combination could not be resolved because an
   input cannot be refined (e.g. a bare float); nothing was found either.
 
-The exhaustive pass runs as a vectorized float64 sweep whose rounding error
-is bounded statically; only combinations smaller than the threshold survive
-to the exact or adaptive-interval stage, so the sweep never discards a true
-relation.  The refinement ladder starts at 256 bits (override with the
-``EQUICUT_PRECISION_BITS`` environment variable) and doubles up to 4096.
+The exhaustive pass is a float64 meet-in-the-middle sweep: the columns are
+split in two halves, the float sums of every coefficient choice on each half
+are tabulated, one table is sorted, and each sum of the other is matched by
+binary search against the sums that cancel it to within a threshold.  The
+rounding error is bounded statically, so only combinations smaller than the
+threshold survive to the exact or adaptive-interval stage and the sweep
+never discards a true relation.  Time and memory grow with (2H+1)**(n/2)
+rather than (2H+1)**n.  Two guards raise ``SearchSpaceError`` (a
+``ValueError``) instead of searching: a half-table of more than about 4 M
+sums, and more than 65 536 near-zero pairs to certify.  The refinement
+ladder starts at 256 bits (override with the ``EQUICUT_PRECISION_BITS``
+environment variable) and doubles up to 4096.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .intervals import NumericReal, RatInterval
 __all__ = [
     "RelationResult",
     "RelationStatus",
+    "SearchSpaceError",
     "find_angle_relation",
     "find_angle_relation_pi_fractions",
     "find_integer_relation",
@@ -55,9 +63,19 @@ DEFAULT_SIDE_HEIGHT = 8
 DEFAULT_SIDE_BASIS = (1, 2, 3, 5)
 DEFAULT_START_BITS = 256
 MAX_LADDER_BITS = 4096
-_MAX_COMBINATIONS = 300_000_000
+# entries in the larger half-table of the sweep (about 32 MB of float64)
+_MAX_HALF_TABLE = 1 << 22
+# near-zero pairs the sweep hands on to certification, which costs up to
+# about 0.4 ms per surviving vector for numeric inputs
+_MAX_MATCHED_PAIRS = 1 << 16
 
 Value = Union[TowerReal, NumericReal, Fraction, int, float]
+
+
+class SearchSpaceError(ValueError):
+    """The relation sweep refused an input whose search it cannot bound:
+    a half-table too large to allocate, or too many near-zero combinations
+    to certify."""
 
 
 class RelationStatus(enum.Enum):
@@ -153,12 +171,24 @@ def _decode(indices: np.ndarray, n: int, height: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _half_sums(floats: Sequence[float], height: int) -> np.ndarray:
+    """Float value of every coefficient vector over ``floats``, indexed in
+    base 2*height+1 with the first column's digit most significant."""
+    rng = np.arange(-height, height + 1, dtype=np.float64)
+    acc = np.zeros(1)
+    for f in floats:
+        acc = np.add.outer(acc, rng * f).ravel()
+    return acc
+
+
 def _sweep(columns: Sequence[_Column], height: int) -> tuple[list[tuple[int, ...]], Fraction]:
-    """Vectorized exhaustive pass.  Returns the surviving coefficient vectors
-    (every true relation is guaranteed among them) and the threshold used."""
+    """Exhaustive meet-in-the-middle pass.  Returns the surviving coefficient
+    vectors (every true relation is guaranteed among them) and the threshold
+    used."""
     n = len(columns)
-    if (2 * height + 1) ** n > _MAX_COMBINATIONS:
-        raise ValueError("combination space too large for exhaustive search")
+    split = n // 2
+    if (2 * height + 1) ** (n - split) > _MAX_HALF_TABLE:
+        raise SearchSpaceError("combination space too large for exhaustive search")
     mids: list[Fraction] = []
     errs: list[Fraction] = []
     for col in columns:
@@ -167,7 +197,7 @@ def _sweep(columns: Sequence[_Column], height: int) -> tuple[list[tuple[int, ...
         errs.append(iv.width / 2)
     floats = [float(m) for m in mids]
     # static error bound: per-value (enclosure width + float conversion) plus
-    # float64 rounding across <= 2n operations at the sum's magnitude
+    # float64 rounding across <= 2n + 1 operations at the sum's magnitude
     conv = [abs(Fraction(f) - m) for f, m in zip(floats, mids)]
     magnitude = sum(abs(Fraction(f)) for f in floats) * height + 1
     bound = (
@@ -176,11 +206,31 @@ def _sweep(columns: Sequence[_Column], height: int) -> tuple[list[tuple[int, ...
     )
     threshold = max(Fraction(1, 10**9), 100 * bound)
 
-    rng = np.arange(-height, height + 1, dtype=np.float64)
-    acc = rng * floats[0]
-    for f in floats[1:]:
-        acc = np.add.outer(acc, rng * f).ravel()
-    hits = np.nonzero(np.abs(acc) <= float(threshold))[0]
+    # The bound still covers this evaluation order.  Each half-sum takes at
+    # most n float operations (a product and an addition per column of its
+    # half), the pair sum one more, and every partial sum is at most
+    # ``magnitude``, so a true relation's float value is within ``bound`` of
+    # zero.  Rounding moves the window endpoints by at most ulp(magnitude),
+    # far below threshold/100, so the window holds every such partner; the
+    # float test |L + R| <= t then decides each pair.
+    t = float(threshold)
+    left = _half_sums(floats[:split], height)
+    right = _half_sums(floats[split:], height)
+    order = np.argsort(right)
+    ordered = right[order]
+    lo = np.searchsorted(ordered, -left - t, side="left")
+    hi = np.searchsorted(ordered, -left + t, side="right")
+    counts = hi - lo
+    matched = int(counts.sum())
+    if matched > _MAX_MATCHED_PAIRS:
+        raise SearchSpaceError(
+            f"too many near-zero combinations to certify ({matched} found)"
+        )
+    left_idx = np.repeat(np.arange(left.size), counts)
+    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    right_idx = order[starts + np.arange(matched)]
+    keep = np.abs(left[left_idx] + right[right_idx]) <= t
+    hits = left_idx[keep] * right.size + right_idx[keep]
     decoded = []
     for coeffs in _decode(hits, n, height):
         canon = _canonical(coeffs)

@@ -76,6 +76,34 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--region", "1/2,1/2")
         assert code == 2
 
+    def test_negative_radicand_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--region", "sqrt(-1),1")
+        assert code == 2
+        assert err.startswith("error: bad number literal")
+
+    def test_height_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--region", "7/8,3/4", "--height", "0")
+        assert code == 2
+        assert err == "error: --height must be at least 1\n"
+
+    def test_basis_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--region", "7/8,3/4", "--basis", "0")
+        assert code == 2
+        assert err == "error: --basis entries must be at least 1\n"
+
+    def test_unfactorable_basis_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "analyze", "--region", "7/8,3/4", "--basis", "1000000000000000000007"
+        )
+        assert code == 2
+        assert err.startswith("error: cannot certify squarefree part")
+
+    def test_search_space_too_large_is_usage_error(self, capsys):
+        # three angle columns at height 1100: a 2201**2-entry half-table
+        code, _, err = run(capsys, "analyze", "--region", "1,1", "--height", "1100")
+        assert code == 2
+        assert err == "error: combination space too large for exhaustive search\n"
+
 
 class TestStandard:
     def test_writes_json_and_svg(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from equicut.exact import sqrt_adjoin
 from equicut.intervals import (
     NumericReal,
     RatInterval,
+    RefinementLimitError,
     acos_interval,
     acos_numeric,
     mpf_to_fraction,
@@ -143,6 +144,16 @@ class TestNumericReal:
         ref = sqrt_adjoin(2) / 2
         lo, hi = ref.enclosure(120)
         assert iv.lo <= hi and iv.hi >= lo
+
+    def test_division_by_zero_raises(self):
+        quotient = NumericReal.from_exact(1) / NumericReal.from_exact(0)
+        with pytest.raises(RefinementLimitError):
+            quotient.enclosure(64)
+
+    def test_operand_that_never_narrows_raises(self):
+        stuck = NumericReal(lambda bits: RatInterval(0, 1))
+        with pytest.raises(RefinementLimitError):
+            (stuck + 1).enclosure(64)
 
     def test_sqrt(self):
         x = NumericReal.from_exact(2)

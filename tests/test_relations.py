@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from equicut.exact import KElement, sqrt_adjoin
 from equicut.intervals import NumericReal
 from equicut.relations import (
     RelationStatus,
+    SearchSpaceError,
+    _canonical,
+    _Column,
+    _decode,
+    _sweep,
     find_angle_relation,
     find_angle_relation_pi_fractions,
     find_integer_relation,
@@ -47,6 +53,76 @@ class TestIntegerRelationExact:
         with pytest.raises(ValueError):
             find_integer_relation([Fraction(i + 1) for i in range(9)], 12)
 
+    def test_matched_pair_guard(self):
+        # six equal values have about 780 000 vanishing combinations at
+        # height 8, though each half-table holds only 17**3 sums
+        with pytest.raises(SearchSpaceError, match="too many near-zero"):
+            find_integer_relation([Fraction(1)] * 6, 8)
+
+
+def _outer_product_sweep(columns, height):
+    """The full (2H+1)**n outer-product sweep that ``_sweep`` replaced,
+    kept as the reference for the differential test."""
+    n = len(columns)
+    mids, errs = [], []
+    for col in columns:
+        iv = col.enclosure(64)
+        mids.append(iv.mid)
+        errs.append(iv.width / 2)
+    floats = [float(m) for m in mids]
+    conv = [abs(Fraction(f) - m) for f, m in zip(floats, mids)]
+    magnitude = sum(abs(Fraction(f)) for f in floats) * height + 1
+    bound = (
+        height * sum(e + c for e, c in zip(errs, conv))
+        + Fraction(4 * n) * magnitude / (1 << 52)
+    )
+    threshold = max(Fraction(1, 10**9), 100 * bound)
+
+    rng = np.arange(-height, height + 1, dtype=np.float64)
+    acc = rng * floats[0]
+    for f in floats[1:]:
+        acc = np.add.outer(acc, rng * f).ravel()
+    hits = np.nonzero(np.abs(acc) <= float(threshold))[0]
+    decoded = []
+    for coeffs in _decode(hits, n, height):
+        canon = _canonical(coeffs)
+        if canon is not None:
+            decoded.append(canon)
+    return sorted(set(decoded)), threshold
+
+
+def _random_columns(rng, numeric):
+    """One to five columns of small rationals, some times a square root and
+    some a small multiple of the column before, so that random columns
+    often share exact relations; numeric columns may also be square roots
+    of small rationals."""
+    values = []
+    for _ in range(rng.randint(1, 5)):
+        if values and rng.random() < 0.3:
+            value = values[-1] * Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+        elif numeric and rng.random() < 0.3:
+            square = Fraction(rng.choice((1, 2, 3, 8, 12)), rng.randint(1, 4))
+            value = NumericReal.from_exact(square).sqrt()
+        else:
+            value = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+            d = rng.choice((1, 1, 2, 3))
+            if d != 1:
+                value = value * sqrt_adjoin(d)
+            if numeric:
+                value = NumericReal.from_exact(value)
+        values.append(value)
+    return [_Column(v) for v in values]
+
+
+class TestSweepMatchesOuterProduct:
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "numeric"])
+    def test_same_survivors_and_threshold(self, seed, numeric):
+        rng = random.Random(seed)
+        columns = _random_columns(rng, numeric)
+        height = rng.randint(1, 6)
+        assert _sweep(columns, height) == _outer_product_sweep(columns, height)
+
 
 # hand-derived: 7*q1 + 6*q2 + 8*n = 0 with all |coefficients| <= 8,
 # (q1, q2) != (0, 0), first nonzero coefficient positive
@@ -71,6 +147,15 @@ RATIONAL_SIDE_WITNESSES = [
 
 
 class TestSideRelationExact:
+    def test_five_radicand_basis(self):
+        # seven columns: beyond the combination cap of the outer-product sweep
+        res = find_side_relation(
+            Fraction(7, 8), Fraction(3, 4), height=8, basis=(1, 2, 3, 5, 7)
+        )
+        assert res.status == RelationStatus.FOUND_CERTIFIED
+        assert res.columns == ["a", "b", "1", "sqrt(2)", "sqrt(3)", "sqrt(5)", "sqrt(7)"]
+        assert res.witnesses == [w + (0, 0, 0, 0) for w in RATIONAL_SIDE_WITNESSES]
+
     def test_rational_sides_full_witness_set(self):
         res = find_side_relation(Fraction(7, 8), Fraction(3, 4), height=8, basis=(1,))
         assert res.status == RelationStatus.FOUND_CERTIFIED
