@@ -43,7 +43,6 @@ from .exact import (
     k_membership,
     sqrt_adjoin,
     squarefree_decompose,
-    tower_sign,
     tower_to_k,
 )
 from .geom import AngleVec, Isometry, Pt, Triangle, congruent, find_isometry
@@ -143,7 +142,6 @@ __all__ = [
     "standard_cells",
     "standard_dissection",
     "standard_from_region",
-    "tower_sign",
     "tower_to_k",
     "verify_dissection",
 ]

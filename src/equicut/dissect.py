@@ -21,7 +21,6 @@ from .geom import (
     Location,
     Pt,
     Triangle,
-    _SortKey,
     congruent,
     point_in_triangle,
     triangles_interior_disjoint,
@@ -137,10 +136,10 @@ def _bbox(tri: Triangle, bits: int = 32) -> Tuple[Fraction, Fraction, Fraction, 
     xs = [v.x.interval(bits) for v in tri.vertices]
     ys = [v.y.interval(bits) for v in tri.vertices]
     return (
-        min(lo for lo, _ in xs),
-        max(hi for _, hi in xs),
-        min(lo for lo, _ in ys),
-        max(hi for _, hi in ys),
+        min(iv.lo for iv in xs),
+        max(iv.hi for iv in xs),
+        min(iv.lo for iv in ys),
+        max(iv.hi for iv in ys),
     )
 
 
@@ -230,7 +229,7 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
 
 
 def _vertex_key(p: Pt):
-    return (_SortKey(p.x), _SortKey(p.y))
+    return (p.x, p.y)
 
 
 def _triangle_key(tri: Triangle):

@@ -9,6 +9,10 @@ Two representations cooperate:
   Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)).  Values are nested (p, q) pairs with
   Fraction leaves; signs and zero tests are decided exactly, with a rigorous
   rational-interval fast path and a pure recursion as the decision procedure.
+
+The package's one interval type, ``RatInterval``, and its one bounded
+refinement loop, ``_refine_to``, live here too: the kernel's fast path is
+built from them, and ``intervals.NumericReal`` composes them further.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ from typing import Callable, Iterable, Optional, Union
 __all__ = [
     "Fraction",
     "KElement",
+    "MAX_WORK_BITS",
     "NegativeSqrtError",
+    "RatInterval",
+    "RefinementLimitError",
     "SquarefreeBoundError",
     "TowerContext",
     "TowerReal",
@@ -28,7 +35,6 @@ __all__ = [
     "k_membership",
     "sqrt_adjoin",
     "squarefree_decompose",
-    "tower_sign",
     "tower_to_k",
 ]
 
@@ -99,16 +105,134 @@ def fraction_sqrt_bounds(f: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     return lo, Fraction(r + 1, 1 << bits)
 
 
-def _iv_add(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    return a[0] + b[0], a[1] + b[1]
+# ---------------------------------------------------------------------------
+# Rational intervals and the bounded refinement loop.
+
+# Working precision past which a refinement loop gives up.  The relation
+# finder asks for at most 4096 bits; each nested operation adds two bits, or
+# doubles them where it amplifies width, so 16x leaves room for four doublings.
+MAX_WORK_BITS = 1 << 16
 
 
-def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    p1 = a[0] * b[0]
-    p2 = a[0] * b[1]
-    p3 = a[1] * b[0]
-    p4 = a[1] * b[1]
-    return min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+class RefinementLimitError(ArithmeticError):
+    """An enclosure did not reach its target width before the working
+    precision passed ``MAX_WORK_BITS`` (for instance a divisor that is
+    exactly zero)."""
+
+
+class RatInterval:
+    """A closed interval [lo, hi] with exact rational endpoints.
+
+    Plain interval arithmetic, so every operation encloses the true result
+    with no rounding.  Unpacks as ``lo, hi = interval``.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Rationalish, hi: Optional[Rationalish] = None):
+        lo = Fraction(lo)
+        hi = lo if hi is None else Fraction(hi)
+        if hi < lo:
+            raise ValueError("interval endpoints out of order")
+        self.lo = lo
+        self.hi = hi
+
+    def __iter__(self):
+        return iter((self.lo, self.hi))
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def contains(self, x: Rationalish) -> bool:
+        return self.lo <= x <= self.hi
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0 <= self.hi
+
+    def strict_sign(self) -> int:
+        """+1 or -1 when the interval certifies a sign, else 0 (unknown)."""
+        if self.lo > 0:
+            return 1
+        if self.hi < 0:
+            return -1
+        return 0
+
+    def __add__(self, other: "RatInterval") -> "RatInterval":
+        return _interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: "RatInterval") -> "RatInterval":
+        return _interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self) -> "RatInterval":
+        return _interval(-self.hi, -self.lo)
+
+    def __mul__(self, other: Union["RatInterval", Rationalish]) -> "RatInterval":
+        # RatInterval first: an isinstance test against Fraction goes
+        # through ABCMeta and is slow on this hot path
+        if isinstance(other, RatInterval):
+            p1 = self.lo * other.lo
+            p2 = self.lo * other.hi
+            p3 = self.hi * other.lo
+            p4 = self.hi * other.hi
+            return _interval(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other >= 0:
+            return _interval(self.lo * other, self.hi * other)
+        return _interval(self.hi * other, self.lo * other)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "RatInterval":
+        if self.contains_zero():
+            raise ZeroDivisionError("interval contains zero")
+        return _interval(1 / self.hi, 1 / self.lo)
+
+    def sqrt(self, bits: int = 128) -> "RatInterval":
+        lo = self.lo if self.lo > 0 else _ZERO
+        return _interval(
+            fraction_sqrt_bounds(lo, bits)[0], fraction_sqrt_bounds(self.hi, bits)[1]
+        )
+
+    def pad(self, eps: Fraction) -> "RatInterval":
+        return _interval(self.lo - eps, self.hi + eps)
+
+    def __repr__(self) -> str:
+        return f"RatInterval({float(self.lo)!r}, {float(self.hi)!r})"
+
+
+_new_interval = object.__new__
+
+
+def _interval(lo: Fraction, hi: Fraction) -> RatInterval:
+    """Unchecked constructor for endpoints that are already ordered
+    Fractions; interval operations build their results through it."""
+    out = _new_interval(RatInterval)
+    out.lo = lo
+    out.hi = hi
+    return out
+
+
+def _refine_to(bits: int, attempt: Callable[[int], Optional[RatInterval]]) -> RatInterval:
+    """Run ``attempt`` at doubling working precision, from ``bits + 2``, until
+    it returns an enclosure of width at most 2**-bits.  ``attempt`` returns
+    None when it cannot form an enclosure at that precision yet."""
+    target = Fraction(1, 1 << bits)
+    work = bits + 2
+    while True:
+        out = attempt(work)
+        if out is not None and out.width <= target:
+            return out
+        if work >= MAX_WORK_BITS:
+            raise RefinementLimitError(
+                f"no enclosure of width 2**-{bits} by {work} working bits"
+            )
+        work *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +406,11 @@ def _rsqrt_try(x, k: int, rads):
     return None
 
 
-def _rinterval(x, k: int, sqrt_ivs) -> tuple[Fraction, Fraction]:
+def _rinterval(x, k: int, sqrt_ivs) -> RatInterval:
     if k == 0:
-        return (x, x)
+        return _interval(x, x)
     p, q = x
-    ip = _rinterval(p, k - 1, sqrt_ivs)
-    iq = _rinterval(q, k - 1, sqrt_ivs)
-    return _iv_add(ip, _iv_mul(iq, sqrt_ivs[k - 1]))
+    return _rinterval(p, k - 1, sqrt_ivs) + _rinterval(q, k - 1, sqrt_ivs) * sqrt_ivs[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +431,7 @@ class TowerContext:
 
     def __init__(self, radicands: tuple):
         self.radicands = radicands
-        self._sqrt_cache: dict[int, list[tuple[Fraction, Fraction]]] = {}
+        self._sqrt_cache: dict[int, list[RatInterval]] = {}
         self._prefixes: dict[int, TowerContext] = {}
 
     @classmethod
@@ -336,18 +458,13 @@ class TowerContext:
     def extended(self, radicand_raw) -> "TowerContext":
         return TowerContext.get(self.radicands + (radicand_raw,))
 
-    def sqrt_enclosures(self, bits: int) -> list[tuple[Fraction, Fraction]]:
+    def sqrt_enclosures(self, bits: int) -> list[RatInterval]:
         cached = self._sqrt_cache.get(bits)
         if cached is not None:
             return cached
-        out: list[tuple[Fraction, Fraction]] = []
+        out: list[RatInterval] = []
         for i, rad in enumerate(self.radicands):
-            lo, hi = _rinterval(rad, i, out)
-            if lo < 0:
-                lo = _ZERO
-            slo = fraction_sqrt_bounds(lo, bits)[0]
-            shi = fraction_sqrt_bounds(hi, bits)[1]
-            out.append((slo, shi))
+            out.append(_rinterval(rad, i, out).sqrt(bits))
         self._sqrt_cache[bits] = out
         return out
 
@@ -368,7 +485,7 @@ class TowerReal:
         self.ctx = ctx.prefix(k)
         self.raw = raw
         self._sign: Optional[int] = None
-        self._ivs: dict[int, tuple[Fraction, Fraction]] = {}
+        self._ivs: dict[int, RatInterval] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -499,31 +616,23 @@ class TowerReal:
 
     # -- decisions ----------------------------------------------------------
 
-    def interval(self, bits: int) -> tuple[Fraction, Fraction]:
+    def interval(self, bits: int) -> RatInterval:
+        """Enclosure from the radicands' square roots taken to ``bits``."""
         cached = self._ivs.get(bits)
         if cached is None:
             cached = _rinterval(self.raw, self.depth, self.ctx.sqrt_enclosures(bits))
             self._ivs[bits] = cached
         return cached
 
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Interval of width <= 2**-bits (refines until the target is met)."""
-        work = bits
-        while True:
-            lo, hi = self.interval(work)
-            if hi - lo <= Fraction(1, 1 << bits):
-                return lo, hi
-            work = max(2 * work, 64)
+    def enclosure(self, bits: int) -> RatInterval:
+        """Interval of width <= 2**-bits, refined by ``_refine_to``."""
+        return _refine_to(bits, self.interval)
 
     def sign(self) -> int:
         if self._sign is None:
-            lo, hi = self.interval(64)
-            if lo > 0:
-                self._sign = 1
-            elif hi < 0:
-                self._sign = -1
-            else:
-                self._sign = _rsign(self.raw, self.depth, self.ctx.radicands)
+            self._sign = self.interval(64).strict_sign() or _rsign(
+                self.raw, self.depth, self.ctx.radicands
+            )
         return self._sign
 
     def is_zero(self) -> bool:
@@ -533,8 +642,7 @@ class TowerReal:
         return not self.is_zero()
 
     def __float__(self) -> float:
-        lo, hi = self.interval(64)
-        return float((lo + hi) / 2)
+        return float(self.interval(64).mid)
 
     def __eq__(self, other):
         co = self._coerce(other)
@@ -571,11 +679,6 @@ class TowerReal:
         from .literals import format_number
 
         return f"TowerReal({format_number(self)})"
-
-
-def tower_sign(x: TowerReal) -> int:
-    """Exact sign of a tower value: -1, 0 or +1."""
-    return x.sign()
 
 
 def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import TowerReal, exactify, sqrt_adjoin, tower_sign
+from .exact import TowerReal, exactify, sqrt_adjoin
 
 __all__ = [
     "AngleVec",
@@ -87,7 +87,7 @@ class Pt:
 
 def orientation(a: Pt, b: Pt, c: Pt) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear."""
-    return tower_sign((b - a).cross(c - a))
+    return (b - a).cross(c - a).sign()
 
 
 class SegmentRelation(enum.Enum):
@@ -107,7 +107,7 @@ def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
     """True when p lies on the closed segment [a, b]."""
     if orientation(a, b, p) != 0:
         return False
-    return tower_sign((p - a).dot(p - b)) <= 0
+    return (p - a).dot(p - b).sign() <= 0
 
 
 def classify_segments(p1: Pt, p2: Pt, q1: Pt, q2: Pt) -> SegmentRelation:
@@ -184,28 +184,8 @@ class Triangle:
         return tuple(sqrt_adjoin(s) for s in self.sides_squared())
 
     def sorted_sides_squared(self) -> tuple[TowerReal, TowerReal, TowerReal]:
-        sides = list(self.sides_squared())
         # three exact comparisons give a full sort
-        sides.sort(key=_SortKey)
-        return tuple(sides)
-
-
-class _SortKey:
-    """Adapter so exact values sort with their own comparisons."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v < other.v
-
-    def __eq__(self, other):
-        return self.v == other.v
-
-    def __hash__(self):
-        raise TypeError("_SortKey is for ordering, not hashing")
+        return tuple(sorted(self.sides_squared()))
 
 
 def point_in_triangle(p: Pt, tri: Triangle) -> Location:
@@ -256,11 +236,7 @@ def point_in_polygon(p: Pt, vertices: Sequence[Pt]) -> Location:
 def _axis_separates(axis: Pt, verts1: Sequence[Pt], verts2: Sequence[Pt]) -> bool:
     proj1 = [axis.dot(v) for v in verts1]
     proj2 = [axis.dot(v) for v in verts2]
-    lo1 = min(proj1, key=_SortKey)
-    hi1 = max(proj1, key=_SortKey)
-    lo2 = min(proj2, key=_SortKey)
-    hi2 = max(proj2, key=_SortKey)
-    return hi1 <= lo2 or hi2 <= lo1
+    return max(proj1) <= min(proj2) or max(proj2) <= min(proj1)
 
 
 def triangles_interior_disjoint(t1: Triangle, t2: Triangle) -> bool:
@@ -329,33 +305,38 @@ def congruent(t1: Triangle, t2: Triangle) -> bool:
     return all(a == b for a, b in zip(s1, s2))
 
 
+def _ordered_isometry(
+    src: Sequence[Pt], dst: Sequence[Pt], reflect: bool
+) -> Optional[Isometry]:
+    """The isometry with the given handedness that carries the three points
+    ``src`` onto ``dst`` in order, if any."""
+    base = [Pt(p.x, -p.y) for p in src] if reflect else src
+    u = base[1] - base[0]
+    w = dst[1] - dst[0]
+    usq = u.norm_sq()
+    if not (usq == w.norm_sq()):
+        return None
+    # (u.w)**2 + (u x w)**2 == |u|**2 |w|**2 (Lagrange), so c*c + s*s == 1
+    c = u.dot(w) / usq
+    s = u.cross(w) / usq
+    zero = TowerReal.from_rational(0)
+    shift = dst[0] - Isometry(c, s, reflect, zero, zero).apply(src[0])
+    iso = Isometry(c, s, reflect, shift.x, shift.y)
+    if iso.apply(src[1]) == dst[1] and iso.apply(src[2]) == dst[2]:
+        return iso
+    return None
+
+
 def find_isometry(src: Triangle, dst: Triangle) -> Optional[Isometry]:
     """An exact isometry carrying src onto dst (vertex order free), if any."""
     sv = src.vertices
     dv = dst.vertices
     for reflect in (False, True):
-        if reflect:
-            base = [Pt(p.x, -p.y) for p in sv]
-        else:
-            base = list(sv)
         for start in range(3):
             for step in (1, 2):
                 perm = [dv[(start + step * i) % 3] for i in range(3)]
-                u = base[1] - base[0]
-                v = perm[1] - perm[0]
-                usq = u.norm_sq()
-                if not (usq == v.norm_sq()):
-                    continue
-                c = u.dot(v) / usq
-                s = u.cross(v) / usq
-                iso = Isometry(c, s, reflect, TowerReal.from_rational(0), TowerReal.from_rational(0))
-                moved0 = iso.apply(sv[0])
-                shift = perm[0] - moved0
-                iso = Isometry(c, s, reflect, shift.x, shift.y)
-                if (
-                    iso.apply(sv[1]) == perm[1]
-                    and iso.apply(sv[2]) == perm[2]
-                ):
+                iso = _ordered_isometry(sv, perm, reflect)
+                if iso is not None:
                     return iso
     return None
 

@@ -1,12 +1,13 @@
-"""Rigorous numerics: rational intervals and refinable real numbers.
-
-``RatInterval`` is plain interval arithmetic with exact ``Fraction``
-endpoints, so every operation encloses the true result with no rounding.
+"""Rigorous numerics: refinable real numbers and transcendental enclosures.
 
 ``NumericReal`` represents a real number through a refinement callback that
 can produce an enclosure of any requested width.  Arithmetic on
 ``NumericReal`` values composes the callbacks; precision is raised until the
 requested output width is met.
+
+The interval type ``RatInterval`` and the bounded refinement loop
+``_refine_to`` (with ``MAX_WORK_BITS`` and ``RefinementLimitError``) live in
+``exact``, whose sign fast path uses them too; they are re-exported here.
 
 Transcendental values (pi, acos, sin) come from mpmath evaluated at elevated
 working precision and are then padded outward by a full 2**-bits, several
@@ -21,7 +22,13 @@ from typing import Callable, Optional, Union
 
 import mpmath
 
-from .exact import TowerReal, fraction_sqrt_bounds
+from .exact import (
+    MAX_WORK_BITS,
+    RatInterval,
+    RefinementLimitError,
+    TowerReal,
+    _refine_to,
+)
 
 __all__ = [
     "MAX_WORK_BITS",
@@ -40,95 +47,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _GUARD_BITS = 16
-
-# Working precision past which a refinement loop gives up.  The relation
-# finder asks for at most 4096 bits; each nested operation adds two bits, or
-# doubles them where it amplifies width, so 16x leaves room for four doublings.
-MAX_WORK_BITS = 1 << 16
-
-
-class RefinementLimitError(ArithmeticError):
-    """An enclosure did not reach its target width before the working
-    precision passed ``MAX_WORK_BITS`` (for instance a divisor that is
-    exactly zero)."""
-
-
-class RatInterval:
-    """A closed interval [lo, hi] with exact rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Union[Fraction, int], hi: Union[Fraction, int, None] = None):
-        lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
-        if hi < lo:
-            raise ValueError("interval endpoints out of order")
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, x: Union[Fraction, int]) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def strict_sign(self) -> int:
-        """+1 or -1 when the interval certifies a sign, else 0 (unknown)."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def __mul__(self, other: Union["RatInterval", Fraction, int]) -> "RatInterval":
-        if isinstance(other, (Fraction, int)):
-            other = Fraction(other)
-            if other >= 0:
-                return RatInterval(self.lo * other, self.hi * other)
-            return RatInterval(self.hi * other, self.lo * other)
-        ps = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RatInterval(min(ps), max(ps))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RatInterval":
-        if self.contains_zero():
-            raise ZeroDivisionError("interval contains zero")
-        return RatInterval(1 / self.hi, 1 / self.lo)
-
-    def sqrt(self, bits: int = 128) -> "RatInterval":
-        lo = self.lo if self.lo > 0 else _ZERO
-        return RatInterval(
-            fraction_sqrt_bounds(lo, bits)[0], fraction_sqrt_bounds(self.hi, bits)[1]
-        )
-
-    def pad(self, eps: Fraction) -> "RatInterval":
-        return RatInterval(self.lo - eps, self.hi + eps)
-
-    def __repr__(self) -> str:
-        return f"RatInterval({float(self.lo)!r}, {float(self.hi)!r})"
 
 
 def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
@@ -202,23 +120,6 @@ def sin_interval(x: RatInterval, bits: int) -> RatInterval:
     return RatInterval(lo, max(lo, hi))
 
 
-def _refine_to(bits: int, attempt: Callable[[int], Optional[RatInterval]]) -> RatInterval:
-    """Run ``attempt`` at doubling working precision, from ``bits + 2``, until
-    it returns an enclosure of width at most 2**-bits.  ``attempt`` returns
-    None when it cannot form an enclosure at that precision yet."""
-    target = Fraction(1, 1 << bits)
-    work = bits + 2
-    while True:
-        out = attempt(work)
-        if out is not None and out.width <= target:
-            return out
-        if work >= MAX_WORK_BITS:
-            raise RefinementLimitError(
-                f"no enclosure of width 2**-{bits} by {work} working bits"
-            )
-        work *= 2
-
-
 ExactLike = Union[TowerReal, Fraction, int]
 
 
@@ -244,12 +145,7 @@ class NumericReal:
     def from_exact(cls, value: ExactLike) -> "NumericReal":
         if not isinstance(value, TowerReal):
             value = TowerReal.from_rational(value)
-
-        def refine(bits: int) -> RatInterval:
-            lo, hi = value.enclosure(bits)
-            return RatInterval(lo, hi)
-
-        return cls(refine, exact_backing=value)
+        return cls(value.enclosure, exact_backing=value)
 
     def enclosure(self, bits: int) -> RatInterval:
         iv = self._cache.get(bits)

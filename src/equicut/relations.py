@@ -116,15 +116,13 @@ class RelationResult:
 class _Column:
     """One input value, normalized to a uniform enclosure interface."""
 
-    __slots__ = ("value", "exact", "refinable", "_fixed")
+    __slots__ = ("value", "exact", "refinable")
 
     def __init__(self, value: Value):
-        self._fixed: Optional[RatInterval] = None
+        if isinstance(value, (int, Fraction)):
+            value = TowerReal.from_rational(value)
         if isinstance(value, TowerReal):
             self.value: Union[TowerReal, NumericReal] = value
-            self.exact, self.refinable = True, True
-        elif isinstance(value, (int, Fraction)):
-            self.value = TowerReal.from_rational(value)
             self.exact, self.refinable = True, True
         elif isinstance(value, NumericReal):
             self.value = value
@@ -134,18 +132,13 @@ class _Column:
             # a generous fixed uncertainty and mark it unrefinable
             center = Fraction(value)
             slack = abs(center) / (1 << 48) + Fraction(1, 1 << 48)
-            self._fixed = RatInterval(center - slack, center + slack)
-            self.value = NumericReal(lambda bits: self._fixed)
+            fixed = RatInterval(center - slack, center + slack)
+            self.value = NumericReal(lambda bits: fixed)
             self.exact, self.refinable = False, False
         else:
             raise TypeError(f"unsupported value type {type(value).__name__}")
 
     def enclosure(self, bits: int) -> RatInterval:
-        if self._fixed is not None:
-            return self._fixed
-        if isinstance(self.value, TowerReal):
-            lo, hi = self.value.enclosure(bits)
-            return RatInterval(lo, hi)
         return self.value.enclosure(bits)
 
 

@@ -42,9 +42,10 @@ from .geom import (
     Location,
     Pt,
     Triangle,
-    _SortKey,
+    _ordered_isometry,
     point_in_polygon,
     point_on_segment,
+    polygon_area,
 )
 from .dissect import Dissection, _piece_multiset_key, verify_dissection
 
@@ -144,14 +145,6 @@ class _Poly:
     lens: Tuple[TowerReal, ...]
 
 
-def _poly_area_sign(verts: Sequence[Pt]) -> int:
-    total = TowerReal.from_rational(0)
-    n = len(verts)
-    for i in range(n):
-        total = total + verts[i].cross(verts[(i + 1) % n])
-    return total.sign()
-
-
 def _segment_meets_triangle_interior(p: Pt, q: Pt, tri: Sequence[Pt]) -> bool:
     """True when the open segment (p, q) meets the open triangle interior.
 
@@ -202,7 +195,7 @@ def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
         return [(p, q, length)]
     dvec = q - p
     den = dvec.norm_sq()
-    inside.sort(key=lambda c: _SortKey((c - p).dot(dvec)))
+    inside.sort(key=lambda c: (c - p).dot(dvec))
     points = [p] + inside + [q]
     pieces = []
     for u, w in zip(points, points[1:]):
@@ -213,7 +206,7 @@ def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
 
 def _edge_sort_key(edge):
     u, w, _ = edge
-    return (_SortKey(u.x), _SortKey(u.y), _SortKey(w.x), _SortKey(w.y))
+    return (u.x, u.y, w.x, w.y)
 
 
 def _merge_cycle(segs) -> _Poly:
@@ -244,7 +237,7 @@ def _merge_cycle(segs) -> _Poly:
         lens.append(total)
     if len(verts) < 3:
         raise RuntimeError("boundary cycle with fewer than three corners")
-    if _poly_area_sign(verts) <= 0:
+    if polygon_area(verts).sign() <= 0:
         raise RuntimeError("boundary cycle is not counterclockwise")
     return _Poly(verts, tuple(lens))
 
@@ -404,7 +397,7 @@ class _Searcher:
         ]
         self.side_lens = [builder.sqrt(sq) for sq in side_sq]
 
-        tile_sides = sorted((exactify(x) for x in spec.tile), key=_SortKey)
+        tile_sides = sorted(exactify(x) for x in spec.tile)
         if tile_sides[0].sign() <= 0:
             raise ValueError("tile sides must be positive")
         self.note: Optional[str] = None
@@ -574,38 +567,16 @@ def _angle_point_less(key_a, key_b) -> bool:
 # Region symmetries and the quotient of results.
 
 
-def _isometry_fixing_order(src: Triangle, dst: Triangle) -> Optional[Isometry]:
-    """The isometry taking src vertices to dst vertices in order, if any."""
-    sv, dv = src.vertices, dst.vertices
-    zero = TowerReal.from_rational(0)
-    for reflect in (False, True):
-        base = [Pt(p.x, -p.y) for p in sv] if reflect else list(sv)
-        u = base[1] - base[0]
-        w = dv[1] - dv[0]
-        usq = u.norm_sq()
-        if not (usq == w.norm_sq()):
-            continue
-        c = u.dot(w) / usq
-        s = u.cross(w) / usq
-        if not (c * c + s * s == 1):
-            continue
-        probe = Isometry(c, s, reflect, zero, zero)
-        shift = dv[0] - probe.apply(sv[0])
-        iso = Isometry(c, s, reflect, shift.x, shift.y)
-        if iso.apply(sv[1]) == dv[1] and iso.apply(sv[2]) == dv[2]:
-            return iso
-    return None
-
-
 def region_symmetries(region: Triangle) -> List[Isometry]:
     """All isometries mapping the region onto itself (1, 2, or 6 of them)."""
     verts = region.vertices
     out = []
-    for perm in itertools.permutations(range(3)):
-        dst = Triangle(verts[perm[0]], verts[perm[1]], verts[perm[2]])
-        iso = _isometry_fixing_order(region, dst)
-        if iso is not None:
-            out.append(iso)
+    for dst in itertools.permutations(verts):
+        for reflect in (False, True):
+            iso = _ordered_isometry(verts, dst, reflect)
+            if iso is not None:
+                out.append(iso)
+                break
     return out
 
 
@@ -648,7 +619,7 @@ def similar_tile(region: Triangle, m: int) -> Tuple[TowerReal, TowerReal, TowerR
         raise ValueError("piece count must be at least 1")
     scale = sqrt_adjoin(Fraction(1, m))
     sides = [s * scale for s in region.side_lengths()]
-    sides.sort(key=_SortKey)
+    sides.sort()
     return (sides[0], sides[1], sides[2])
 
 
@@ -670,7 +641,7 @@ def search_for_count(
         ("similar", similar)
     ]
     for raw in extra_tiles:
-        sides = sorted((exactify(x) for x in raw), key=_SortKey)
+        sides = sorted(exactify(x) for x in raw)
         triple = (sides[0], sides[1], sides[2])
         jobs.append(("supplied", triple))
     reports: List[TileReport] = []

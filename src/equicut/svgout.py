@@ -14,7 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .boundary import Cell, boundary_loops
 from .dissect import Dissection
-from .exact import TowerReal, exactify
+from .exact import exactify
 
 __all__ = ["dissection_svg", "lattice_region_svg"]
 
@@ -37,9 +37,7 @@ def _decimal(value) -> str:
     if isinstance(value, float):
         approx = value
     else:
-        exact = exactify(value) if not isinstance(value, TowerReal) else value
-        lo, hi = exact.enclosure(60)
-        approx = float((lo + hi) / 2)
+        approx = float(exactify(value).enclosure(60).mid)
     out = f"{approx:.12g}"
     return "0" if out == "-0" else out
 

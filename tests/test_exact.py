@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,13 +10,14 @@ from equicut.exact import (
     FieldBuilder,
     KElement,
     NegativeSqrtError,
+    RatInterval,
     SquarefreeBoundError,
     TowerReal,
     fraction_sqrt_bounds,
     k_membership,
     sqrt_adjoin,
     squarefree_decompose,
-    tower_sign,
+    tower_to_k,
 )
 
 
@@ -128,19 +130,19 @@ class TestSign:
     def test_spec_combination(self):
         # 3*sqrt(2) - 2*sqrt(3) + sqrt(6) - 5 is slightly negative
         x = 3 * sqrt_adjoin(2) - 2 * sqrt_adjoin(3) + sqrt_adjoin(6) - 5
-        assert tower_sign(x) == -1
+        assert x.sign() == -1
 
     def test_sign_against_mpmath(self):
         with mpmath.workprec(256):
             ref = 3 * mpmath.sqrt(2) - 2 * mpmath.sqrt(3) + mpmath.sqrt(6) - 5
             assert ref < 0
         x = 3 * sqrt_adjoin(2) - 2 * sqrt_adjoin(3) + sqrt_adjoin(6) - 5
-        assert tower_sign(x) == -1
+        assert x.sign() == -1
 
     def test_exact_zero(self):
         r2, r3 = sqrt_adjoin(2), sqrt_adjoin(3)
         z = (r2 + r3) * (r3 - r2) - 1
-        assert tower_sign(z) == 0
+        assert z.sign() == 0
         assert z.is_zero()
 
     def test_tiny_difference(self):
@@ -148,13 +150,101 @@ class TestSign:
         p, q = 665857, 470832
         assert p * p - 2 * q * q == 1
         x = sqrt_adjoin(2) - Fraction(p, q)
-        assert tower_sign(x) == -1
+        assert x.sign() == -1
         assert abs(float(x)) < 1e-11
 
     def test_nested_zero(self):
         r2, r3 = sqrt_adjoin(2), sqrt_adjoin(3)
         s = r2 + r3
-        assert tower_sign(sqrt_adjoin(s * s) - s) == 0
+        assert (sqrt_adjoin(s * s) - s).sign() == 0
+
+
+# The tuple interval recursion the kernel used before it was built on
+# RatInterval; kept as the reference for the differential test below.
+
+
+def _iv_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _iv_mul(a, b):
+    p1 = a[0] * b[0]
+    p2 = a[0] * b[1]
+    p3 = a[1] * b[0]
+    p4 = a[1] * b[1]
+    return min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+
+
+def _rinterval(x, k, sqrt_ivs):
+    if k == 0:
+        return (x, x)
+    p, q = x
+    return _iv_add(_rinterval(p, k - 1, sqrt_ivs), _iv_mul(_rinterval(q, k - 1, sqrt_ivs), sqrt_ivs[k - 1]))
+
+
+def _reference_interval(value: TowerReal, bits: int):
+    sqrt_ivs = []
+    for i, rad in enumerate(value.ctx.radicands):
+        lo, hi = _rinterval(rad, i, sqrt_ivs)
+        lo = max(lo, Fraction(0))
+        sqrt_ivs.append((fraction_sqrt_bounds(lo, bits)[0], fraction_sqrt_bounds(hi, bits)[1]))
+    return _rinterval(value.raw, value.depth, sqrt_ivs)
+
+
+def _seeded_towers(seed: int) -> list:
+    """Rationals, flat towers in either radicand order, towers ending in a
+    nested sqrt(v*v + 1), and sums and products merged across orders."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 30))
+
+    def tower(radicands, nested):
+        v = TowerReal.from_rational(coeff())
+        for r in radicands:
+            v = v + coeff() * sqrt_adjoin(r)
+        if nested:
+            v = v + sqrt_adjoin(v * v + 1)
+        return v
+
+    rads = rng.sample((2, 3, 5, 7), 3)
+    values = [
+        tower((), False),
+        tower(rads[:1], False),
+        tower(rads[:2], False),
+        tower(rads, False),
+        tower(rads[:1], True),
+        tower(rads[:2], True),
+    ]
+    a = tower(rads[:2], False)
+    b = tower(rads[1::-1], False)
+    c = tower(rads[:1], True)
+    d = tower(rads[1:2], False)
+    values += [a + b, a * b - 1, c + d, c * d, (a + c) * b]
+    return values
+
+
+class TestIntervalDifferential:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interval_matches_tuple_recursion(self, seed):
+        values = _seeded_towers(seed)
+        assert {v.depth for v in values} == {0, 1, 2, 3}
+        assert any(tower_to_k(v) is None for v in values)  # a nested radicand
+        for v in values:
+            for bits in (32, 64, 128):
+                iv = v.interval(bits)
+                assert isinstance(iv, RatInterval)
+                assert (iv.lo, iv.hi) == _reference_interval(v, bits)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_enclosure_width(self, seed):
+        for v in _seeded_towers(seed):
+            for bits in (32, 64, 128):
+                iv = v.enclosure(bits)
+                assert isinstance(iv, RatInterval)
+                lo, hi = iv
+                assert (lo, hi) == (iv.lo, iv.hi)
+                assert hi - lo <= Fraction(1, 1 << bits)
 
 
 class TestSqrtAdjoin:
