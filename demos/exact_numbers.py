@@ -6,8 +6,9 @@ Coordinates in this package are never floats.  They live in towers of
 real quadratic extensions of the rationals: start from Q, repeatedly
 adjoin the square root of something you already have.  Every arithmetic
 operation is exact, and crucially the sign of any element is decidable
--- first by refining interval enclosures, and if the value is actually
-zero, by an exact recursive argument.  That is what lets geometric
+-- first from a rigorous enclosure, and when that cannot decide (for
+instance because the value is exactly zero), by an exact recursive
+argument.  That is what lets geometric
 predicates (orientation, on-segment, congruence) return true answers
 instead of float guesses.
 

@@ -88,7 +88,10 @@ def _parse_tile(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise _UsageError("--tile expects three comma-separated side literals")
-    return tuple(_parse_literal(p.strip()) for p in parts)
+    sides = tuple(_parse_literal(p.strip()) for p in parts)
+    if any(s.sign() <= 0 for s in sides):
+        raise _UsageError(f"--tile sides must be positive, got {text!r}")
+    return sides
 
 
 def _witness_str(coeffs) -> str:
@@ -193,7 +196,7 @@ def _cmd_verify(args) -> int:
     path = Path(args.file)
     try:
         data = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
         dissection = dissection_from_json(data)
@@ -295,7 +298,7 @@ def _cmd_boundary(args) -> int:
     path = Path(args.file)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     cells = _parse_region_file(text)
     loops = boundary_loops(cells)

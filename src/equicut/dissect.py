@@ -276,6 +276,8 @@ def dissection_to_json_str(dissection: Dissection) -> str:
 def _parse_vertex(builder: FieldBuilder, pair) -> Pt:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError("vertex must be a pair of number literals")
+    if not all(isinstance(c, str) for c in pair):
+        raise ValueError("coordinates must be number literals written as strings")
     return Pt(
         builder.embed(parse_number(pair[0])), builder.embed(parse_number(pair[1]))
     )
@@ -301,8 +303,10 @@ def dissection_from_json(data: Union[str, dict]) -> Dissection:
         raise ValueError(f"unsupported format version: {version!r}")
     builder = FieldBuilder()
     region = _parse_triangle(builder, data.get("region"))
+    if region.is_degenerate():
+        raise ValueError("region triangle is degenerate")
     raw_pieces = data.get("pieces")
-    if not isinstance(raw_pieces, list):
-        raise ValueError("pieces must be a list of triangles")
+    if not isinstance(raw_pieces, list) or not raw_pieces:
+        raise ValueError("pieces must be a non-empty list of triangles")
     pieces = tuple(_parse_triangle(builder, p) for p in raw_pieces)
     return Dissection(region=region, pieces=pieces)

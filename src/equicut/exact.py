@@ -6,9 +6,17 @@ Two representations cooperate:
   integers, kept in the canonical squarefree-basis normal form, so equality
   is coefficient equality.
 * ``TowerReal`` -- elements of an explicit real quadratic tower
-  Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)).  Values are nested (p, q) pairs with
-  Fraction leaves; signs and zero tests are decided exactly, with a rigorous
-  rational-interval fast path and a pure recursion as the decision procedure.
+  Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)).  In a *flat* tower, where every
+  radicand is a rational integer, a value is a vector of integer
+  coefficients over the products of the radicands' square roots, with one
+  positive denominator; the square roots of distinct squarefree integers
+  are linearly independent over Q, so these coordinates are unique and the
+  form is canonical.  Its signs come from a 64-bit fixed-point enclosure of
+  those square roots, or from an exact halving recursion when the enclosure
+  cannot certify one.  In a tower with a nested radicand, values are nested
+  (p, q) pairs with Fraction leaves, and signs come from a rational-interval
+  fast path with a pure recursion as the decision procedure.  Every value
+  offers the nested-pair view as ``raw``.
 
 The package's one interval type, ``RatInterval``, and its one bounded
 refinement loop, ``_refine_to``, live here too: the kernel's fast path is
@@ -18,7 +26,8 @@ built from them, and ``intervals.NumericReal`` composes them further.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import add, sub
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
@@ -414,6 +423,113 @@ def _rinterval(x, k: int, sqrt_ivs) -> RatInterval:
 
 
 # ---------------------------------------------------------------------------
+# Integer vectors over a flat context.  Coordinate m of a vector is the
+# coefficient of sqrt(prods[m]), where prods[m] is the product of the
+# radicands picked by the bits of mask m; a vector has 2**depth coordinates,
+# so its low half lies one level down and its high half is the coefficient
+# of the top radicand's square root.
+
+
+def _vmul(x, y, prods) -> list:
+    """The product of two vectors, from
+    sqrt(prods[a]) * sqrt(prods[b]) == prods[a & b] * sqrt(prods[a ^ b])."""
+    if len(x) < len(y):
+        x, y = y, x
+    if len(y) == 1:
+        c = y[0]
+        return [a * c for a in x]
+    out = [0] * len(x)
+    for a, xa in enumerate(x):
+        if xa:
+            for b, yb in enumerate(y):
+                if yb:
+                    out[a ^ b] += xa * yb * prods[a & b]
+    return out
+
+
+def _vcombine(ctx, x, y, s: int) -> "TowerReal":
+    """x + s*y over the flat ``ctx`` for s = +-1, where x and y are
+    (numerators, denominator) pairs."""
+    (xn, xd), (yn, yd) = x, y
+    if xd != yd:
+        xn = [c * yd for c in xn]
+        yn = [c * xd for c in yn]
+        xd *= yd
+    if len(xn) < len(yn):
+        xn = [*xn, *[0] * (len(yn) - len(xn))]
+    elif len(yn) < len(xn):
+        yn = [*yn, *[0] * (len(xn) - len(yn))]
+    return _flat_value(ctx, list(map(add if s > 0 else sub, xn, yn)), xd)
+
+
+def _vnorm(v, prods) -> list:
+    """p**2 - r*q**2 for v = p + q*sqrt(r), r the top radicand: the product
+    of v and its conjugate, one level down."""
+    h = len(v) >> 1
+    p, q = v[:h], v[h:]
+    r = prods[h]
+    return [a - r * b for a, b in zip(_vmul(p, p, prods), _vmul(q, q, prods))]
+
+
+def _vinv(v, prods) -> tuple[list, int]:
+    """(w, d) with v*w == d, d a nonzero integer, for a nonzero vector v."""
+    h = len(v) >> 1
+    if h == 0:
+        if v[0] == 0:
+            raise ZeroDivisionError("division by zero in tower field")
+        return [1], v[0]
+    p, q = v[:h], v[h:]
+    if not any(q):
+        return _vinv(p, prods)
+    w, d = _vinv(_vnorm(v, prods), prods)
+    return _vmul(list(p) + [-c for c in q], w, prods), d
+
+
+def _vsign(v, prods) -> int:
+    """Exact sign of a vector; the integer twin of ``_rsign``."""
+    h = len(v) >> 1
+    if h == 0:
+        return (v[0] > 0) - (v[0] < 0)
+    sq = _vsign(v[h:], prods)
+    if sq == 0:
+        return _vsign(v[:h], prods)
+    sp = _vsign(v[:h], prods)
+    if sp == 0 or sp == sq:
+        return sq
+    # p and q*sqrt(r) pull in opposite directions; compare p**2 with q**2*r.
+    sd = _vsign(_vnorm(v, prods), prods)
+    if sd == 0:
+        raise AssertionError("radicand was a perfect square at its own level")
+    return sp * sd
+
+
+def _vfilter(v, roots) -> int:
+    """Sign of a vector certified from the fixed-point roots, else 0.
+
+    roots[m] <= sqrt(prods[m]) * 2**64 < roots[m] + 1, so the sum c of
+    v[m] * roots[m] lies within sum |v[m]| of the value times 2**64."""
+    if len(v) == 1:
+        return (v[0] > 0) - (v[0] < 0)
+    c = e = 0
+    for x, s in zip(v, roots):
+        c += x * s
+        e += abs(x)
+    if c > e:
+        return 1
+    if c < -e:
+        return -1
+    return 0
+
+
+def _vraw(v, den: int):
+    """The raw nested-pair value of the vector v over den."""
+    h = len(v) >> 1
+    if h == 0:
+        return Fraction(v[0], den)
+    return (_vraw(v[:h], den), _vraw(v[h:], den))
+
+
+# ---------------------------------------------------------------------------
 # Tower contexts and values.
 
 
@@ -423,16 +539,31 @@ class TowerContext:
     ``radicands[i]`` is a raw level-i value; level-(i+1) values are pairs
     over it.  Stored radicands are certified nonnegative and are never
     perfect squares at their own level.
+
+    A context is *flat* when every radicand is a rational integer.  It then
+    keeps ``_prods[m]``, the product of the radicands picked by the bits of
+    mask m, and ``_roots[m] = isqrt(_prods[m] << 128)``, the square roots of
+    those products in 64-bit fixed point; a nested context keeps None.
     """
 
-    __slots__ = ("radicands", "_sqrt_cache", "_prefixes")
+    __slots__ = ("radicands", "depth", "_sqrt_cache", "_prefixes", "_prods", "_roots")
 
     _interned: dict[tuple, "TowerContext"] = {}
 
     def __init__(self, radicands: tuple):
         self.radicands = radicands
+        self.depth = len(radicands)
         self._sqrt_cache: dict[int, list[RatInterval]] = {}
         self._prefixes: dict[int, TowerContext] = {}
+        prods: Optional[list[int]] = [1]
+        for i, rad in enumerate(radicands):
+            f = _rasfrac(rad, i)
+            if f is None or f.denominator != 1:
+                prods = None
+                break
+            prods += [p * f.numerator for p in prods]
+        self._prods = prods
+        self._roots = None if prods is None else [isqrt(p << 128) for p in prods]
 
     @classmethod
     def get(cls, radicands: tuple) -> "TowerContext":
@@ -441,10 +572,6 @@ class TowerContext:
             ctx = cls(radicands)
             cls._interned[radicands] = ctx
         return ctx
-
-    @property
-    def depth(self) -> int:
-        return len(self.radicands)
 
     def prefix(self, k: int) -> "TowerContext":
         if k == self.depth:
@@ -473,69 +600,97 @@ _BASE_CTX = TowerContext.get(())
 
 
 class TowerReal:
-    """An exact real number living in a square-root tower over Q."""
+    """An exact real number living in a square-root tower over Q.
 
-    __slots__ = ("ctx", "raw", "_sign", "_ivs")
+    Over a flat context the value is an integer vector ``_num`` over one
+    positive denominator ``_den``, in canonical form: gcd(den, *num) == 1
+    and zero top halves stripped, so equality is tuple equality.  ``raw``,
+    the nested-pair view, is then built on first use.  Over a nested
+    context ``raw`` is the value and ``_num`` is None.
+    """
+
+    __slots__ = ("ctx", "_raw", "_num", "_den", "_sign", "_ivs")
 
     def __init__(self, ctx: TowerContext, raw):
         k = ctx.depth
         while k > 0 and _riszero(raw[1], k - 1):
             raw = raw[0]
             k -= 1
-        self.ctx = ctx.prefix(k)
-        self.raw = raw
+        self.ctx = ctx = ctx.prefix(k)
+        self._raw = raw
         self._sign: Optional[int] = None
-        self._ivs: dict[int, RatInterval] = {}
+        self._ivs: Optional[dict[int, RatInterval]] = None
+        self._num = self._den = None
+        if ctx._prods is not None:
+            coords: list[Fraction] = []
+            _rflatten(raw, k, coords)
+            den = lcm(*[c.denominator for c in coords])
+            self._num = tuple([c.numerator * (den // c.denominator) for c in coords])
+            self._den = den
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Rationalish) -> "TowerReal":
-        return cls(_BASE_CTX, Fraction(value))
+        f = Fraction(value)
+        return _value(_BASE_CTX, f, (f.numerator,), f.denominator)
 
     @property
     def depth(self) -> int:
         return self.ctx.depth
 
+    @property
+    def raw(self):
+        """The nested-pair form: a Fraction at depth 0, else a pair (p, q)
+        of values one level down meaning p + q*sqrt(top radicand)."""
+        if self._raw is None:
+            self._raw = _vraw(self._num, self._den)
+        return self._raw
+
     def as_fraction(self) -> Optional[Fraction]:
+        if self._num is not None:
+            return self.raw if len(self._num) == 1 else None
         return _rasfrac(self.raw, self.depth)
 
     # -- coercion -----------------------------------------------------------
 
-    @staticmethod
-    def _lift_raw(raw, from_depth: int, to_depth: int, ctx: TowerContext):
-        for k in range(from_depth, to_depth):
+    def _lift_to(self, ctx: TowerContext):
+        raw = self.raw
+        for k in range(self.depth, ctx.depth):
             raw = (raw, _rconst(_ZERO, k))
         return raw
-
-    def _lift_to(self, ctx: TowerContext):
-        return TowerReal._lift_raw(self.raw, self.depth, ctx.depth, ctx)
 
     @staticmethod
     def _merge(a: "TowerReal", b: "TowerReal"):
         ca, cb = a.ctx, b.ctx
         if ca is cb:
-            return ca, a.raw, b.raw
-        ra, rb = ca.radicands, cb.radicands
-        if len(ra) <= len(rb) and rb[: len(ra)] == ra:
-            return cb, a._lift_to(cb), b.raw
-        if len(rb) < len(ra) and ra[: len(rb)] == rb:
-            return ca, a.raw, b._lift_to(ca)
-        builder = FieldBuilder(ca)
-        b2 = builder.embed(b)
-        ctx = builder.ctx
-        return (
-            ctx,
-            TowerReal._lift_raw(a.raw, a.depth, ctx.depth, ctx),
-            TowerReal._lift_raw(b2.raw, b2.depth, ctx.depth, ctx),
-        )
+            ctx = ca
+        elif ca.depth <= cb.depth and cb.prefix(ca.depth) is ca:
+            ctx = cb
+        elif cb.depth < ca.depth and ca.prefix(cb.depth) is cb:
+            ctx = ca
+        else:
+            builder = FieldBuilder(ca)
+            b = builder.embed(b)
+            ctx = builder.ctx
+        if ctx._prods is not None:
+            return ctx, (a._num, a._den), (b._num, b._den)
+        return ctx, a._lift_to(ctx), b._lift_to(ctx)
 
     def _coerce(self, other) -> Optional[tuple]:
+        """(ctx, x, y): both operands over one context, as (numerators,
+        denominator) pairs when it is flat, else as raw values."""
         if isinstance(other, TowerReal):
             return TowerReal._merge(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.ctx, self.raw, _rconst(Fraction(other), self.depth)
-        return None
+        if isinstance(other, int):
+            if self._num is not None:
+                return self.ctx, (self._num, self._den), ((other,), 1)
+        elif isinstance(other, Fraction):
+            if self._num is not None:
+                return self.ctx, (self._num, self._den), ((other.numerator,), other.denominator)
+        else:
+            return None
+        return self.ctx, self.raw, _rconst(Fraction(other), self.depth)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -544,6 +699,8 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
+        if ctx._prods is not None:
+            return _vcombine(ctx, x, y, 1)
         return TowerReal(ctx, _radd(x, y, ctx.depth))
 
     __radd__ = __add__
@@ -553,6 +710,8 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
+        if ctx._prods is not None:
+            return _vcombine(ctx, x, y, -1)
         return TowerReal(ctx, _rsub(x, y, ctx.depth))
 
     def __rsub__(self, other):
@@ -560,21 +719,25 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
+        if ctx._prods is not None:
+            return _vcombine(ctx, y, x, -1)
         return TowerReal(ctx, _rsub(y, x, ctx.depth))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if self._num is None and isinstance(other, (int, Fraction)):
             return TowerReal(self.ctx, _rscale(self.raw, Fraction(other), self.depth))
         co = self._coerce(other)
         if co is None:
             return NotImplemented
         ctx, x, y = co
+        if ctx._prods is not None:
+            return _flat_value(ctx, _vmul(x[0], y[0], ctx._prods), x[1] * y[1])
         return TowerReal(ctx, _rmul(x, y, ctx.depth, ctx.radicands))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if self._num is None and isinstance(other, (int, Fraction)):
             f = Fraction(other)
             if f == 0:
                 raise ZeroDivisionError("division by zero in tower field")
@@ -582,21 +745,29 @@ class TowerReal:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        ctx, x, y = co
-        if _riszero(y, ctx.depth):
-            raise ZeroDivisionError("division by zero in tower field")
-        return TowerReal(ctx, _rmul(x, _rinv(y, ctx.depth, ctx.radicands), ctx.depth, ctx.radicands))
+        return TowerReal._divide(*co)
 
     def __rtruediv__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
         ctx, x, y = co
-        if _riszero(x, ctx.depth):
+        return TowerReal._divide(ctx, y, x)
+
+    @staticmethod
+    def _divide(ctx: TowerContext, x, y) -> "TowerReal":
+        prods = ctx._prods
+        if prods is not None:
+            (xn, xd), (yn, yd) = x, y
+            w, d = _vinv(yn, prods)
+            return _flat_value(ctx, [c * yd for c in _vmul(xn, w, prods)], xd * d)
+        if _riszero(y, ctx.depth):
             raise ZeroDivisionError("division by zero in tower field")
-        return TowerReal(ctx, _rmul(y, _rinv(x, ctx.depth, ctx.radicands), ctx.depth, ctx.radicands))
+        return TowerReal(ctx, _rmul(x, _rinv(y, ctx.depth, ctx.radicands), ctx.depth, ctx.radicands))
 
     def __neg__(self):
+        if self._num is not None:
+            return _value(self.ctx, None, tuple([-c for c in self._num]), self._den)
         return TowerReal(self.ctx, _rneg(self.raw, self.depth))
 
     def __pow__(self, n: int):
@@ -618,6 +789,8 @@ class TowerReal:
 
     def interval(self, bits: int) -> RatInterval:
         """Enclosure from the radicands' square roots taken to ``bits``."""
+        if self._ivs is None:
+            self._ivs = {}
         cached = self._ivs.get(bits)
         if cached is None:
             cached = _rinterval(self.raw, self.depth, self.ctx.sqrt_enclosures(bits))
@@ -630,12 +803,18 @@ class TowerReal:
 
     def sign(self) -> int:
         if self._sign is None:
-            self._sign = self.interval(64).strict_sign() or _rsign(
-                self.raw, self.depth, self.ctx.radicands
-            )
+            v = self._num
+            if v is not None:
+                self._sign = _vfilter(v, self.ctx._roots) or _vsign(v, self.ctx._prods)
+            else:
+                self._sign = self.interval(64).strict_sign() or _rsign(
+                    self.raw, self.depth, self.ctx.radicands
+                )
         return self._sign
 
     def is_zero(self) -> bool:
+        if self._num is not None:
+            return len(self._num) == 1 and self._num[0] == 0
         return _riszero(self.raw, self.depth)
 
     def __bool__(self) -> bool:
@@ -649,6 +828,8 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
+        if ctx._prods is not None:
+            return x == y
         return _riszero(_rsub(x, y, ctx.depth), ctx.depth)
 
     def __lt__(self, other):
@@ -681,6 +862,38 @@ class TowerReal:
         return f"TowerReal({format_number(self)})"
 
 
+_new_value = object.__new__
+
+
+def _value(ctx: TowerContext, raw, num, den) -> TowerReal:
+    """Unchecked constructor: ``num`` and ``den`` already in canonical form
+    over the flat ``ctx``, or ``raw`` already stripped over a nested one."""
+    out = _new_value(TowerReal)
+    out.ctx = ctx
+    out._raw = raw
+    out._num = num
+    out._den = den
+    out._sign = None
+    out._ivs = None
+    return out
+
+
+def _flat_value(ctx: TowerContext, num: list, den: int) -> TowerReal:
+    """The value num/den over the flat ``ctx``, put in canonical form."""
+    top = len(num) - 1
+    while top and not num[top]:
+        top -= 1
+    k = top.bit_length()  # the least depth whose vectors reach index ``top``
+    del num[1 << k :]
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _value(ctx if k == ctx.depth else ctx.prefix(k), None, tuple(num), den)
+
+
 def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:
     if isinstance(value, TowerReal):
         return value
@@ -695,13 +908,12 @@ class FieldBuilder:
         self.ctx = ctx
 
     def const(self, value: Rationalish) -> TowerReal:
-        return TowerReal(self.ctx, _rconst(Fraction(value), self.ctx.depth))
+        return TowerReal.from_rational(value)
 
     def embed(self, value: Union[TowerReal, Rationalish]) -> TowerReal:
         value = exactify(value)
-        ra, rb = self.ctx.radicands, value.ctx.radicands
-        if rb == ra[: len(rb)]:
-            return TowerReal(self.ctx, value._lift_to(self.ctx))
+        if value.depth <= self.ctx.depth and self.ctx.prefix(value.depth) is value.ctx:
+            return value
 
         def go(raw, k: int, src_rads) -> TowerReal:
             if k == 0:
@@ -922,26 +1134,12 @@ class KElement:
 def tower_to_k(value: TowerReal) -> Optional[KElement]:
     """Convert to the squarefree-basis normal form, or None if the value's
     tower involves a nested (non-rational) radicand."""
-    rads = value.ctx.radicands
-    ds: list[int] = []
-    for i, rad in enumerate(rads):
-        f = _rasfrac(rad, i)
-        if f is None or f.denominator != 1:
-            return None
-        ds.append(f.numerator)
-    coords: list[Fraction] = []
-    _rflatten(value.raw, value.depth, coords)
-    terms: list[tuple[int, Fraction]] = []
-    for mask, c in enumerate(coords):
-        if c == 0:
-            continue
-        d = 1
-        for j, dj in enumerate(ds):
-            if mask >> j & 1:
-                d *= dj
-        terms.append((d, c))
+    prods = value.ctx._prods
+    if prods is None:
+        return None
+    den = value._den
     try:
-        return KElement(terms)
+        return KElement([(prods[m], Fraction(c, den)) for m, c in enumerate(value._num) if c])
     except SquarefreeBoundError:
         return None
 

@@ -179,6 +179,32 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.update(pieces=[]),
+            lambda o: o.update(region=[["0", "0"], ["1", "0"], ["2", "0"]]),
+            lambda o: o["region"].__setitem__(0, [0, 0]),
+        ],
+        ids=["no-pieces", "degenerate-region", "json-number-coordinate"],
+    )
+    def test_bad_dissection_exit_two(self, tmp_path, capsys, mutate):
+        data = json.loads(open(self.make_file(tmp_path, capsys)).read())
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad dissection file:") and err.count("\n") == 1
+
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"format": "caf\xe9"}')
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
 
 class TestSearch:
     def test_right_isoceles_m4(self, tmp_path, capsys):
@@ -274,6 +300,14 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tile", ["0,1,1", "1,-1,1", "1,1,1 - sqrt(2)"])
+    def test_nonpositive_tile_side_usage_error(self, capsys, tile):
+        code, _, err = run(
+            capsys, "search", "--region", "1,1", "--pieces", "2", "--tile", tile
+        )
+        assert code == 2
+        assert err.startswith("error: --tile sides must be positive")
+
 
 class TestBoundary:
     def test_standard_region(self, tmp_path, capsys):
@@ -329,6 +363,13 @@ class TestBoundary:
         region.write_text("# nothing\n")
         code, _, err = run(capsys, "boundary", str(region))
         assert code == 2
+
+    def test_non_utf8_file_usage_error(self, tmp_path, capsys):
+        region = tmp_path / "region.txt"
+        region.write_bytes(b"0 0 up # caf\xe9\n")
+        code, _, err = run(capsys, "boundary", str(region))
+        assert code == 2
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
 
 class TestSample:

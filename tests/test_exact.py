@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicut import exact
 from equicut.exact import (
     FieldBuilder,
     KElement,
@@ -19,6 +21,7 @@ from equicut.exact import (
     squarefree_decompose,
     tower_to_k,
 )
+from equicut.literals import format_k_element, format_number
 
 
 def R(x) -> TowerReal:
@@ -245,6 +248,184 @@ class TestIntervalDifferential:
                 lo, hi = iv
                 assert (lo, hi) == (iv.lo, iv.hi)
                 assert hi - lo <= Fraction(1, 1 << bits)
+
+
+# Integer-vector arithmetic on flat towers, checked against the recursive
+# Fraction-leaf path, which stays in exact.py for nested towers.
+
+FLAT_RADICANDS = [(2,), (3, 2), (2, 3, 5), (5, 7, 2), (15, 5), (6, 10)]
+
+
+def _flat_ctx(radicands):
+    builder = FieldBuilder()
+    for r in radicands:
+        builder.sqrt(r)
+    assert builder.ctx.depth == len(radicands)
+    return builder.ctx
+
+
+def _random_raw(rng, k):
+    if k == 0:
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+    if rng.random() < 0.15:  # a zero top half, which the value strips
+        return (_random_raw(rng, k - 1), exact._rconst(Fraction(0), k - 1))
+    return (_random_raw(rng, k - 1), _random_raw(rng, k - 1))
+
+
+def _lift(raw, k, to_k):
+    for j in range(k, to_k):
+        raw = (raw, exact._rconst(Fraction(0), j))
+    return raw
+
+
+def _reference_format(ctx, raw):
+    """``format_number`` as it read the coordinates off the raw form."""
+    ds = [exact._rasfrac(rad, i).numerator for i, rad in enumerate(ctx.radicands)]
+    coords = []
+    exact._rflatten(raw, ctx.depth, coords)
+    terms = []
+    for mask, c in enumerate(coords):
+        if c:
+            d = 1
+            for j, dj in enumerate(ds):
+                if mask >> j & 1:
+                    d *= dj
+            terms.append((d, c))
+    return format_k_element(KElement(terms))
+
+
+def _mp_value(raw, k, rads):
+    if k == 0:
+        return mpmath.mpf(raw.numerator) / raw.denominator
+    p, q = raw
+    return _mp_value(p, k - 1, rads) + _mp_value(q, k - 1, rads) * mpmath.sqrt(
+        _mp_value(rads[k - 1], k - 1, rads)
+    )
+
+
+def _flat_pairs(seed):
+    """(x, y) pairs of flat values: one context, a context and its prefix,
+    and two contexts over the same radicands adjoined in different orders."""
+    rng = random.Random(seed)
+    pairs = []
+    for rads in FLAT_RADICANDS:
+        ctx = _flat_ctx(rads)
+        for _ in range(3):
+            j = rng.randrange(ctx.depth + 1)
+            x = TowerReal(ctx, _random_raw(rng, ctx.depth))
+            y = TowerReal(ctx, _random_raw(rng, ctx.depth))
+            z = TowerReal(ctx.prefix(j), _random_raw(rng, j))
+            pairs += [(x, y), (x, z), (z, x), (x, TowerReal.from_rational(rng.randint(-5, 5)))]
+        if len(rads) > 1:
+            other = _flat_ctx(rads[::-1])
+            x = TowerReal(ctx, _random_raw(rng, ctx.depth))
+            y = TowerReal(other, _random_raw(rng, other.depth))
+            pairs += [(x, y), (y, x)]
+    return pairs
+
+
+def _check_result(z, ctx, want):
+    """z, computed on integer vectors, against the raw result ``want``."""
+    k = ctx.depth
+    assert _lift(z.raw, z.depth, k) == want
+    assert TowerReal(ctx, want) == z
+    assert z.sign() == exact._rsign(want, k, ctx.radicands)
+    assert z.is_zero() == exact._riszero(want, k)
+    reference = SimpleNamespace(ctx=ctx, raw=want, depth=k)
+    for bits in (32, 64):
+        assert (z.interval(bits).lo, z.interval(bits).hi) == _reference_interval(reference, bits)
+    assert format_number(z) == _reference_format(ctx, want)
+
+
+class TestFlatDifferential:
+    def test_flat_contexts_are_detected(self):
+        for rads in FLAT_RADICANDS:
+            ctx = _flat_ctx(rads)
+            assert ctx._prods is not None
+            assert TowerReal(ctx, _random_raw(random.Random(0), ctx.depth))._num is not None
+        builder = FieldBuilder()
+        builder.sqrt(builder.sqrt(2) + 3)
+        assert builder.ctx._prods is None
+        # (15, 5): the product 75 of the two radicands is not squarefree
+        assert _flat_ctx((15, 5))._prods == [1, 15, 5, 75]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arithmetic_matches_recursion(self, seed):
+        pairs = _flat_pairs(seed)
+        assert {max(x.depth, y.depth) for x, y in pairs} >= {1, 2, 3}
+        for x, y in pairs:
+            builder = FieldBuilder(x.ctx)
+            y_in = builder.embed(y)
+            ctx = builder.ctx
+            k, rads = ctx.depth, ctx.radicands
+            assert y_in == y
+            xr = _lift(x.raw, x.depth, k)
+            yr = _lift(y_in.raw, y_in.depth, k)
+            assert TowerReal(x.ctx, x.raw)._num == x._num
+            _check_result(x + y, ctx, exact._radd(xr, yr, k))
+            _check_result(x - y, ctx, exact._rsub(xr, yr, k))
+            _check_result(x * y, ctx, exact._rmul(xr, yr, k, rads))
+            assert (x == y) == exact._riszero(exact._rsub(xr, yr, k), k)
+            assert (x - y).sign() == exact._rsign(exact._rsub(xr, yr, k), k, rads)
+            if exact._riszero(yr, k):
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                want = exact._rmul(xr, exact._rinv(yr, k, rads), k, rads)
+                _check_result(x / y, ctx, want)
+
+    def test_near_zero_signs_take_the_exact_fallback(self, monkeypatch):
+        calls = []
+        reference_vsign = exact._vsign
+
+        def counting_vsign(v, prods):
+            calls.append(len(v))
+            return reference_vsign(v, prods)
+
+        monkeypatch.setattr(exact, "_vsign", counting_vsign)
+
+        def pell(d, x1, y1, count):
+            """Solutions of x**2 - d*y**2 = 1 past 2**40, where x - y*sqrt(d)
+            = 1/(x + y*sqrt(d)) is too small for a 64-bit enclosure."""
+            out, x, y = [], x1, y1
+            while len(out) < count:
+                if x > 1 << 40:
+                    out.append((x, y))
+                x, y = x1 * x + d * y1 * y, x1 * y + y1 * x
+            return out
+
+        values = []
+        for rads, d, fundamental in (
+            ((2,), 2, (3, 2)),
+            ((2, 3), 2, (3, 2)),
+            ((15,), 15, (4, 1)),
+            ((15, 5), 15, (4, 1)),
+            ((6, 10), 6, (5, 2)),
+            ((2, 3, 5), 2, (3, 2)),
+        ):
+            builder = FieldBuilder()
+            roots = [builder.sqrt(r) for r in rads]
+            top = roots[-1]
+            sols = pell(d, *fundamental, 4)
+            for (p, q), (u, w) in zip(sols, sols[1:]):
+                small = p - q * builder.sqrt(d)
+                smaller = u - w * builder.sqrt(d)
+                values += [small, -small, Fraction(p, q) - builder.sqrt(d)]
+                if len(rads) > 1:
+                    # both halves tiny and of opposite signs: the sign needs
+                    # the norm one level down
+                    values += [small * top - smaller, smaller - small * top, small * top + 3 * smaller]
+        assert len(values) > 40
+        with mpmath.workdps(400):
+            for v in values:
+                assert v.depth >= 1
+                assert exact._vfilter(v._num, v.ctx._roots) == 0
+                want = mpmath.sign(_mp_value(v.raw, v.depth, v.ctx.radicands))
+                assert v.sign() == want
+                assert v.sign() == exact._rsign(v.raw, v.depth, v.ctx.radicands)
+        assert len(calls) >= len(values)
 
 
 class TestSqrtAdjoin:

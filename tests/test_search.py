@@ -252,6 +252,42 @@ class TestScaleneSweep:
                 assert is_standard(out.dissections[0])
 
 
+class TestNamedTrianglePins:
+    """(nodes, results) of complete similar-tile searches on the named
+    triangles, beside the instances pinned above."""
+
+    REGIONS = {
+        "30-60-90": THIRTY_SIXTY,
+        "equilateral": EQUILATERAL,
+        "legs-1:2": LEGS_ONE_TWO,
+        "right-isoceles": RIGHT_ISOCELES,
+    }
+
+    @pytest.mark.parametrize(
+        "name,m,nodes,results",
+        [
+            ("30-60-90", 2, 3, 0),
+            ("30-60-90", 3, 5, 1),
+            ("30-60-90", 4, 28, 4),
+            ("equilateral", 2, 2, 0),
+            ("equilateral", 3, 2, 0),
+            ("equilateral", 4, 5, 1),
+            ("equilateral", 5, 5, 0),
+            ("equilateral", 9, 10, 1),
+            ("legs-1:2", 2, 3, 0),
+            ("legs-1:2", 3, 3, 0),
+            ("legs-1:2", 4, 14, 2),
+            ("right-isoceles", 3, 6, 0),
+            ("right-isoceles", 8, 96, 4),
+        ],
+    )
+    def test_node_and_result_counts(self, name, m, nodes, results):
+        region = self.REGIONS[name]
+        out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
+        assert out.complete
+        assert (out.nodes, len(out.dissections)) == (nodes, results)
+
+
 class TestPruningSoundness:
     CASES = [
         (RIGHT_ISOCELES, 4),
