@@ -222,6 +222,8 @@ def _cmd_search(args) -> int:
     region, _, _ = _parse_region(args.region)
     if args.pieces < 1:
         raise _UsageError("--pieces must be at least 1")
+    if args.max_nodes is not None and args.max_nodes < 1:
+        raise _UsageError("--max-nodes must be at least 1")
     extra = [_parse_tile(t) for t in args.tile or []]
     kwargs = {
         "allow_reflections": not args.no_reflections,

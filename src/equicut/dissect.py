@@ -143,10 +143,23 @@ def _bbox(tri: Triangle, bits: int = 32) -> Tuple[Fraction, Fraction, Fraction, 
     )
 
 
-def _boxes_separated(b1, b2) -> bool:
-    # outward-rounded boxes that merely touch still certify interior
-    # disjointness: a linear functional is extreme only on the boundary
-    return b1[1] <= b2[0] or b2[1] <= b1[0] or b1[3] <= b2[2] or b2[3] <= b1[2]
+def _box_pairs(boxes: dict) -> List[Tuple[int, int]]:
+    """The pairs (i, j), i < j in that order, whose boxes overlap with positive
+    area (outward-rounded boxes that merely touch certify interior disjointness:
+    a linear functional is extreme only on the boundary).  Sort-and-sweep on x:
+    once a box starts at or past the end of box i, so does every later one."""
+    order = sorted(boxes, key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        bi = boxes[i]
+        for j in order[k + 1 :]:
+            bj = boxes[j]
+            if bj[0] >= bi[1]:
+                break
+            if bi[0] < bj[1] and bi[2] < bj[3] and bj[2] < bi[3]:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
 
 def verify_dissection(dissection: Dissection) -> VerificationResult:
@@ -157,7 +170,8 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
     piece areas summing exactly to the region area; together these force the
     pieces to tile the region without gaps.
     """
-    if dissection.region.is_degenerate():
+    region = dissection.region.oriented()
+    if region.is_degenerate():
         raise ValueError("region triangle is degenerate")
     if not dissection.pieces:
         raise ValueError("dissection has no pieces")
@@ -177,7 +191,7 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
 
     for i, piece in enumerate(pieces):
         for v in piece.vertices:
-            if point_in_triangle(v, dissection.region) == Location.OUTSIDE:
+            if point_in_triangle(v, region) == Location.OUTSIDE:
                 failures.append(
                     VerificationFailure(
                         FailureKind.PIECE_OUTSIDE_REGION,
@@ -187,24 +201,18 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
                 )
                 break
 
-    boxes = [_bbox(p) for p in pieces]
-    degenerate = [p.is_degenerate() for p in pieces]
-    pairs_tested = 0
-    for i in range(len(pieces)):
-        if degenerate[i]:
-            continue  # empty interior is disjoint from everything
-        for j in range(i + 1, len(pieces)):
-            if degenerate[j] or _boxes_separated(boxes[i], boxes[j]):
-                continue
-            pairs_tested += 1
-            if not triangles_interior_disjoint(pieces[i], pieces[j]):
-                failures.append(
-                    VerificationFailure(
-                        FailureKind.PIECE_PAIR_OVERLAP,
-                        (i, j),
-                        f"pieces {i} and {j} have overlapping interiors",
-                    )
+    # a degenerate piece has an empty interior, disjoint from everything
+    boxes = {i: _bbox(p) for i, p in enumerate(pieces) if not p.is_degenerate()}
+    pairs = _box_pairs(boxes)
+    for i, j in pairs:
+        if not triangles_interior_disjoint(pieces[i], pieces[j]):
+            failures.append(
+                VerificationFailure(
+                    FailureKind.PIECE_PAIR_OVERLAP,
+                    (i, j),
+                    f"pieces {i} and {j} have overlapping interiors",
                 )
+            )
 
     total = TowerReal.from_rational(0)
     for piece in pieces:
@@ -212,9 +220,7 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
         if area.sign() < 0:
             area = -area
         total = total + area
-    region_area = dissection.region.signed_area()
-    if region_area.sign() < 0:
-        region_area = -region_area
+    region_area = region.signed_area()
     if total != region_area:
         failures.append(
             VerificationFailure(
@@ -225,7 +231,7 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
             )
         )
 
-    return VerificationResult(ok=not failures, failures=failures, pairs_tested=pairs_tested)
+    return VerificationResult(ok=not failures, failures=failures, pairs_tested=len(pairs))
 
 
 def _vertex_key(p: Pt):

@@ -26,7 +26,7 @@ built from them, and ``intervals.NumericReal`` composes them further.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, nextafter
 from operator import add, sub
 from typing import Callable, Iterable, Optional, Union
 
@@ -519,6 +519,25 @@ def _vfilter(v, roots) -> int:
     if c < -e:
         return -1
     return 0
+
+
+def _float_bounds(x: "TowerReal") -> Optional[tuple[float, float]]:
+    """Floats lo <= x <= hi for a value over a flat context, or None (also
+    beyond the float range).  As in ``_vfilter``, the value times
+    den * 2**64 lies within e of c; int / int division rounds correctly, so
+    one float step outward from each quotient encloses the value."""
+    v = x._num
+    if v is None:
+        return None
+    c = e = 0
+    for a, s in zip(v, x.ctx._roots):
+        c += a * s
+        e += abs(a)
+    d = x._den << 64
+    try:
+        return nextafter((c - e) / d, -inf), nextafter((c + e) / d, inf)
+    except OverflowError:
+        return None
 
 
 def _vraw(v, den: int):

@@ -1,9 +1,17 @@
 """Exact planar geometry over tower-field coordinates.
 
-Every predicate decides with exact sign computations, so there are no
-epsilons anywhere: orientation, segment classification, point location,
-interior-disjointness of triangles, congruence, and sqrt-free comparison of
-angles all return certified answers.
+Every predicate returns a certified answer with no epsilons anywhere:
+orientation, segment classification, point location, interior-disjointness
+of triangles, congruence, and sqrt-free comparison of angles.
+
+The sign-deciding predicates (``orientation``, ``point_on_segment``, the
+separating-axis test, ``AngleVec``'s comparisons) first run the interval
+filter of Broennimann, Burnikel and Pion (2001).  Each point caches float
+intervals around its coordinates (``exact._float_bounds``), and the
+predicate's polynomial is evaluated on them with every ``+ - *`` rounded
+outward by one float step.  An interval decides a sign only when it excludes
+0.  When it contains 0, when a coordinate lies over a nested tower, or when
+an end leaves the float range, the exact expression decides.
 """
 
 from __future__ import annotations
@@ -11,9 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import inf, nextafter
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import TowerReal, exactify, sqrt_adjoin
+from .exact import TowerReal, _float_bounds, exactify, sqrt_adjoin
 
 __all__ = [
     "AngleVec",
@@ -36,14 +46,77 @@ __all__ = [
 Coord = Union[TowerReal, Fraction, int]
 
 
+# ---------------------------------------------------------------------------
+# The interval filter.  An interval is a pair (lo, hi) of finite floats
+# enclosing an exact value; a box is a tuple of intervals.
+
+
+def _iv(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened by one float step each way, enclosing the exact result
+    of a correctly rounded operation; OverflowError unless both ends are
+    finite, so no infinity or NaN ever reaches a decision."""
+    lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
+    if -inf < lo and hi < inf:
+        return lo, hi
+    raise OverflowError("interval left the float range")
+
+
+def _isub(a, b):
+    return _iv(a[0] - b[1], a[1] - b[0])
+
+
+def _imul(a, b):
+    # finite ends never give a NaN product, so min and max see every one
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _iv(min(p), max(p))
+
+
+def _fvec(a, b):
+    """Box of the vector b - a, from the boxes of the points a and b."""
+    return _isub(b[0], a[0]), _isub(b[1], a[1])
+
+
+def _fdot(u, w):
+    p, q = _imul(u[0], w[0]), _imul(u[1], w[1])
+    return _iv(p[0] + q[0], p[1] + q[1])
+
+
+def _fcross(u, w):
+    return _isub(_imul(u[0], w[1]), _imul(u[1], w[0]))
+
+
+def _box(f, *boxes):
+    """f(*boxes), or None when a box is missing or an end overflows."""
+    if None in boxes:
+        return None
+    try:
+        return f(*boxes)
+    except OverflowError:
+        return None
+
+
+def _certified(f, *boxes) -> int:
+    """+1 or -1 when the interval ``_box(f, *boxes)`` excludes 0, else 0."""
+    iv = _box(f, *boxes)
+    return 0 if iv is None else 1 if iv[0] > 0 else -1 if iv[1] < 0 else 0
+
+
 class Pt:
     """A point (or vector) with exact coordinates."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_box")
 
     def __init__(self, x: Coord, y: Coord):
         self.x = exactify(x)
         self.y = exactify(y)
+        self._box = False
+
+    def _floats(self):
+        """The box (x interval, y interval), built on first use, or None."""
+        if self._box is False:
+            bx, by = _float_bounds(self.x), _float_bounds(self.y)
+            self._box = bx and by and (bx, by)
+        return self._box
 
     def __add__(self, other: "Pt") -> "Pt":
         return Pt(self.x + other.x, self.y + other.y)
@@ -85,9 +158,18 @@ class Pt:
         return f"Pt({format_number(self.x)}, {format_number(self.y)})"
 
 
+def _forientation(a, b, c):
+    return _fcross(_fvec(a, b), _fvec(a, c))
+
+
+def _fdot_from(p, a, b):
+    return _fdot(_fvec(a, p), _fvec(b, p))
+
+
 def orientation(a: Pt, b: Pt, c: Pt) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear."""
-    return (b - a).cross(c - a).sign()
+    s = _certified(_forientation, a._floats(), b._floats(), c._floats())
+    return s or (b - a).cross(c - a).sign()
 
 
 class SegmentRelation(enum.Enum):
@@ -107,7 +189,8 @@ def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
     """True when p lies on the closed segment [a, b]."""
     if orientation(a, b, p) != 0:
         return False
-    return (p - a).dot(p - b).sign() <= 0
+    s = _certified(_fdot_from, p._floats(), a._floats(), b._floats())
+    return (s or (p - a).dot(p - b).sign()) <= 0
 
 
 def classify_segments(p1: Pt, p2: Pt, q1: Pt, q2: Pt) -> SegmentRelation:
@@ -159,8 +242,18 @@ class Triangle:
     def vertices(self) -> tuple[Pt, Pt, Pt]:
         return (self.va, self.vb, self.vc)
 
-    def signed_area(self) -> TowerReal:
+    # cached: the verifier asks once per piece vertex and congruence test
+    @cached_property
+    def _signed_area(self) -> TowerReal:
         return (self.vb - self.va).cross(self.vc - self.va) / 2
+
+    @cached_property
+    def _sorted_sides(self) -> tuple[TowerReal, TowerReal, TowerReal]:
+        # three exact comparisons give a full sort
+        return tuple(sorted(self.sides_squared()))
+
+    def signed_area(self) -> TowerReal:
+        return self._signed_area
 
     def is_degenerate(self) -> bool:
         return self.signed_area().is_zero()
@@ -184,8 +277,7 @@ class Triangle:
         return tuple(sqrt_adjoin(s) for s in self.sides_squared())
 
     def sorted_sides_squared(self) -> tuple[TowerReal, TowerReal, TowerReal]:
-        # three exact comparisons give a full sort
-        return tuple(sorted(self.sides_squared()))
+        return self._sorted_sides
 
 
 def point_in_triangle(p: Pt, tri: Triangle) -> Location:
@@ -233,10 +325,35 @@ def point_in_polygon(p: Pt, vertices: Sequence[Pt]) -> Location:
     return Location.INSIDE if crossings % 2 == 1 else Location.OUTSIDE
 
 
-def _axis_separates(axis: Pt, verts1: Sequence[Pt], verts2: Sequence[Pt]) -> bool:
-    proj1 = [axis.dot(v) for v in verts1]
-    proj2 = [axis.dot(v) for v in verts2]
-    return max(proj1) <= min(proj2) or max(proj2) <= min(proj1)
+def _fprojections(a, b, *pts):
+    """Intervals of the projections of pts onto the normal of the edge a->b."""
+    ex, ey = _fvec(a, b)
+    normal = ((-ey[1], -ey[0]), ex)
+    return [_fdot(normal, p) for p in pts]
+
+
+def _axis_separates(a: Pt, b: Pt, verts1: Sequence[Pt], verts2: Sequence[Pt]) -> bool:
+    """Whether the normal of the edge from a to b weakly separates the two
+    vertex sets: each projection of one set is <= each of the other.  Two
+    projections are compared by their intervals when those are apart, else
+    they are equal when the vertices are or both lie on {a, b}, else their
+    exact difference is cross(b - a, w - v)."""
+    pts = (*verts1, *verts2)
+    ivs = _box(_fprojections, *[v._floats() for v in (a, b, *pts)])
+
+    def le(i: int, j: int) -> bool:
+        if ivs is not None:
+            if ivs[i][1] <= ivs[j][0]:
+                return True
+            if ivs[i][0] > ivs[j][1]:
+                return False
+        v, w = pts[i], pts[j]
+        if v == w or ((v == a or v == b) and (w == a or w == b)):
+            return True
+        return (b - a).cross(w - v).sign() >= 0
+
+    pairs = [(i, j) for i in range(len(verts1)) for j in range(len(verts1), len(pts))]
+    return all(le(i, j) for i, j in pairs) or all(le(j, i) for i, j in pairs)
 
 
 def triangles_interior_disjoint(t1: Triangle, t2: Triangle) -> bool:
@@ -249,9 +366,7 @@ def triangles_interior_disjoint(t1: Triangle, t2: Triangle) -> bool:
     v1, v2 = t1.vertices, t2.vertices
     for verts in (v1, v2):
         for i in range(3):
-            e = verts[(i + 1) % 3] - verts[i]
-            normal = Pt(-e.y, e.x)
-            if _axis_separates(normal, v1, v2):
+            if _axis_separates(verts[i], verts[(i + 1) % 3], v1, v2):
                 return True
     return False
 
@@ -345,25 +460,61 @@ def find_isometry(src: Triangle, dst: Triangle) -> Optional[Isometry]:
 # Exact angle comparison without square roots.
 
 
+def _fangle(u, w):
+    return _fdot(u, w), _fcross(u, w), _imul(_fdot(u, u), _fdot(w, w))
+
+
+def _fcos_diff(a, b):
+    """Interval of d1**2 * m2 - d2**2 * m1 from the angle boxes (d, c, m)."""
+    return _isub(_imul(_imul(a[0], a[0]), b[2]), _imul(_imul(b[0], b[0]), a[2]))
+
+
 class AngleVec:
     """The angle in (0, 2*pi) from vector u to vector w, counterclockwise,
     represented by the exact pair (dot, cross) plus |u|^2 |w|^2.
 
     Total order agrees with the numeric angle but needs no square roots or
     transcendentals: first by region (0,pi) / pi / (pi,2*pi), then by a
-    cross-multiplied comparison of squared cosines.
+    cross-multiplied comparison of squared cosines.  An angle made by
+    ``between`` computes d, c and m only when the interval filter cannot.
     """
 
-    __slots__ = ("d", "c", "m")
+    __slots__ = ("d", "c", "m", "_uw", "_box")
 
     def __init__(self, d: TowerReal, c: TowerReal, m: TowerReal):
         self.d = d
         self.c = c
         self.m = m
+        self._uw, self._box = None, False
 
     @classmethod
     def between(cls, u: Pt, w: Pt) -> "AngleVec":
-        return cls(u.dot(w), u.cross(w), u.norm_sq() * w.norm_sq())
+        out = cls.__new__(cls)
+        out._uw, out._box = (u, w), False
+        return out
+
+    def __getattr__(self, name: str):
+        # called only while the slots d, c and m of a ``between`` angle are unset
+        if name not in ("d", "c", "m"):
+            raise AttributeError(name)
+        u, w = self._uw
+        self.d, self.c, self.m = u.dot(w), u.cross(w), u.norm_sq() * w.norm_sq()
+        return getattr(self, name)
+
+    def _floats(self):
+        """The box (d, c, m) of intervals, built on first use, or None."""
+        if self._box is False:
+            if self._uw is None:
+                box = tuple(map(_float_bounds, (self.d, self.c, self.m)))
+                self._box = None if None in box else box
+            else:
+                self._box = _box(_fangle, self._uw[0]._floats(), self._uw[1]._floats())
+        return self._box
+
+    def _sign(self, k: int) -> int:
+        """Sign of d (k = 0) or c (k = 1), from its interval when that
+        excludes 0, else exactly."""
+        return _certified(lambda box: box[k], self._floats()) or (self.c if k else self.d).sign()
 
     @classmethod
     def interior(cls, prev_pt: Pt, at: Pt, next_pt: Pt) -> "AngleVec":
@@ -371,11 +522,11 @@ class AngleVec:
         return cls.between(next_pt - at, prev_pt - at)
 
     def _region(self) -> int:
-        cs = self.c.sign()
+        cs = self._sign(1)
         if cs > 0:
             return 0  # (0, pi)
         if cs == 0:
-            if self.d.sign() < 0:
+            if self._sign(0) < 0:
                 return 1  # exactly pi
             raise ValueError("zero or full angle has no direction")
         return 2  # (pi, 2*pi)
@@ -388,14 +539,14 @@ class AngleVec:
 
     def _cos_cmp(self, other: "AngleVec") -> int:
         """Sign of (my cos) - (other cos), exactly."""
-        s1, s2 = self.d.sign(), other.d.sign()
+        s1, s2 = self._sign(0), other._sign(0)
         if s1 != s2:
             return 1 if s1 > s2 else -1
         if s1 == 0:
             return 0
-        lhs = self.d * self.d * other.m
-        rhs = other.d * other.d * self.m
-        diff = (lhs - rhs).sign()
+        diff = _certified(_fcos_diff, self._floats(), other._floats()) or (
+            self.d * self.d * other.m - other.d * other.d * self.m
+        ).sign()
         # for positive cosines, larger square means larger cosine;
         # for negative cosines the order flips
         return diff * s1

@@ -43,6 +43,7 @@ from .geom import (
     Pt,
     Triangle,
     _ordered_isometry,
+    orientation,
     point_in_polygon,
     point_on_segment,
     polygon_area,
@@ -151,7 +152,8 @@ def _segment_meets_triangle_interior(p: Pt, q: Pt, tri: Sequence[Pt]) -> bool:
     Clips the segment's parameter interval against the three inward
     half-planes of the counterclockwise triangle.  Interval endpoints are
     kept as (numerator, positive denominator) pairs so the whole test runs
-    on sign evaluations without any division.
+    on sign evaluations without any division, and the exact edge
+    functionals are built only for an edge that the segment crosses.
     """
     zero = TowerReal.from_rational(0)
     one = TowerReal.from_rational(1)
@@ -159,14 +161,14 @@ def _segment_meets_triangle_interior(p: Pt, q: Pt, tri: Sequence[Pt]) -> bool:
     hi_n, hi_d = one, one
     for i in range(3):
         e0, e1 = tri[i], tri[(i + 1) % 3]
-        ev = e1 - e0
-        f0 = ev.cross(p - e0)
-        f1 = ev.cross(q - e0)
-        s0, s1 = f0.sign(), f1.sign()
+        s0, s1 = orientation(e0, e1, p), orientation(e0, e1, q)
         if s0 <= 0 and s1 <= 0:
             return False
         if s0 > 0 and s1 > 0:
             continue
+        ev = e1 - e0
+        f0 = ev.cross(p - e0)
+        f1 = ev.cross(q - e0)
         if s0 > 0:
             n, d = f0, f0 - f1
             if n * hi_d < hi_n * d:

@@ -294,6 +294,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--region", "1,1", "--pieces", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_max_nodes_usage_error(self, capsys, budget):
+        code, out, err = run(
+            capsys, "search", "--region", "1,1", "--pieces", "4", "--max-nodes", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-nodes must be at least 1\n"
+
     def test_bad_tile_usage_error(self, capsys):
         code, _, err = run(
             capsys, "search", "--region", "1,1", "--pieces", "4", "--tile", "1,2"

@@ -273,3 +273,110 @@ class TestJson:
         mutate(obj)
         with pytest.raises((ValueError, KeyError)):
             dissection_from_json(json.dumps(obj))
+
+
+# Verifier outputs pinned at the all-pairs bounding-box loop, which the
+# sort-and-sweep replaced: the same pairs reach the exact test, and failures
+# come in the same order.
+
+NAMED = {
+    "equilateral": EQUILATERAL,
+    "right-isoceles": RIGHT_ISOCELES,
+    "30-60-90": THIRTY_SIXTY,
+    "scalene": SCALENE,
+    "legs-1:2": LEGS_ONE_TWO,
+}
+
+PAIRS_TESTED = {  # standard files at n = 8, 12, 20
+    "equilateral": (203, 495, 1463),
+    "right-isoceles": (56, 132, 380),
+    "30-60-90": (224, 550, 1634),
+    "scalene": (224, 550, 1634),
+    "legs-1:2": (56, 132, 380),
+}
+
+OVERLAP, MISMATCH, AREA = (
+    FailureKind.PIECE_PAIR_OVERLAP,
+    FailureKind.CONGRUENCE_MISMATCH,
+    FailureKind.AREA_MISMATCH,
+)
+# piece 20 doubled about its centroid overlaps its neighbours on every side,
+# pairs that the sweep meets out of index order
+GROWN = [(MISMATCH, (0, 20))] + [(OVERLAP, (i, 20)) for i in (5, 6, 7, 18, 19)] + [
+    (OVERLAP, (20, j)) for j in (21, 22, 30, 31, 32, 33, 34)
+] + [(AREA, None)]
+# (pairs_tested, failures) of corrupted n = 8 files; None stands for all pieces
+CORRUPTED = {
+    "equilateral": {
+        "grown": (209, GROWN),
+        "moved": (203, [(MISMATCH, (0, 20)), (OVERLAP, (5, 20)), (OVERLAP, (19, 20)), (AREA, None)]),
+        "deleted": (198, [(AREA, None)]),
+        "shrunk": (200, [(MISMATCH, (0, 10)), (AREA, None)]),
+    },
+    "right-isoceles": {
+        "grown": (68, GROWN),
+        "moved": (59, [(MISMATCH, (0, 20)), (OVERLAP, (5, 20)), (OVERLAP, (19, 20)), (AREA, None)]),
+        "deleted": (54, [(AREA, None)]),
+        "shrunk": (56, [(MISMATCH, (0, 10)), (AREA, None)]),
+    },
+    "30-60-90": {
+        "grown": (232, GROWN),
+        "moved": (224, [(MISMATCH, (0, 20)), (OVERLAP, (5, 20)), (OVERLAP, (19, 20)), (AREA, None)]),
+        "deleted": (219, [(AREA, None)]),
+        "shrunk": (220, [(MISMATCH, (0, 10)), (AREA, None)]),
+    },
+    "scalene": {
+        "grown": (232, GROWN),
+        "moved": (224, [(MISMATCH, (0, 20)), (OVERLAP, (5, 20)), (OVERLAP, (19, 20)), (AREA, None)]),
+        "deleted": (219, [(AREA, None)]),
+        "shrunk": (220, [(MISMATCH, (0, 10)), (AREA, None)]),
+    },
+    "legs-1:2": {
+        "grown": (71, GROWN),
+        "moved": (60, [(MISMATCH, (0, 20)), (OVERLAP, (5, 20)), (OVERLAP, (19, 20)), (AREA, None)]),
+        "deleted": (54, [(AREA, None)]),
+        "shrunk": (55, [(MISMATCH, (0, 10)), (AREA, None)]),
+    },
+}
+
+
+def standard_file(sides, n):
+    """The standard dissection as ``equicut verify`` reads it from a file."""
+    return dissection_from_json(dissection_to_json_str(standard_dissection(*sides, n)))
+
+
+def corrupted(d, kind):
+    pieces = list(d.pieces)
+    if kind == "moved":  # a vertex of piece 20 pushed into its neighbours
+        a, b, c = pieces[20].vertices
+        pieces[20] = Triangle(Pt(a.x - F(1, 30), a.y - F(1, 30)), b, c)
+    elif kind == "deleted":
+        del pieces[7]
+    else:  # piece 10 halved or piece 20 doubled about its centroid
+        idx, f = (10, F(1, 2)) if kind == "shrunk" else (20, 2)
+        verts = pieces[idx].vertices
+        cx = (verts[0].x + verts[1].x + verts[2].x) / 3
+        cy = (verts[0].y + verts[1].y + verts[2].y) / 3
+        pieces[idx] = Triangle(*(Pt(cx + (v.x - cx) * f, cy + (v.y - cy) * f) for v in verts))
+    return Dissection(d.region, pieces)
+
+
+class TestVerifierPins:
+    @pytest.mark.parametrize("name", NAMED)
+    def test_pairs_tested_on_standard_files(self, name):
+        for n, want in zip((8, 12, 20), PAIRS_TESTED[name]):
+            result = verify_dissection(standard_file(NAMED[name], n))
+            assert result.ok
+            assert result.pairs_tested == want, n
+
+    @pytest.mark.parametrize("name", NAMED)
+    @pytest.mark.parametrize("kind", ["moved", "deleted", "shrunk", "grown"])
+    def test_failures_of_corrupted_files(self, name, kind):
+        d = corrupted(standard_file(NAMED[name], 8), kind)
+        result = verify_dissection(d)
+        pairs, failures = CORRUPTED[name][kind]
+        everything = tuple(range(d.piece_count))
+        assert result.pairs_tested == pairs
+        assert [(f.kind, f.pieces) for f in result.failures] == [
+            (k, everything if p is None else p) for k, p in failures
+        ]

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicut.exact import TowerReal, sqrt_adjoin
+from equicut import geom
+from equicut.exact import FieldBuilder, TowerReal, sqrt_adjoin
+from equicut.literals import parse_number
 from equicut.geom import (
     AngleVec,
     Isometry,
@@ -380,3 +384,265 @@ class TestAngleVec:
     def test_zero_angle_rejected(self):
         with pytest.raises(ValueError):
             AngleVec.between(Pt(1, 0), Pt(2, 0))._region()
+
+
+# ---------------------------------------------------------------------------
+# The interval filter against the exact expressions it stands in for.
+
+FILTER_RADICANDS = [(), (2,), (3, 2), (2, 3, 5)]
+# Powers of ten that scale every coordinate.  Products of 10**-160 are
+# subnormal, where rounding is coarse; products of 10**160 and 10**+-300
+# overflow or vanish, and 10**+-400 coordinates do themselves.
+FILTER_SCALES = [0, 100, -100, 160, -160, 300, -300, 400, -400]
+OUT_OF_RANGE = {160, 300, -300, 400, -400}
+
+
+def _exact_orientation(a, b, c):
+    return (b - a).cross(c - a).sign()
+
+
+def _exact_on_segment(p, a, b):
+    return _exact_orientation(a, b, p) == 0 and (p - a).dot(p - b).sign() <= 0
+
+
+def _exact_in_triangle(p, tri):
+    t = tri if _exact_orientation(*tri.vertices) > 0 else Triangle(tri.va, tri.vc, tri.vb)
+    signs = [_exact_orientation(t.va, t.vb, p), _exact_orientation(t.vb, t.vc, p),
+             _exact_orientation(t.vc, t.va, p)]
+    if min(signs) < 0:
+        return Location.OUTSIDE
+    return Location.ON_BOUNDARY if 0 in signs else Location.INSIDE
+
+
+def _exact_disjoint(t1, t2):
+    """The separating-axis test on exact projections onto each edge normal."""
+    v1, v2 = t1.vertices, t2.vertices
+    for verts in (v1, v2):
+        for i in range(3):
+            e = verts[(i + 1) % 3] - verts[i]
+            axis = Pt(-e.y, e.x)
+            p1 = [axis.dot(v) for v in v1]
+            p2 = [axis.dot(v) for v in v2]
+            if max(p1) <= min(p2) or max(p2) <= min(p1):
+                return True
+    return False
+
+
+def _exact_angle_compare(u1, w1, u2, w2):
+    """AngleVec.compare on eagerly built (dot, cross, |u|^2 |w|^2) triples."""
+    def parts(u, w):
+        d, c = u.dot(w), u.cross(w)
+        region = 0 if c.sign() > 0 else 2 if c.sign() < 0 else 1 if d.sign() < 0 else None
+        return d, region, u.norm_sq() * w.norm_sq()
+
+    (d1, r1, m1), (d2, r2, m2) = parts(u1, w1), parts(u2, w2)
+    if None in (r1, r2):
+        return None  # a zero angle, which AngleVec rejects
+    if r1 != r2:
+        return 1 if r1 > r2 else -1
+    if r1 == 1:
+        return 0
+    s1, s2 = d1.sign(), d2.sign()
+    if s1 != s2:
+        cc = 1 if s1 > s2 else -1
+    else:
+        cc = s1 * (d1 * d1 * m2 - d2 * d2 * m1).sign()
+    return -cc if r1 == 0 else cc
+
+
+def _pell(d, count):
+    """Solutions of x**2 - d*y**2 = 1 past 2**40: x - y*sqrt(d) is below any
+    float box around x and y*sqrt(d)."""
+    y1 = next(y for y in range(1, 100) if isqrt(d * y * y + 1) ** 2 == d * y * y + 1)
+    x1 = isqrt(d * y1 * y1 + 1)
+    out, x, y = [], x1, y1
+    while len(out) < count:
+        if x > 1 << 40:
+            out.append((x, y))
+        x, y = x1 * x + d * y1 * y, x1 * y + y1 * x
+    return out
+
+
+class _FilterCases:
+    """Seeded points over one tower, grouped by what the filter should do."""
+
+    def __init__(self, radicands, seed):
+        self.rng = random.Random(seed)
+        builder = FieldBuilder()
+        roots = [builder.sqrt(r) for r in radicands]
+        self.basis = [TowerReal.from_rational(1)] + roots + [
+            r * s for i, r in enumerate(roots) for s in roots[i + 1:]
+        ]
+        squarefree = {r for r in radicands} | {r * s for i, r in enumerate(radicands)
+                                                  for s in radicands[i + 1:]}
+        self.pell = [(builder.sqrt(d), _pell(d, 2)) for d in sorted(squarefree)]
+
+    def value(self):
+        rng = self.rng
+        return sum((Fraction(rng.randint(-50, 50), rng.randint(1, 9)) * b
+                    for b in self.basis[1:] if rng.random() < 0.7),
+                   TowerReal.from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9))))
+
+    def point(self):
+        return Pt(self.value(), self.value())
+
+    def generic(self):
+        return self.point(), self.point(), self.point()
+
+    def collinear(self):
+        a, b = self.point(), self.point()
+        return a, b, a + (b - a) * self.value()
+
+    def tiny(self):
+        """A positive value far below the width of any coordinate box."""
+        if not self.pell:
+            return TowerReal.from_rational(Fraction(1, 10**30))
+        root, sols = self.rng.choice(self.pell)
+        x, y = self.rng.choice(sols)
+        return x - y * root
+
+    def near_collinear(self):
+        """a, b, c with cross(b - a, c - a) = +-(x - y*sqrt(d)) * s**2, tiny."""
+        rng = self.rng
+        root, sols = rng.choice(self.pell)
+        x, y = rng.choice(sols)
+        a, s = self.point(), self.value() or TowerReal.from_rational(1)
+        b, c = a + Pt(1, root) * s, a + Pt(y, x) * s
+        return (a, b, c) if rng.random() < 0.5 else (a, c, b)
+
+
+def _scaled(pts, k):
+    f = Fraction(10) ** k
+    return tuple(Pt(p.x * f, p.y * f) for p in pts)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the exact products (Pt.cross and Pt.dot) the predicates build."""
+    count = [0]
+    for name in ("cross", "dot"):
+        def counted(self, other, _original=getattr(Pt, name)):
+            count[0] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(Pt, name, counted)
+    return count
+
+
+def _fell_back(count, call, *args):
+    before = count[0]
+    result = call(*args)
+    return result, count[0] > before
+
+
+class TestFilterDifferential:
+    """Every filtered predicate against its exact expression, on cases the
+    filter decides, cases whose boxes straddle 0, and cases it has no
+    floats for."""
+
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_orientation_and_point_on_segment(self, radicands, exact_calls):
+        cases = _FilterCases(radicands, seed=len(radicands))
+        for kind in ("generic", "collinear", "near_collinear"):
+            if kind == "near_collinear" and not cases.pell:
+                continue
+            for _ in range(6):
+                base = getattr(cases, kind)()
+                for k in FILTER_SCALES:
+                    a, b, c = pts = _scaled(base, k)
+                    want = _exact_orientation(a, b, c)
+                    got, fell_back = _fell_back(exact_calls, orientation, a, b, c)
+                    assert got == want, (kind, k)
+                    assert _fell_back(exact_calls, orientation, b, a, c)[0] == -want
+                    if kind != "generic" or k in OUT_OF_RANGE:
+                        assert fell_back, (kind, k)
+                    elif want != 0 and k != -160:
+                        assert not fell_back, (kind, k)
+                    for p, q, r in (pts, (b, c, a), (c, a, b)):
+                        assert point_on_segment(p, q, r) == _exact_on_segment(p, q, r)
+                    assert point_on_segment(a, a, b) and point_on_segment(b, a, b)
+
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_point_in_triangle_and_disjointness(self, radicands, exact_calls):
+        cases = _FilterCases(radicands, seed=10 + len(radicands))
+        decided = 0
+        for _ in range(8):
+            for k in (0, -160, 300):
+                t1 = Triangle(*_scaled(cases.generic(), k))
+                t2 = Triangle(*_scaled(cases.generic(), k))
+                a, b, c = t1.vertices
+                # a neighbour over the edge ab, and a copy touching it at a
+                t3 = Triangle(a, b, Pt(a.x + b.x - c.x, a.y + b.y - c.y))
+                t4 = Triangle(*(Pt(v.x + a.x - b.x, v.y + a.y - b.y) for v in t1.vertices))
+                # the neighbour pushed into t1, or away from it, by a tiny step
+                eps = cases.tiny()
+                step = Pt((c.x - a.x) * eps, (c.y - a.y) * eps)
+                into = Triangle(*(v + step for v in t3.vertices))
+                away = Triangle(*(v - step for v in t3.vertices))
+                for p in (*t2.vertices, *into.vertices, Pt((a.x + b.x) / 2, (a.y + b.y) / 2)):
+                    assert point_in_triangle(p, t1) == _exact_in_triangle(p, t1)
+                for u, w in ((t1, t2), (t1, t3), (t3, t1), (t1, t4), (t1, t1),
+                             (t1, into), (away, t1)):
+                    got, fell_back = _fell_back(exact_calls, triangles_interior_disjoint, u, w)
+                    assert got == _exact_disjoint(u, w), k
+                    decided += k == 0 and not fell_back
+                    if w is into or u is away:
+                        assert fell_back
+                assert not triangles_interior_disjoint(t1, into)
+                assert triangles_interior_disjoint(away, t1)
+        assert decided > 0
+
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_angle_comparisons(self, radicands, exact_calls):
+        cases = _FilterCases(radicands, seed=20 + len(radicands))
+        fallbacks = decided = 0
+        for _ in range(12):
+            for kind in ("generic", "collinear", "near_collinear", "copy"):
+                if kind == "near_collinear" and not cases.pell:
+                    continue
+                a, b, c = cases.generic()
+                if kind == "copy":
+                    # the same angle turned a quarter and scaled: cosines tie
+                    s = cases.value() or TowerReal.from_rational(2)
+                    d, e, f = (Pt(-p.y * s, p.x * s) for p in (a, b, c))
+                else:
+                    d, e, f = getattr(cases, kind)()
+                u1, w1, u2, w2 = b - a, c - a, e - d, f - d
+                want = _exact_angle_compare(u1, w1, u2, w2)
+                if want is None:
+                    continue
+                first, second = AngleVec.between(u1, w1), AngleVec.between(u2, w2)
+                got, fell_back = _fell_back(exact_calls, first.compare, second)
+                assert got == want, kind
+                assert AngleVec.between(u2, w2).compare(AngleVec.between(u1, w1)) == -want
+                fallbacks += fell_back
+                decided += not fell_back
+                # the eager constructor filters from the exact d, c and m
+                eager = AngleVec(u1.dot(w1), u1.cross(w1), u1.norm_sq() * w1.norm_sq())
+                assert eager.compare(AngleVec.between(u2, w2)) == want
+        assert fallbacks > 0 and decided > 0
+
+    def test_nested_coordinates_take_the_exact_path(self, exact_calls):
+        r = parse_number("sqrt(5 + 2*sqrt(6))")
+        assert r.ctx._prods is None
+        a, b = Pt(0, 0), Pt(r, 1)
+        for c in (Pt(1, 2), Pt(r * 2, 2), Pt(r, -r)):
+            got, fell_back = _fell_back(exact_calls, orientation, a, b, c)
+            assert got == _exact_orientation(a, b, c)
+            assert fell_back
+        angle = AngleVec.between(b - a, Pt(1, 2))
+        got, fell_back = _fell_back(exact_calls, angle.compare, AngleVec.between(Pt(1, 0), Pt(1, 1)))
+        assert got == _exact_angle_compare(b - a, Pt(1, 2), Pt(1, 0), Pt(1, 1))
+        assert fell_back
+
+    def test_no_infinity_or_nan_decides(self):
+        inf, nan = float("inf"), float("nan")
+        for lo, hi in ((nan, 1.0), (1.0, nan), (nan, nan), (1.0, inf), (-inf, -1.0)):
+            with pytest.raises(OverflowError):
+                geom._iv(lo, hi)
+        big = (1e300, 1e300)
+        with pytest.raises(OverflowError):
+            geom._imul(big, big)
+        assert geom._certified(geom._imul, big, big) == 0
+        assert geom._certified(geom._imul, big, None) == 0
+        assert geom._certified(geom._imul, (2.0, 3.0), (1.0, 2.0)) == 1
