@@ -37,7 +37,7 @@ from .dissect import (
     standard_from_region,
     verify_dissection,
 )
-from .exact import SquarefreeBoundError
+from .exact import MAX_WORK_BITS, RefinementLimitError, SquarefreeBoundError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
     RelationStatus,
@@ -126,6 +126,8 @@ def _cmd_analyze(args) -> int:
         raise _UsageError("--height must be at least 1")
     if args.basis and min(args.basis) < 1:
         raise _UsageError("--basis entries must be at least 1")
+    if args.precision is not None and not 1 <= args.precision <= MAX_WORK_BITS:
+        raise _UsageError(f"--precision must be between 1 and {MAX_WORK_BITS}")
     alpha, beta, _ = angles_from_sides(a, b)
     angle_height = args.height if args.height is not None else 12
     side_height = args.height if args.height is not None else 8
@@ -138,7 +140,7 @@ def _cmd_analyze(args) -> int:
         sigma2 = find_side_relation(
             a, b, side_height, basis, start_bits=args.precision
         )
-    except (SearchSpaceError, SquarefreeBoundError) as exc:
+    except (SearchSpaceError, SquarefreeBoundError, RefinementLimitError) as exc:
         raise _UsageError(str(exc)) from exc
     if args.json:
         print(
@@ -343,12 +345,15 @@ def _cmd_sample(args) -> int:
     hits = 0
     undecided = 0
     for _ in range(args.count):
-        if args.mode == "sides":
-            a, b = sample_side_triangle(rng)
-            result = find_side_relation(a, b)
-        else:
-            u, v = sample_angle_fractions(rng)
-            result = find_angle_relation_pi_fractions(u, v)
+        try:
+            if args.mode == "sides":
+                a, b = sample_side_triangle(rng)
+                result = find_side_relation(a, b)
+            else:
+                u, v = sample_angle_fractions(rng)
+                result = find_angle_relation_pi_fractions(u, v)
+        except RefinementLimitError as exc:  # EQUICUT_PRECISION_BITS too large
+            raise _UsageError(str(exc)) from exc
         if result.status in (
             RelationStatus.FOUND_CERTIFIED,
             RelationStatus.FOUND_CANDIDATE,

@@ -5,18 +5,24 @@ lattice dissection into n**2 congruent copies, an exact verifier that checks
 every defining property of a dissection, a test for whether a dissection is
 the standard lattice one, and a JSON interchange format whose coordinates are
 canonical number literals.
+
+The JSON reader parses each distinct literal once and shares one ``Pt``
+among all occurrences of a pair of literals.  ``is_standard`` compares
+hashed keys of exact values (canonical within one field), falling back to
+an exact sorted comparison when the keys differ.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import List, Sequence, Tuple, Union
 
-from .exact import FieldBuilder, TowerReal, exactify, sqrt_adjoin
+from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
     Location,
     Pt,
@@ -90,13 +96,18 @@ def standard_from_region(region: Triangle, n: int) -> Dissection:
     va, vb, vc = region.vertices
     u = (vb - va) / n
     v = (vc - va) / n
+    rows: List[List[Pt]] = []  # rows[j][i] = va + u*i + v*j, each point built once
+    for j in range(n + 1):
+        row = [rows[-1][0] + v if rows else va]
+        for _ in range(n - j):
+            row.append(row[-1] + u)
+        rows.append(row)
     pieces: List[Triangle] = []
     for j in range(n):
         for i in range(n - j):
-            p = va + u * i + v * j
-            pieces.append(Triangle(p, p + u, p + v))
+            pieces.append(Triangle(rows[j][i], rows[j][i + 1], rows[j + 1][i]))
             if i + j <= n - 2:
-                pieces.append(Triangle(p + u, p + u + v, p + v))
+                pieces.append(Triangle(rows[j][i + 1], rows[j + 1][i + 1], rows[j + 1][i]))
     return Dissection(region=region, pieces=tuple(pieces))
 
 
@@ -189,9 +200,13 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
                 )
             )
 
+    where = {}  # id(vertex) -> Location: a vertex shared by pieces is located once
     for i, piece in enumerate(pieces):
         for v in piece.vertices:
-            if point_in_triangle(v, region) == Location.OUTSIDE:
+            loc = where.get(id(v))
+            if loc is None:
+                loc = where[id(v)] = point_in_triangle(v, region)
+            if loc == Location.OUTSIDE:
                 failures.append(
                     VerificationFailure(
                         FailureKind.PIECE_OUTSIDE_REGION,
@@ -238,12 +253,26 @@ def _vertex_key(p: Pt):
     return (p.x, p.y)
 
 
+def _point_key(p: Pt):
+    """Hashable key of a point's exact coordinates; see ``exact._value_key``."""
+    return (_value_key(p.x), _value_key(p.y))
+
+
 def _triangle_key(tri: Triangle):
     return tuple(sorted(_vertex_key(v) for v in tri.vertices))
 
 
 def _piece_multiset_key(pieces: Sequence[Triangle]):
     return sorted(_triangle_key(t) for t in pieces)
+
+
+def _hashed_pieces(pieces: Sequence[Triangle]) -> Counter:
+    """The pieces as a multiset of vertex-key multisets, repeated vertices
+    kept.  Equal Counters mean equal pieces; unequal ones prove nothing."""
+    return Counter(
+        frozenset(Counter(_point_key(v) for v in t.vertices).items())
+        for t in pieces
+    )
 
 
 def is_standard(dissection: Dissection) -> bool:
@@ -256,6 +285,8 @@ def is_standard(dissection: Dissection) -> bool:
     if n * n != m:
         return False
     std = standard_from_region(dissection.region, n)
+    if _hashed_pieces(dissection.pieces) == _hashed_pieces(std.pieces):
+        return True
     return _piece_multiset_key(dissection.pieces) == _piece_multiset_key(std.pieces)
 
 
@@ -279,40 +310,60 @@ def dissection_to_json_str(dissection: Dissection) -> str:
     return json.dumps(dissection_to_json(dissection), indent=2) + "\n"
 
 
-def _parse_vertex(builder: FieldBuilder, pair) -> Pt:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError("vertex must be a pair of number literals")
-    if not all(isinstance(c, str) for c in pair):
-        raise ValueError("coordinates must be number literals written as strings")
-    return Pt(
-        builder.embed(parse_number(pair[0])), builder.embed(parse_number(pair[1]))
-    )
+class _Reader:
+    """The vertices of one file, all embedded into one shared field.  Each
+    distinct literal is parsed once and each distinct pair of literals
+    becomes one ``Pt``; the memos live as long as the reader."""
 
+    def __init__(self):
+        self.builder = FieldBuilder()
+        self.numbers = {}
+        self.points = {}
 
-def _parse_triangle(builder: FieldBuilder, verts) -> Triangle:
-    if not isinstance(verts, (list, tuple)) or len(verts) != 3:
-        raise ValueError("triangle must have exactly three vertices")
-    return Triangle(*(_parse_vertex(builder, v) for v in verts))
+    def number(self, text: str) -> TowerReal:
+        value = self.numbers.get(text)
+        if value is None:
+            value = self.numbers[text] = self.builder.embed(parse_number(text))
+        return value
+
+    def vertex(self, pair) -> Pt:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError("vertex must be a pair of number literals")
+        if not all(isinstance(c, str) for c in pair):
+            raise ValueError("coordinates must be number literals written as strings")
+        key = tuple(pair)
+        p = self.points.get(key)
+        if p is None:
+            p = self.points[key] = Pt(*map(self.number, key))
+        return p
+
+    def triangle(self, verts) -> Triangle:
+        if not isinstance(verts, (list, tuple)) or len(verts) != 3:
+            raise ValueError("triangle must have exactly three vertices")
+        return Triangle(*(self.vertex(v) for v in verts))
 
 
 def dissection_from_json(data: Union[str, dict]) -> Dissection:
     """Parse the JSON interchange form.  All coordinates are embedded into one
     shared field so later exact arithmetic stays in a single tower."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError as exc:
+            raise ValueError("dissection JSON is nested too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError("dissection JSON must be an object")
     if data.get("format") != FORMAT_NAME:
         raise ValueError(f"unrecognized format marker: {data.get('format')!r}")
     version = data.get("version")
-    if not isinstance(version, int) or version < 1 or version > FORMAT_VERSION:
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:  # not a bool
         raise ValueError(f"unsupported format version: {version!r}")
-    builder = FieldBuilder()
-    region = _parse_triangle(builder, data.get("region"))
+    reader = _Reader()
+    region = reader.triangle(data.get("region"))
     if region.is_degenerate():
         raise ValueError("region triangle is degenerate")
     raw_pieces = data.get("pieces")
     if not isinstance(raw_pieces, list) or not raw_pieces:
         raise ValueError("pieces must be a non-empty list of triangles")
-    pieces = tuple(_parse_triangle(builder, p) for p in raw_pieces)
+    pieces = tuple(reader.triangle(p) for p in raw_pieces)
     return Dissection(region=region, pieces=pieces)

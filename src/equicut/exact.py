@@ -230,7 +230,10 @@ def _interval(lo: Fraction, hi: Fraction) -> RatInterval:
 def _refine_to(bits: int, attempt: Callable[[int], Optional[RatInterval]]) -> RatInterval:
     """Run ``attempt`` at doubling working precision, from ``bits + 2``, until
     it returns an enclosure of width at most 2**-bits.  ``attempt`` returns
-    None when it cannot form an enclosure at that precision yet."""
+    None when it cannot form an enclosure at that precision yet.  A target
+    past ``MAX_WORK_BITS`` fails at once, before any attempt."""
+    if bits > MAX_WORK_BITS:
+        raise RefinementLimitError(f"a width of 2**-{bits} needs over {MAX_WORK_BITS} bits")
     target = Fraction(1, 1 << bits)
     work = bits + 2
     while True:
@@ -911,6 +914,16 @@ def _flat_value(ctx: TowerContext, num: list, den: int) -> TowerReal:
         num = [c // g for c in num]
         den //= g
     return _value(ctx if k == ctx.depth else ctx.prefix(k), None, tuple(num), den)
+
+
+def _value_key(x: TowerReal) -> tuple:
+    """A hashable key: equal keys mean equal values.  Within one tower chain
+    (contexts that are prefixes of one another, as one ``FieldBuilder``'s
+    are) each value has one canonical form over its least prefix, so equal
+    values have equal keys; across chains, such as (2, 3) and (3, 2), not."""
+    if x._num is not None:
+        return (x.ctx, x._num, x._den)
+    return (x.ctx, x.raw)
 
 
 def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:

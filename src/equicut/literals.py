@@ -36,6 +36,8 @@ class ParseError(ValueError):
 
 _SYMBOLS = set("+-*/()")
 
+_MAX_NESTING = 100  # parentheses and sqrt(: well inside the recursion limit
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -75,6 +77,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.builder = FieldBuilder()
 
     def peek(self) -> tuple[str, str, int]:
@@ -112,16 +115,21 @@ class _Parser:
             return self.builder.embed(self.parse_rational())
         if kind == "sqrt":
             self.take()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            return self.builder.sqrt(inner)
+            return self.builder.sqrt(self.parse_group())
         if kind == "(":
-            self.take()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.parse_group()
         raise ParseError(f"expected a number, found {text or 'end of input'!r}", pos)
+
+    def parse_group(self) -> TowerReal:
+        """'(' expr ')', at most ``_MAX_NESTING`` deep."""
+        pos = self.expect("(")[2]
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
     def parse_rational(self) -> Fraction:
         sign = 1

@@ -48,7 +48,7 @@ from .geom import (
     point_on_segment,
     polygon_area,
 )
-from .dissect import Dissection, _piece_multiset_key, verify_dissection
+from .dissect import Dissection, _piece_multiset_key, _point_key, verify_dissection
 
 __all__ = [
     "CountReport",
@@ -256,6 +256,10 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
     triangle pieces that run through the interior, stitched back into
     counterclockwise cycles by a walk that always takes the sharpest
     available left turn, which keeps pinch wedges apart.
+
+    A piece is covered exactly when the other edge set has the same piece,
+    found by the points' hashed keys.  Every value in one search comes from
+    the search's one ``FieldBuilder``, so equal points there have equal keys.
     """
     n = len(poly.verts)
     poly_edges = [
@@ -266,40 +270,38 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
         (tri[1], tri[2], tri_lens[1]),
         (tri[2], tri[0], tri_lens[2]),
     ]
-    tri_pts = list(tri)
-    poly_pts = list(poly.verts)
+    tri_split = [_split_edge(p, q, length, poly.verts) for p, q, length in tri_edges]
+    # Polygon vertices inside a triangle edge.  A pinch vertex that a straight
+    # pass merged away can also lie inside a polygon edge along that triangle
+    # edge; splitting there too keeps the two sides' pieces identical.
+    inner = [u for pieces in tri_split for u, _, _ in pieces[1:]]
+    cuts = tri + tuple(inner)
+    poly_pieces = [piece for p, q, ln in poly_edges for piece in _split_edge(p, q, ln, cuts)]
+    tri_pieces = [piece for pieces in tri_split for piece in pieces]
 
-    kept = []
-    for p, q, length in poly_edges:
-        for u, w, piece_len in _split_edge(p, q, length, tri_pts):
-            mid = (u + w) / 2
-            covered = any(point_on_segment(mid, t0, t1) for (t0, t1, _) in tri_edges)
-            if not covered:
-                kept.append((u, w, piece_len))
-    for p, q, length in tri_edges:
-        for u, w, piece_len in _split_edge(p, q, length, poly_pts):
-            mid = (u + w) / 2
-            on_boundary = any(
-                point_on_segment(mid, e0, e1) for (e0, e1, _) in poly_edges
-            )
-            if not on_boundary:
-                kept.append((w, u, piece_len))
+    def segments(pieces):  # undirected: a piece matches in either order
+        return [frozenset((_point_key(u), _point_key(w))) for u, w, _ in pieces]
+
+    poly_segs, tri_segs = segments(poly_pieces), segments(tri_pieces)
+    on_tri, on_poly = set(tri_segs), set(poly_segs)
+    kept = [e for e, seg in zip(poly_pieces, poly_segs) if seg not in on_tri]
+    kept += [(w, u, ln) for (u, w, ln), seg in zip(tri_pieces, tri_segs) if seg not in on_poly]
 
     if not kept:
         return []
 
     edges = sorted(kept, key=_edge_sort_key)
-    count = len(edges)
+    starts = {}  # start point key -> indices of the edges leaving it, ascending
+    for idx, (u, _, _) in enumerate(edges):
+        starts.setdefault(_point_key(u), []).append(idx)
 
     def successor(idx: int) -> int:
         p, q, _ = edges[idx]
         rev = p - q  # points back along the incoming edge
         best = None
         best_angle: Optional[AngleVec] = None
-        for jdx in range(count):
+        for jdx in starts.get(_point_key(q), ()):
             u, w, _ = edges[jdx]
-            if not (u == q):
-                continue
             g = w - u
             if _same_direction(g, rev):
                 raise RuntimeError("dangling boundary edge after subtraction")
@@ -317,9 +319,9 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
             raise RuntimeError("open boundary chain after subtraction")
         return best
 
-    used = [False] * count
+    used = [False] * len(edges)
     cycles: List[List[int]] = []
-    for start in range(count):
+    for start in range(len(edges)):
         if used[start]:
             continue
         orbit = [start]

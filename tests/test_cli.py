@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+from equicut import cli
 from equicut.cli import main
+from equicut.exact import MAX_WORK_BITS, RefinementLimitError
 from equicut.dissect import dissection_from_json, verify_dissection
 
 
@@ -104,6 +106,23 @@ class TestAnalyze:
         assert code == 2
         assert err == "error: combination space too large for exhaustive search\n"
 
+    @pytest.mark.parametrize("bits", ["0", "-3", str(MAX_WORK_BITS + 1), "1000000"])
+    def test_precision_out_of_range_is_usage_error(self, capsys, bits):
+        code, out, err = run(
+            capsys, "analyze", "--region", "3/4,1/2", "--precision", bits
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --precision must be between 1 and {MAX_WORK_BITS}\n"
+
+    def test_precision_environment_past_the_limit_is_usage_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("EQUICUT_PRECISION_BITS", "1000000")
+        code, _, err = run(capsys, "analyze", "--region", "3/4,1/2")
+        assert code == 2
+        assert err.startswith("error: a width of 2**-1000000") and err.count("\n") == 1
+
 
 class TestStandard:
     def test_writes_json_and_svg(self, tmp_path, capsys):
@@ -135,6 +154,15 @@ class TestStandard:
     def test_n_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "standard", "--region", "1,1", "-n", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("opening", ["(", "sqrt("])
+    def test_deeply_nested_literal_is_usage_error(self, capsys, opening):
+        literal = opening * 3000 + "1" + ")" * 3000
+        code, out, err = run(capsys, "standard", "-n", "1", "--region", f"{literal},1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad number literal") and err.count("\n") == 1
+        assert "nesting deeper than 100" in err
 
 
 class TestVerify:
@@ -204,6 +232,24 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2
         assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad dissection file: dissection JSON is nested too deeply\n"
+
+    def test_boolean_version_exit_two(self, tmp_path, capsys):
+        data = json.loads(open(self.make_file(tmp_path, capsys)).read())
+        data["version"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad dissection file: unsupported format version: True\n"
 
 
 class TestSearch:
@@ -397,6 +443,20 @@ class TestSample:
     def test_zero_count_usage_error(self, capsys):
         code, _, err = run(capsys, "sample", "--count", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "mode, finder",
+        [("sides", "find_side_relation"), ("angles", "find_angle_relation_pi_fractions")],
+    )
+    def test_refinement_limit_is_usage_error(self, capsys, monkeypatch, mode, finder):
+        def refuse(*args, **kwargs):
+            raise RefinementLimitError("no enclosure of width 2**-64 by 65538 working bits")
+
+        monkeypatch.setattr(cli, finder, refuse)
+        code, out, err = run(capsys, "sample", "--count", "3", "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err == "error: no enclosure of width 2**-64 by 65538 working bits\n"
 
 
 class TestParser:

@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from equicut import dissect
 from equicut.dissect import (
     Dissection,
+    _piece_multiset_key,
+    _point_key,
     FailureKind,
     canonical_triangle,
     dissection_from_json,
@@ -15,8 +19,10 @@ from equicut.dissect import (
     standard_from_region,
     verify_dissection,
 )
-from equicut.exact import TowerReal, sqrt_adjoin
+from equicut.exact import FieldBuilder, TowerReal, sqrt_adjoin
 from equicut.geom import Pt, Triangle, congruent
+from equicut.literals import parse_number
+from equicut.search import SearchSpec, search_dissections, similar_tile
 
 F = Fraction
 
@@ -380,3 +386,180 @@ class TestVerifierPins:
         assert [(f.kind, f.pieces) for f in result.failures] == [
             (k, everything if p is None else p) for k, p in failures
         ]
+
+
+# The JSON reader shares one Pt among every occurrence of a point, and the
+# verifier locates each distinct vertex once.  The reference reader below
+# builds a fresh Pt for every occurrence, as the reader did before.
+
+
+def reference_from_json(text):
+    data = json.loads(text)
+    builder = FieldBuilder()
+
+    def vertex(pair):
+        return Pt(builder.embed(parse_number(pair[0])), builder.embed(parse_number(pair[1])))
+
+    def triangle(verts):
+        return Triangle(*(vertex(v) for v in verts))
+
+    return Dissection(triangle(data["region"]), tuple(triangle(p) for p in data["pieces"]))
+
+
+def outcome(result):
+    return (
+        result.ok,
+        [(f.kind, f.pieces, f.detail) for f in result.failures],
+        result.pairs_tested,
+    )
+
+
+def shrunk_region(text):
+    """The file with piece 0 as its region, so most pieces stick out of it."""
+    data = json.loads(text)
+    data["region"] = data["pieces"][0]
+    return json.dumps(data)
+
+
+class TestSharedVertices:
+    @pytest.mark.parametrize("name", NAMED)
+    def test_standard_files_verify_as_with_fresh_points(self, name):
+        for n in (8, 12, 20):
+            text = dissection_to_json_str(standard_dissection(*NAMED[name], n))
+            shared = dissection_from_json(text)
+            points = {id(v) for p in shared.pieces for v in p.vertices}
+            assert len(points) == (n + 1) * (n + 2) // 2
+            assert {id(v) for v in shared.region.vertices} <= points
+            assert outcome(verify_dissection(shared)) == outcome(
+                verify_dissection(reference_from_json(text))
+            )
+
+    @pytest.mark.parametrize("name", NAMED)
+    @pytest.mark.parametrize("kind", ["moved", "deleted", "shrunk", "grown", "region"])
+    def test_corrupted_files_verify_as_with_fresh_points(self, name, kind):
+        text = dissection_to_json_str(standard_dissection(*NAMED[name], 8))
+        if kind == "region":
+            text = shrunk_region(text)
+            pair = [dissection_from_json(text), reference_from_json(text)]
+        else:
+            pair = [corrupted(parse(text), kind) for parse in (dissection_from_json, reference_from_json)]
+        shared, fresh = (outcome(verify_dissection(d)) for d in pair)
+        assert shared == fresh
+        if kind == "region":
+            outside = [f for f in shared[1] if f[0] is FailureKind.PIECE_OUTSIDE_REGION]
+            assert len(outside) == 63  # all but piece 0
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_standard_lattice_builds_each_point_once(self, name):
+        n = 6
+        d = standard_dissection(*NAMED[name], n)
+        va, vb, vc = d.region.vertices
+        u, v = (vb - va) / n, (vc - va) / n
+        want = []  # the cells as the lattice formula gives them
+        for j in range(n):
+            for i in range(n - j):
+                p = va + u * i + v * j
+                want.append((p, p + u, p + v))
+                if i + j <= n - 2:
+                    want.append((p + u, p + u + v, p + v))
+        assert [[_point_key(x) for x in p.vertices] for p in d.pieces] == [
+            [_point_key(x) for x in cell] for cell in want
+        ]
+        assert len({id(x) for p in d.pieces for x in p.vertices}) == (n + 1) * (n + 2) // 2
+
+    def test_vertex_locations_do_not_outlive_a_verification(self):
+        d = standard_file(SCALENE, 4)
+        assert verify_dissection(d).ok
+        result = verify_dissection(Dissection(d.pieces[0], d.pieces))
+        assert len(result.failures) == 15 + 1  # all pieces but 0, then the area
+
+    def test_no_point_outlives_a_parse(self):
+        text = dissection_to_json_str(standard_dissection(*THIRTY_SIXTY, 3))
+        a, b = dissection_from_json(text), dissection_from_json(text)
+        ids = lambda d: {id(c) for p in (d.region, *d.pieces) for v in p.vertices for c in (v, v.x, v.y)}
+        assert not ids(a) & ids(b)
+
+    def test_every_coordinate_lies_in_one_tower(self):
+        # the second file's sqrt(3) must not come from the first file's tower
+        def read(apex):
+            region = [["0", "0"], ["1", "0"], apex]
+            return dissection_from_json(
+                {"format": "equicut-dissection", "version": 1, "region": region, "pieces": [region]}
+            )
+
+        read(["sqrt(2)", "sqrt(3)"])
+        d = read(["sqrt(5)", "sqrt(3)"])
+        ctxs = {c.ctx for p in (d.region, *d.pieces) for v in p.vertices for c in (v.x, v.y)}
+        top = max(ctxs, key=lambda ctx: ctx.depth)
+        assert top.depth == 2
+        assert all(top.prefix(ctx.depth) is ctx for ctx in ctxs)
+
+
+def is_standard_reference(d):
+    """``is_standard`` by the exact sorted comparison alone."""
+    n = round(len(d.pieces) ** 0.5)
+    if n * n != len(d.pieces):
+        return False
+    return _piece_multiset_key(d.pieces) == _piece_multiset_key(standard_from_region(d.region, n).pieces)
+
+
+def reembedded(d, builder):
+    """``d`` with every coordinate embedded into ``builder``'s tower."""
+    move = lambda v: Pt(builder.embed(v.x), builder.embed(v.y))
+    return Dissection(d.region, tuple(Triangle(*map(move, p.vertices)) for p in d.pieces))
+
+
+class TestHashedIsStandard:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counted(pieces):
+            calls.append(len(pieces))
+            return _piece_multiset_key(pieces)
+
+        monkeypatch.setattr(dissect, "_piece_multiset_key", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_standard_files_shuffled_and_rotated(self, name, fallbacks):
+        rng = random.Random(name)
+        d = standard_file(NAMED[name], 5)
+        pieces = list(d.pieces)
+        rng.shuffle(pieces)
+        turned = [Triangle(*p.vertices[k:], *p.vertices[:k]) for p, k in zip(pieces, [0, 1, 2] * 9)]
+        for candidate in (d, Dissection(d.region, pieces), Dissection(d.region, turned)):
+            assert is_standard(candidate) and is_standard_reference(candidate)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("region", [RIGHT_ISOCELES, THIRTY_SIXTY], ids=["right-isoceles", "30-60-90"])
+    def test_search_results_at_m4(self, region):
+        triangle = canonical_triangle(*region)
+        out = search_dissections(SearchSpec(region=triangle, tile=similar_tile(triangle, 4), m=4))
+        answers = [(is_standard(d), is_standard_reference(d)) for d in out.dissections]
+        assert all(a == b for a, b in answers)
+        assert sorted(a for a, _ in answers) == [False] * (len(answers) - 1) + [True]
+
+    def test_unrelated_towers_take_the_fallback(self, fallbacks):
+        # region over the tower (2, 3), pieces re-embedded over (3, 2)
+        builder = FieldBuilder()
+        r2, r3 = builder.sqrt(2), builder.sqrt(3)
+        d = standard_from_region(Triangle(pt(0, 0), pt(1, 0), Pt(r2 + r3, r3)), 3)
+        builder = FieldBuilder()
+        builder.sqrt(3)
+        builder.sqrt(2)
+        swapped = reembedded(d, builder)
+        apex, moved = d.pieces[-1].vc.x, swapped.pieces[-1].vc.x
+        assert apex.depth == moved.depth == 2 and apex.ctx is not moved.ctx
+        assert is_standard(swapped) and is_standard_reference(swapped)
+        assert fallbacks, "the Counters of unrelated towers matched"
+
+    def test_equal_vectors_over_different_towers_differ(self):
+        # sqrt(3) replaced by sqrt(5) keeps every coefficient vector
+        d = standard_dissection(*EQUILATERAL, 2)
+        root5 = sqrt_adjoin(5)
+        move = lambda x: x if x.depth == 0 else x.raw[0] + x.raw[1] * root5
+        fake = Dissection(d.region, tuple(
+            Triangle(*(Pt(move(v.x), move(v.y)) for v in p.vertices)) for p in d.pieces
+        ))
+        assert not is_standard(fake) and not is_standard_reference(fake)

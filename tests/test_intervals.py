@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicut.exact import sqrt_adjoin
+from equicut.exact import MAX_WORK_BITS, _refine_to, sqrt_adjoin
 from equicut.intervals import (
     NumericReal,
     RatInterval,
@@ -154,6 +155,22 @@ class TestNumericReal:
         stuck = NumericReal(lambda bits: RatInterval(0, 1))
         with pytest.raises(RefinementLimitError):
             (stuck + 1).enclosure(64)
+
+    def test_target_past_the_work_limit_fails_before_any_attempt(self):
+        attempts = []
+
+        def attempt(work):
+            attempts.append(work)
+            return RatInterval(0)
+
+        start = time.perf_counter()
+        with pytest.raises(RefinementLimitError):
+            _refine_to(1_000_000, attempt)
+        with pytest.raises(RefinementLimitError):
+            _refine_to(MAX_WORK_BITS + 1, attempt)
+        assert time.perf_counter() - start < 1
+        assert attempts == []
+        assert _refine_to(MAX_WORK_BITS, attempt).width == 0
 
     def test_sqrt(self):
         x = NumericReal.from_exact(2)

@@ -67,6 +67,14 @@ class TestParseErrors:
             parse_number("1 + foo")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("opening", ["(", "sqrt("])
+    def test_nesting_past_the_limit_rejected(self, opening):
+        with pytest.raises(ParseError, match="nesting deeper than 100"):
+            parse_number(opening * 3000 + "1" + ")" * 3000)
+        with pytest.raises(ParseError, match="nesting deeper than 100"):
+            parse_number("(" * 101 + "1" + ")" * 101)
+        assert parse_number("(" * 100 + "1" + ")" * 100).as_fraction() == 1
+
     def test_negative_sqrt_literal_rejected(self):
         with pytest.raises(Exception):
             parse_number("sqrt(-2)")

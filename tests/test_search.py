@@ -33,9 +33,16 @@ from equicut.dissect import (
     standard_from_region,
     verify_dissection,
 )
-from equicut.exact import sqrt_adjoin
-from equicut.geom import Pt, Triangle
+from equicut import search as search_module
+from equicut.dissect import _point_key
+from equicut.exact import _value_key, exactify, sqrt_adjoin
+from equicut.geom import AngleVec, Pt, Triangle, point_on_segment
 from equicut.search import (
+    _edge_sort_key,
+    _merge_cycle,
+    _Poly,
+    _same_direction,
+    _split_edge,
     SearchSpec,
     region_symmetries,
     search_dissections,
@@ -465,3 +472,119 @@ class TestDeterminism:
         b = search_dissections(spec())
         assert a.nodes == b.nodes
         assert keys(a.dissections) == keys(b.dissections)
+
+
+def _subtract_reference(poly, tri, tri_lens):
+    """``search._subtract`` as it was before it matched pieces by point keys:
+    a piece is covered when its midpoint lies on an edge of the other set,
+    and a boundary walk scans every edge for a continuation."""
+    n = len(poly.verts)
+    poly_edges = [
+        (poly.verts[i], poly.verts[(i + 1) % n], poly.lens[i]) for i in range(n)
+    ]
+    tri_edges = [
+        (tri[0], tri[1], tri_lens[0]),
+        (tri[1], tri[2], tri_lens[1]),
+        (tri[2], tri[0], tri_lens[2]),
+    ]
+    kept = []
+    for p, q, length in poly_edges:
+        for u, w, piece_len in _split_edge(p, q, length, list(tri)):
+            mid = (u + w) / 2
+            if not any(point_on_segment(mid, t0, t1) for (t0, t1, _) in tri_edges):
+                kept.append((u, w, piece_len))
+    for p, q, length in tri_edges:
+        for u, w, piece_len in _split_edge(p, q, length, list(poly.verts)):
+            mid = (u + w) / 2
+            if not any(point_on_segment(mid, e0, e1) for (e0, e1, _) in poly_edges):
+                kept.append((w, u, piece_len))
+    if not kept:
+        return []
+    edges = sorted(kept, key=_edge_sort_key)
+
+    def successor(idx):
+        p, q, _ = edges[idx]
+        rev = p - q
+        best = best_angle = None
+        for jdx, (u, w, _) in enumerate(edges):
+            if not (u == q):
+                continue
+            g = w - u
+            if _same_direction(g, rev):
+                raise RuntimeError("dangling boundary edge after subtraction")
+            angle = AngleVec.between(g, rev)
+            if best_angle is None or angle < best_angle:
+                best, best_angle = jdx, angle
+            elif angle == best_angle:
+                raise RuntimeError("ambiguous boundary continuation")
+        if best is None:
+            raise RuntimeError("open boundary chain after subtraction")
+        return best
+
+    used = [False] * len(edges)
+    cycles = []
+    for start in range(len(edges)):
+        if used[start]:
+            continue
+        orbit = [start]
+        used[start] = True
+        cur = successor(start)
+        while cur != start:
+            if used[cur]:
+                raise RuntimeError("boundary walk revisited an edge")
+            used[cur] = True
+            orbit.append(cur)
+            cur = successor(cur)
+        cycles.append(orbit)
+    return [_merge_cycle([edges[i] for i in orbit]) for orbit in cycles]
+
+
+def _polygons(polys):
+    """Vertices and lengths in order, by their exact representations."""
+    return [
+        ([_point_key(v) for v in p.verts], [_value_key(x) for x in p.lens])
+        for p in polys
+    ]
+
+
+# the benchmark's 20 search instances, then five deeper ones
+SUBTRACT_CASES = (
+    [(EQUILATERAL, m) for m in (2, 3, 4, 5, 9)]
+    + [(RIGHT_ISOCELES, m) for m in (2, 3, 4, 8)]
+    + [(THIRTY_SIXTY, m) for m in (2, 3, 4)]
+    + [(SCALENE, m) for m in (2, 3, 4, 5)]
+    + [(LEGS_ONE_TWO, m) for m in (2, 3, 4, 5)]
+    + [(SCALENE, 9), (SCALENE, 10), (THIRTY_SIXTY, 6), (THIRTY_SIXTY, 7), (RIGHT_ISOCELES, 9)]
+)
+
+
+class TestSubtractAgainstReference:
+    def test_every_subtraction_of_the_searches(self, monkeypatch):
+        fast = search_module._subtract
+        calls = []
+
+        def checked(poly, tri, tri_lens):
+            out = fast(poly, tri, tri_lens)
+            assert _polygons(out) == _polygons(_subtract_reference(poly, tri, tri_lens))
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(search_module, "_subtract", checked)
+        for region, m in SUBTRACT_CASES:
+            search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
+        assert len(calls) == 656
+
+    def test_pinch_vertex_inside_a_straight_edge(self):
+        # The frontier touches itself at (2, 0): a wedge below meets the
+        # straight edge from (0, 0) to (4, 0) there, a vertex of one pass and
+        # the interior of the other.  The triangle's base covers that point.
+        r2 = sqrt_adjoin(2)
+        coords = [(0, -2), (5, -2), (5, 2), (0, 2), (0, 0), (4, 0), (4, -1), (3, -1),
+                  (2, 0), (1, -1), (0, -1)]
+        lens = [5, 4, 5, 2, 4, 1, 1, r2, r2, 1, 1]
+        poly = _Poly(tuple(Pt(x, y) for x, y in coords), tuple(exactify(ln) for ln in lens))
+        tri = (Pt(1, 0), Pt(3, 0), Pt(2, 1))
+        tri_lens = (exactify(2), r2, r2)
+        want = _subtract_reference(poly, tri, tri_lens)
+        assert len(want) == 1 and len(want[0].verts) == 14
+        assert _polygons(search_module._subtract(poly, tri, tri_lens)) == _polygons(want)
