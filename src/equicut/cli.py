@@ -10,8 +10,9 @@ boundary  boundary loops, turning, and corner pattern of a lattice region
 sample    empirical hit rate of relation-admitting triangles
 
 Exit codes: 0 success, 1 falsified check, 2 usage or input error.  The
-environment variable ``EQUICUT_PRECISION_BITS`` overrides the starting
-interval precision used by the relation searches.
+environment variable ``EQUICUT_PRECISION_BITS``, an integer from 1 to
+``MAX_WORK_BITS``, overrides the starting interval precision used by the
+relation searches; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from .dissect import (
     standard_from_region,
     verify_dissection,
 )
-from .exact import MAX_WORK_BITS, RefinementLimitError, SquarefreeBoundError
+from .exact import MAX_WORK_BITS, RefinementLimitError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
     RelationStatus,
-    SearchSpaceError,
     find_angle_relation,
     find_angle_relation_pi_fractions,
     find_side_relation,
@@ -140,7 +140,9 @@ def _cmd_analyze(args) -> int:
         sigma2 = find_side_relation(
             a, b, side_height, basis, start_bits=args.precision
         )
-    except (SearchSpaceError, SquarefreeBoundError, RefinementLimitError) as exc:
+    except (ValueError, RefinementLimitError) as exc:
+        # ValueError: SearchSpaceError, SquarefreeBoundError, or a malformed
+        # EQUICUT_PRECISION_BITS
         raise _UsageError(str(exc)) from exc
     if args.json:
         print(
@@ -352,7 +354,8 @@ def _cmd_sample(args) -> int:
             else:
                 u, v = sample_angle_fractions(rng)
                 result = find_angle_relation_pi_fractions(u, v)
-        except RefinementLimitError as exc:  # EQUICUT_PRECISION_BITS too large
+        except (ValueError, RefinementLimitError) as exc:
+            # a malformed EQUICUT_PRECISION_BITS, or one too large to refine to
             raise _UsageError(str(exc)) from exc
         if result.status in (
             RelationStatus.FOUND_CERTIFIED,

@@ -1,22 +1,23 @@
 """Exact arithmetic over iterated square-root extensions of the rationals.
 
-Two representations cooperate:
+``TowerReal`` is an element of an explicit real quadratic tower
+Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)).  In a *flat* tower, where every
+radicand is a rational integer, a value is a vector of integer
+coefficients over the products of the radicands' square roots, with one
+positive denominator; the square roots of distinct squarefree integers
+are linearly independent over Q, so these coordinates are unique and the
+form is canonical.  Its signs come from a 64-bit fixed-point enclosure
+of those square roots, or from an exact halving recursion when the
+enclosure cannot certify one.  In a tower with a nested radicand, values
+are nested (p, q) pairs with Fraction leaves, and signs come from a
+rational-interval fast path with a pure recursion as the decision
+procedure.  Every value offers the nested-pair view as ``raw``.
 
-* ``KElement`` -- rational combinations of square roots of squarefree
-  integers, kept in the canonical squarefree-basis normal form, so equality
-  is coefficient equality.
-* ``TowerReal`` -- elements of an explicit real quadratic tower
-  Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)).  In a *flat* tower, where every
-  radicand is a rational integer, a value is a vector of integer
-  coefficients over the products of the radicands' square roots, with one
-  positive denominator; the square roots of distinct squarefree integers
-  are linearly independent over Q, so these coordinates are unique and the
-  form is canonical.  Its signs come from a 64-bit fixed-point enclosure of
-  those square roots, or from an exact halving recursion when the enclosure
-  cannot certify one.  In a tower with a nested radicand, values are nested
-  (p, q) pairs with Fraction leaves, and signs come from a rational-interval
-  fast path with a pure recursion as the decision procedure.  Every value
-  offers the nested-pair view as ``raw``.
+``KElement`` is the squarefree-basis view of a flat vector: a rational
+combination of square roots of squarefree integers in canonical form, so
+equality is coefficient equality.  Its ``+ - * /`` lift the operands to
+integer vectors over their *prime context*, the flat tower over the primes
+dividing their radicands, and read the result back.
 
 The package's one interval type, ``RatInterval``, and its one bounded
 refinement loop, ``_refine_to``, live here too: the kernel's fast path is
@@ -26,6 +27,7 @@ built from them, and ``intervals.NumericReal`` composes them further.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf, isqrt, lcm, nextafter
 from operator import add, sub
 from typing import Callable, Iterable, Optional, Union
@@ -995,21 +997,44 @@ def sqrt_adjoin(value: Union[TowerReal, Rationalish]) -> TowerReal:
 # KElement: the multiquadratic field in squarefree-basis normal form.
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
+@lru_cache(maxsize=4096)
+def _primes(d: int) -> tuple[int, ...]:
+    """The primes dividing the squarefree d, in increasing order."""
+    out, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            d //= p
+        p += 1 if p == 2 else 2
+    if d > 1:
+        out.append(d)
+    return tuple(out)
+
+
+def _k_vectors(*elements: "KElement") -> tuple[TowerContext, list[tuple[list[int], int]]]:
+    """The elements as (numerators, denominator) vectors over their prime
+    context: the flat context whose radicands are the sorted primes dividing
+    any of their radicands.  Term d sits at the mask of its primes, the
+    coordinate where the context's ``_prods`` holds d."""
+    primes = tuple(sorted({p for e in elements for d, _ in e._terms for p in _primes(d)}))
+    ctx = TowerContext.get(tuple(_rconst(Fraction(p), i) for i, p in enumerate(primes)))
+    vectors = []
+    for e in elements:
+        den = lcm(*[c.denominator for _, c in e._terms])
+        num = [0] * len(ctx._prods)
+        for d, c in e._terms:
+            m = sum(1 << i for i, p in enumerate(primes) if d % p == 0)
+            num[m] = c.numerator * (den // c.denominator)
+        vectors.append((num, den))
+    return ctx, vectors
 
 
 class KElement:
     """A finite sum of coeff * sqrt(d) terms with d squarefree, d=1 rational.
 
-    The representation is canonical, so equality and hashing are structural.
+    The representation is canonical, so equality is structural; a rational
+    element hashes like its Fraction.  Arithmetic runs on the integer
+    vectors of the operands' prime context (see ``_k_vectors``).
     """
 
     __slots__ = ("_terms",)
@@ -1020,11 +1045,14 @@ class KElement:
         for d, coeff in items:
             if d < 1:
                 raise ValueError("radicands in KElement must be positive integers")
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if not coeff:
                 continue
             s, sf = squarefree_decompose(d)
-            folded[sf] = folded.get(sf, _ZERO) + coeff * s
+            if s != 1:
+                coeff *= s
+            folded[sf] = folded[sf] + coeff if sf in folded else coeff
         self._terms = tuple(sorted((d, c) for d, c in folded.items() if c != 0))
 
     @classmethod
@@ -1065,14 +1093,16 @@ class KElement:
             return KElement.from_rational(other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, s: int):
+        """self + s*other for s = +-1."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = {d: c for d, c in self._terms}
-        for d, c in o._terms:
-            acc[d] = acc.get(d, _ZERO) + c
-        return KElement(acc)
+        ctx, (x, y) = _k_vectors(self, o)
+        return _k_from(_vcombine(ctx, x, y, s))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -1080,48 +1110,29 @@ class KElement:
         return KElement([(d, -c) for d, c in self._terms])
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        from math import gcd
-
-        for d1, c1 in self._terms:
-            for d2, c2 in o._terms:
-                g = gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                acc[d] = acc.get(d, _ZERO) + c1 * c2 * g
-        return KElement(acc)
+        ctx, ((xn, xd), (yn, yd)) = _k_vectors(self, o)
+        return _k_from(_flat_value(ctx, _vmul(xn, yn, ctx._prods), xd * yd))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "KElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in K")
-        num = KElement.from_rational(1)
-        den = self
-        while not den.is_rational():
-            # pick a prime appearing in some non-unit radicand and kill it by
-            # multiplying with the sign-flipped conjugate
-            p = min(
-                _smallest_prime_factor(d) for d, _ in den._terms if d > 1
-            )
-            conj = KElement([(d, -c if d % p == 0 else c) for d, c in den._terms])
-            num = num * conj
-            den = den * conj
-        return num * KElement.from_rational(1 / den.rational_part())
+        ctx, ((v, den),) = _k_vectors(self)
+        w, d = _vinv(v, ctx._prods)
+        return _k_from(_flat_value(ctx, [c * den for c in w], d))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1142,17 +1153,14 @@ class KElement:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes like one
+        if self.is_rational():
+            return hash(self.rational_part())
         return hash(self._terms)
 
     def to_tower(self) -> TowerReal:
         builder = FieldBuilder()
-        total = builder.const(0)
-        for d, c in self._terms:
-            if d == 1:
-                total = total + builder.const(c)
-            else:
-                total = total + builder.const(c) * builder.sqrt(builder.const(d))
-        return total
+        return sum((c * builder.sqrt(d) for d, c in self._terms), builder.const(0))
 
     def __float__(self) -> float:
         return float(self.to_tower())
@@ -1163,15 +1171,19 @@ class KElement:
         return f"KElement({format_k_element(self)})"
 
 
+def _k_from(value: TowerReal) -> KElement:
+    """The squarefree-basis normal form of a value over a flat context."""
+    prods, den = value.ctx._prods, value._den
+    return KElement([(prods[m], Fraction(c, den)) for m, c in enumerate(value._num) if c])
+
+
 def tower_to_k(value: TowerReal) -> Optional[KElement]:
     """Convert to the squarefree-basis normal form, or None if the value's
     tower involves a nested (non-rational) radicand."""
-    prods = value.ctx._prods
-    if prods is None:
+    if value.ctx._prods is None:
         return None
-    den = value._den
     try:
-        return KElement([(prods[m], Fraction(c, den)) for m, c in enumerate(value._num) if c])
+        return _k_from(value)
     except SquarefreeBoundError:
         return None
 
@@ -1180,59 +1192,18 @@ def k_membership(value: TowerReal, basis: Iterable[int]) -> Optional[KElement]:
     """Express ``value`` as a rational combination of sqrt(d) for d in
     ``basis`` (1 meaning the rational part), or return None.
 
-    Works by flattening everything into coordinates over the tower's
-    product-of-radicals Q-basis and solving the exact linear system.
+    The value is embedded in one tower that starts with the basis's square
+    roots.  A value of that field has zero coordinates on every later level,
+    so it lands in the flat tower of the basis, where ``tower_to_k`` reads
+    it off; it is a member when every radicand read off is in the basis.
     """
-    basis = sorted({squarefree_decompose(d)[1] for d in basis} | {1})
-    builder = FieldBuilder(value.ctx)
-    cols: list[TowerReal] = []
-    for d in basis:
-        if d == 1:
-            cols.append(builder.const(1))
-        else:
-            cols.append(builder.sqrt(builder.const(d)))
-    ctx = builder.ctx
-    target = builder.embed(value)
-    depth = ctx.depth
-
-    def vec(v: TowerReal) -> list[Fraction]:
-        out: list[Fraction] = []
-        _rflatten(v._lift_to(ctx), depth, out)
-        return out
-
-    matrix = [vec(builder.embed(c)) for c in cols]
-    rhs = vec(target)
-    n_rows = len(rhs)
-    n_cols = len(matrix)
-    # Gaussian elimination on the (n_rows x n_cols) system A x = rhs with
-    # A[:, j] = matrix[j].
-    aug = [[matrix[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n_cols):
-        sel = None
-        for i in range(row, n_rows):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for i in range(n_rows):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, n_rows):
-        if aug[i][n_cols] != 0:
-            return None
-    coeffs = {d: _ZERO for d in basis}
-    for r, c in pivots:
-        coeffs[basis[c]] = aug[r][n_cols]
-    result = KElement(list(coeffs.items()))
+    basis = {squarefree_decompose(d)[1] for d in basis} | {1}
+    builder = FieldBuilder()
+    for d in sorted(basis):
+        builder.sqrt(d)
+    result = tower_to_k(builder.embed(value))
+    if result is None or any(d not in basis for d, _ in result.terms):
+        return None
     # paranoia: confirm the reconstruction
     if not (result.to_tower() - value).is_zero():
         return None

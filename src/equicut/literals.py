@@ -7,6 +7,9 @@ Grammar (whitespace between tokens is ignored)::
     factor   := rational | 'sqrt' '(' expr ')' | '(' expr ')'
     rational := ['-'] digits ['/' digits]
 
+A literal may adjoin at most 8 square roots to Q; a ``sqrt(`` applied once
+8 are adjoined is a ``ParseError``.
+
 ``format_number`` emits a canonical form: the rational part first, then
 square-root terms in increasing radicand order, " + "/" - " between terms,
 no redundant "1*" coefficients, and a leading negative square-root term
@@ -37,6 +40,10 @@ class ParseError(ValueError):
 _SYMBOLS = set("+-*/()")
 
 _MAX_NESTING = 100  # parentheses and sqrt(: well inside the recursion limit
+
+# Square roots one literal may adjoin.  Each adjoined root costs about five
+# times the one before, so 8 parse in well under a second and 12 take minutes.
+_MAX_ROOTS = 8
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -115,7 +122,10 @@ class _Parser:
             return self.builder.embed(self.parse_rational())
         if kind == "sqrt":
             self.take()
-            return self.builder.sqrt(self.parse_group())
+            inner = self.parse_group()
+            if self.builder.ctx.depth >= _MAX_ROOTS:
+                raise ParseError(f"more than {_MAX_ROOTS} square roots", pos)
+            return self.builder.sqrt(inner)
         if kind == "(":
             return self.parse_group()
         raise ParseError(f"expected a number, found {text or 'end of input'!r}", pos)

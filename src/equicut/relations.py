@@ -23,8 +23,9 @@ never discards a true relation.  Time and memory grow with (2H+1)**(n/2)
 rather than (2H+1)**n.  Two guards raise ``SearchSpaceError`` (a
 ``ValueError``) instead of searching: a half-table of more than about 4 M
 sums, and more than 65 536 near-zero pairs to certify.  The refinement
-ladder starts at 256 bits (override with the ``EQUICUT_PRECISION_BITS``
-environment variable) and doubles up to 4096.
+ladder starts at 256 bits and doubles up to 4096; ``EQUICUT_PRECISION_BITS``
+overrides the start with an integer from 1 to ``MAX_WORK_BITS``, and any
+other value of it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .exact import (
+    MAX_WORK_BITS,
     FieldBuilder,
     KElement,
     TowerReal,
-    _rflatten,
     k_membership,
     sqrt_adjoin,
     squarefree_decompose,
@@ -232,28 +233,19 @@ def _sweep(columns: Sequence[_Column], height: int) -> tuple[list[tuple[int, ...
     return sorted(set(decoded)), threshold
 
 
-def _exact_vectors(columns: Sequence[_Column]) -> list[list[Fraction]]:
-    builder = FieldBuilder()
-    embedded = [builder.embed(col.value) for col in columns]
-    ctx = builder.ctx
-    vectors = []
-    for v in embedded:
-        coords: list[Fraction] = []
-        _rflatten(v._lift_to(ctx), ctx.depth, coords)
-        vectors.append(coords)
-    return vectors
-
-
 def _start_bits(override: Optional[int]) -> int:
     if override is not None:
         return max(64, int(override))
     env = os.environ.get("EQUICUT_PRECISION_BITS")
-    if env:
-        try:
-            return max(64, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_START_BITS
+    if not env:
+        return DEFAULT_START_BITS
+    try:
+        bits = int(env)
+        if 1 <= bits <= MAX_WORK_BITS:
+            return max(64, bits)
+    except ValueError:
+        pass
+    raise ValueError(f"EQUICUT_PRECISION_BITS must be an integer between 1 and {MAX_WORK_BITS}")
 
 
 def find_integer_relation(
@@ -275,6 +267,7 @@ def find_integer_relation(
     if len(names) != len(columns):
         raise ValueError("labels must match values")
 
+    start = _start_bits(start_bits)
     survivors, _ = _sweep(columns, height)
     if mask is not None:
         survivors = [s for s in survivors if mask(s)]
@@ -284,19 +277,15 @@ def find_integer_relation(
     )
 
     if all(col.exact for col in columns):
-        vectors = _exact_vectors(columns)
-        dim = len(vectors[0]) if vectors else 0
+        builder = FieldBuilder()
+        embedded = [builder.embed(col.value) for col in columns]
         for coeffs in survivors:
-            if all(
-                sum(c * vec[i] for c, vec in zip(coeffs, vectors)) == 0
-                for i in range(dim)
-            ):
+            if sum(c * v for c, v in zip(coeffs, embedded)).is_zero():
                 result.witnesses.append(coeffs)
         if result.witnesses:
             result.status = RelationStatus.FOUND_CERTIFIED
         return result
 
-    start = _start_bits(start_bits)
     cap = max(start, MAX_LADDER_BITS)
     rungs = []
     b = start

@@ -15,6 +15,12 @@ from equicut.exact import MAX_WORK_BITS, RefinementLimitError
 from equicut.dissect import dissection_from_json, verify_dissection
 
 
+BAD_PRECISION_ENV = (
+    f"error: EQUICUT_PRECISION_BITS must be an integer between 1 and {MAX_WORK_BITS}\n"
+)
+TWELVE_ROOTS = "sqrt(2 + " * 12 + "1" + ")" * 12
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -119,9 +125,32 @@ class TestAnalyze:
         self, capsys, monkeypatch
     ):
         monkeypatch.setenv("EQUICUT_PRECISION_BITS", "1000000")
-        code, _, err = run(capsys, "analyze", "--region", "3/4,1/2")
+        code, out, err = run(capsys, "analyze", "--region", "3/4,1/2")
         assert code == 2
-        assert err.startswith("error: a width of 2**-1000000") and err.count("\n") == 1
+        assert out == ""
+        assert err == BAD_PRECISION_ENV
+
+    @pytest.mark.parametrize("bits", ["abc", "0", "-3", "2.5", str(MAX_WORK_BITS + 1)])
+    def test_malformed_precision_environment_is_usage_error(
+        self, capsys, monkeypatch, bits
+    ):
+        monkeypatch.setenv("EQUICUT_PRECISION_BITS", bits)
+        code, out, err = run(capsys, "analyze", "--region", "3/4,1/2")
+        assert code == 2
+        assert out == ""
+        assert err == BAD_PRECISION_ENV
+
+    def test_value_of_a_nested_tower_is_a_member(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--region", "1/4*sqrt(5 + 2*sqrt(6)),3/4")
+        assert code == 0
+        assert "  membership a = 1/4*sqrt(2) + 1/4*sqrt(3)\n" in out
+        assert "  membership b = 3/4\n" in out
+        code, out, _ = run(
+            capsys, "analyze", "--region", "1/4*sqrt(5 + 2*sqrt(6)),3/4", "--json"
+        )
+        sigma2 = json.loads(out)["sigma2"]
+        assert sigma2["memberships"] == {"a": "1/4*sqrt(2) + 1/4*sqrt(3)", "b": "3/4"}
+        assert len(sigma2["witnesses"]) == 12
 
 
 class TestStandard:
@@ -163,6 +192,13 @@ class TestStandard:
         assert out == ""
         assert err.startswith("error: bad number literal") and err.count("\n") == 1
         assert "nesting deeper than 100" in err
+
+    def test_literal_with_too_many_roots_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "standard", "-n", "1", "--region", f"{TWELVE_ROOTS},1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad number literal") and err.count("\n") == 1
+        assert "more than 8 square roots" in err
 
 
 class TestVerify:
@@ -240,6 +276,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: bad dissection file: dissection JSON is nested too deeply\n"
+
+    def test_literal_with_too_many_roots_exit_two(self, tmp_path, capsys):
+        data = json.loads(open(self.make_file(tmp_path, capsys)).read())
+        data["region"][0][0] = TWELVE_ROOTS
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad dissection file:") and err.count("\n") == 1
+        assert "more than 8 square roots" in err
 
     def test_boolean_version_exit_two(self, tmp_path, capsys):
         data = json.loads(open(self.make_file(tmp_path, capsys)).read())
@@ -457,6 +504,17 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert err == "error: no enclosure of width 2**-64 by 65538 working bits\n"
+
+    @pytest.mark.parametrize("mode", ["sides", "angles"])
+    @pytest.mark.parametrize("bits", ["abc", "0", "-3"])
+    def test_malformed_precision_environment_is_usage_error(
+        self, capsys, monkeypatch, mode, bits
+    ):
+        monkeypatch.setenv("EQUICUT_PRECISION_BITS", bits)
+        code, out, err = run(capsys, "sample", "--count", "3", "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err == BAD_PRECISION_ENV
 
 
 class TestParser:

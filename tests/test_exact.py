@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from equicut.exact import (
     squarefree_decompose,
     tower_to_k,
 )
-from equicut.literals import format_k_element, format_number
+from equicut.literals import format_k_element, format_number, parse_number
 
 
 def R(x) -> TowerReal:
@@ -508,6 +509,11 @@ class TestKElement:
         assert hash(KElement.sqrt_of(8)) == hash(KElement([(2, 2)]))
         assert KElement.from_rational(3) == 3
         assert len({KElement.sqrt_of(2), KElement([(2, 1)])}) == 1
+        # a rational element is interchangeable with its Fraction as a key
+        assert {3: "x"}.get(KElement.from_rational(3)) == "x"
+        assert len({3, KElement.from_rational(3)}) == 1
+        assert hash(KElement.from_rational(Fraction(-2, 7))) == hash(Fraction(-2, 7))
+        assert hash(KElement.zero()) == hash(0)
 
     def test_to_tower(self):
         x = KElement([(1, Fraction(1, 2)), (2, 3), (6, -1)])
@@ -524,6 +530,8 @@ class TestKMembership:
     def test_negative(self):
         assert k_membership(sqrt_adjoin(7), [1, 2, 3, 6]) is None
         assert k_membership(sqrt_adjoin(6), [1, 2, 3]) is None
+        assert k_membership(sqrt_adjoin(6), [8]) is None
+        assert k_membership(sqrt_adjoin(6), [2, 3]) is None
 
     def test_rational(self):
         m = k_membership(TowerReal.from_rational(Fraction(7, 3)), [1, 2])
@@ -538,6 +546,164 @@ class TestKMembership:
         v = sqrt_adjoin((r2 + r3) ** 2)  # equals sqrt(2)+sqrt(3)
         m = k_membership(v, [2, 3])
         assert m == KElement([(2, 1), (3, 1)])
+
+    def test_value_of_a_nested_tower_in_k(self):
+        # sqrt(5 + 2*sqrt(6)) does not denest over Q(sqrt(6)), so the
+        # literal's tower keeps a nested radicand; it equals sqrt(2)+sqrt(3)
+        v = parse_number("1/4*sqrt(5 + 2*sqrt(6))")
+        assert v.ctx._prods is None
+        m = k_membership(v, [2, 3])
+        assert m == KElement([(2, Fraction(1, 4)), (3, Fraction(1, 4))])
+        assert k_membership(v, [2, 5]) is None
+
+
+# ---------------------------------------------------------------------------
+# References for KElement and k_membership: the Fraction-dict product, the
+# conjugate-loop inverse and the Gaussian elimination over flattened tower
+# coordinates that they ran on before moving onto the integer vectors.
+
+
+def _ref_add(x, y):
+    acc = dict(x.terms)
+    for d, c in y.terms:
+        acc[d] = acc.get(d, 0) + c
+    return KElement(acc)
+
+
+def _ref_mul(x, y):
+    acc = {}
+    for d1, c1 in x.terms:
+        for d2, c2 in y.terms:
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            acc[d] = acc.get(d, 0) + c1 * c2 * g
+    return KElement(acc)
+
+
+def _ref_smallest_prime_factor(n):
+    p = 2
+    while n % p:
+        p += 1
+    return p
+
+
+def _ref_inverse(x):
+    num, den = KElement.from_rational(1), x
+    while not den.is_rational():
+        # kill the smallest prime of any radicand with the sign-flipped conjugate
+        p = min(_ref_smallest_prime_factor(d) for d, _ in den.terms if d > 1)
+        conj = KElement([(d, -c if d % p == 0 else c) for d, c in den.terms])
+        num, den = _ref_mul(num, conj), _ref_mul(den, conj)
+    return _ref_mul(num, KElement.from_rational(1 / den.rational_part()))
+
+
+def _ref_k_membership(value, basis):
+    basis = sorted({squarefree_decompose(d)[1] for d in basis} | {1})
+    builder = FieldBuilder(value.ctx)
+    cols = [builder.const(1) if d == 1 else builder.sqrt(builder.const(d)) for d in basis]
+    ctx = builder.ctx
+    target = builder.embed(value)
+
+    def vec(v):
+        out = []
+        exact._rflatten(v._lift_to(ctx), ctx.depth, out)
+        return out
+
+    matrix = [vec(builder.embed(c)) for c in cols]
+    rhs = vec(target)
+    n_rows, n_cols = len(rhs), len(matrix)
+    aug = [[matrix[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        sel = next((i for i in range(row, n_rows) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        aug[row] = [v / pv for v in aug[row]]
+        for i in range(n_rows):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        pivots.append((row, col))
+        row += 1
+    if any(aug[i][n_cols] != 0 for i in range(row, n_rows)):
+        return None
+    coeffs = {d: Fraction(0) for d in basis}
+    for r, c in pivots:
+        coeffs[basis[c]] = aug[r][n_cols]
+    result = KElement(list(coeffs.items()))
+    if not (result.to_tower() - value).is_zero():
+        return None
+    return result
+
+
+# squarefree radicands with up to four primes, plus 8 and 12, which fold
+# onto 2 and 3
+K_RADICANDS = (1, 2, 3, 5, 6, 10, 15, 30, 105, 8, 12)
+
+
+def _random_k(rng):
+    if rng.random() < 0.1:
+        return KElement.zero()
+    terms = [
+        (rng.choice(K_RADICANDS), Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return KElement(terms)
+
+
+class TestKElementDifferential:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arithmetic_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            x, y = _random_k(rng), _random_k(rng)
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert x + y == _ref_add(x, y)
+            assert x - y == _ref_add(x, -y)
+            assert x * y == _ref_mul(x, y)
+            assert q - x == _ref_add(KElement.from_rational(q), -x)
+            assert x * q == _ref_mul(x, KElement.from_rational(q))
+            if y.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                assert y.inverse() == _ref_inverse(y)
+                assert x / y == _ref_mul(x, _ref_inverse(y))
+            if q and not x.is_zero():
+                assert q / x == _ref_mul(KElement.from_rational(q), _ref_inverse(x))
+
+    @pytest.mark.parametrize("order", [(6, 10), (15, 5), (3, 2)])
+    def test_k_membership_matches_reference(self, order):
+        rng = random.Random(sum(order))
+        builder = FieldBuilder()
+        r1, r2 = builder.sqrt(order[0]), builder.sqrt(order[1])
+        bases = ([1, 2, 3, 5], [6, 10, 15], [8], [2, 3], [2, 3, 5], [15], [1], [order[0]])
+        for _ in range(8):
+            c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+            if rng.random() < 0.5:
+                c[3] = Fraction(0)
+            v = c[0] + c[1] * r1 + c[2] * r2 + c[3] * r1 * r2
+            for basis in bases:
+                assert k_membership(v, basis) == _ref_k_membership(v, basis)
+
+    @pytest.mark.parametrize("basis", [(1, 2, 3, 5), (1, 2, 3, 5, 7)])
+    def test_k_membership_of_named_triangle_sides(self, basis):
+        squares = [
+            (1, 1),
+            (Fraction(1, 2), Fraction(1, 2)),
+            (Fraction(3, 4), Fraction(1, 4)),
+            (Fraction(49, 64), Fraction(9, 16)),
+            (Fraction(4, 5), Fraction(1, 5)),
+        ]
+        sides = [sqrt_adjoin(s) for pair in squares for s in pair]
+        sides.append(parse_number("1/4*sqrt(5 + 2*sqrt(6))"))
+        for side in sides:
+            want = _ref_k_membership(side, basis)
+            assert want is not None
+            assert k_membership(side, basis) == want
 
 
 small_fracs = st.fractions(

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,20 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nesting deeper than 100"):
             parse_number("(" * 101 + "1" + ")" * 101)
         assert parse_number("(" * 100 + "1" + ")" * 100).as_fraction() == 1
+
+    def test_eight_roots_parse(self):
+        value = parse_number("sqrt(2 + " * 8 + "1" + ")" * 8)
+        assert value.depth == 8
+
+    def test_more_than_eight_roots_fail_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="more than 8 square roots") as err:
+            parse_number("sqrt(2 + " * 12 + "1" + ")" * 12)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == 27  # the ninth sqrt( from the inside
+        flat = " + ".join(f"sqrt({p})" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        with pytest.raises(ParseError, match="more than 8 square roots"):
+            parse_number(flat)
 
     def test_negative_sqrt_literal_rejected(self):
         with pytest.raises(Exception):

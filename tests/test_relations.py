@@ -307,6 +307,12 @@ class TestResultSerialization:
         assert d["memberships"]["a"] == "7/8"
         assert all(isinstance(w, list) for w in d["witnesses"])
 
+    @pytest.mark.parametrize("bits", ["abc", "0", "-3", "65537"])
+    def test_env_start_bits_rejected(self, monkeypatch, bits):
+        monkeypatch.setenv("EQUICUT_PRECISION_BITS", bits)
+        with pytest.raises(ValueError, match="EQUICUT_PRECISION_BITS must be an integer"):
+            find_side_relation(Fraction(7, 8), Fraction(3, 4), height=2, basis=(1,))
+
     def test_env_start_bits(self, monkeypatch):
         monkeypatch.setenv("EQUICUT_PRECISION_BITS", "128")
         a = NumericReal.from_exact(sqrt_adjoin(3) / 2)
