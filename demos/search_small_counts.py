@@ -3,9 +3,13 @@
 triangular tiles, for small m.
 
 For each (region, m) pair the search places one similar tile of the right
-area at a time, always covering the lexicographically smallest uncovered
-corner, so every dissection is found exactly once.  Small piece counts
-are already interesting:
+area at a time, always at the uncovered corner with the smallest angle, so
+every dissection is found exactly once.  Three sound rules cut branches
+that cannot complete.  One of them is a length rule: an uncovered edge
+between two convex corners must be a sum of whole tile sides.  A non-square
+m often fails it at the root, so the search there expands no node at all;
+the last column gives the node count with that rule switched off.  Small
+piece counts are already interesting:
 
   * m=2 works only when the region is isoceles or right (cut along an
     axis of symmetry or an altitude);
@@ -45,19 +49,22 @@ def main():
     parser.add_argument("--out", metavar="DIR", help="write SVGs of the finds")
     args = parser.parse_args()
 
-    print(f"{'region':<18}{'m':>3}  {'found':>5}  {'nodes':>6}  notes")
-    print("-" * 60)
+    print(f"{'region':<18}{'m':>3}  {'found':>5}  {'nodes':>6}  "
+          f"{'no length rule':>14}  notes")
+    print("-" * 72)
     for name, region in TRIANGLES:
         for m in (2, 3, 4, 5):
             spec = SearchSpec(region=region, tile=similar_tile(region, m), m=m)
             out = search_dissections(spec)
+            spec.prune_lengths = False
+            without = search_dissections(spec)
             notes = []
             if not out.complete:
                 notes.append("truncated")
             if any(not is_standard(d) for d in out.dissections):
                 notes.append("non-standard present")
             print(f"{name:<18}{m:>3}  {len(out.dissections):>5}  "
-                  f"{out.nodes:>6}  {', '.join(notes)}")
+                  f"{out.nodes:>6}  {without.nodes:>14}  {', '.join(notes)}")
 
             if args.out and out.dissections:
                 os.makedirs(args.out, exist_ok=True)
@@ -65,7 +72,7 @@ def main():
                     path = os.path.join(args.out, f"{name.split('-')[0]}_m{m}_{k}.svg")
                     with open(path, "w", encoding="utf-8") as handle:
                         handle.write(dissection_svg(d))
-        print("-" * 60)
+        print("-" * 72)
 
 
 if __name__ == "__main__":

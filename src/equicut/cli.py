@@ -221,6 +221,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # search
 
+_BUDGET_FLAG = {"nodes": "--max-nodes", "results": "--max-results", "time": "--time-budget"}
+
 
 def _cmd_search(args) -> int:
     region, _, _ = _parse_region(args.region)
@@ -228,13 +230,18 @@ def _cmd_search(args) -> int:
         raise _UsageError("--pieces must be at least 1")
     if args.max_nodes is not None and args.max_nodes < 1:
         raise _UsageError("--max-nodes must be at least 1")
+    if args.max_results is not None and args.max_results < 1:
+        raise _UsageError("--max-results must be at least 1")
+    if args.time_budget is not None and not args.time_budget > 0:
+        raise _UsageError("--time-budget must be positive")
     extra = [_parse_tile(t) for t in args.tile or []]
     kwargs = {
         "allow_reflections": not args.no_reflections,
         "symmetry_quotient": args.quotient_symmetry,
+        "max_nodes": args.max_nodes,
+        "max_results": args.max_results,
+        "time_budget": args.time_budget,
     }
-    if args.max_nodes is not None:
-        kwargs["max_nodes"] = args.max_nodes
     report = search_for_count(region, args.pieces, extra_tiles=extra, **kwargs)
 
     total = 0
@@ -245,10 +252,13 @@ def _cmd_search(args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _UsageError(f"cannot create {out_dir}: {exc}") from exc
+    first_index = {}  # id(outcome) -> the index of the first tile with it
     for t_idx, tile_report in enumerate(report.reports):
         outcome = tile_report.outcome
         sides = ", ".join(format_number(s) for s in tile_report.sides)
-        status = "complete" if outcome.complete else "truncated"
+        status = "complete"
+        if not outcome.complete:
+            status = f"truncated by {_BUDGET_FLAG[outcome.stats['truncated_by']]}"
         print(
             f"tile[{t_idx}] ({tile_report.kind}) sides ({sides}): "
             f"{len(outcome.dissections)} dissection(s), {status}, "
@@ -256,6 +266,12 @@ def _cmd_search(args) -> int:
         )
         if outcome.note:
             print(f"  note: {outcome.note}")
+        if args.stats:
+            print(json.dumps({"tile": t_idx, **outcome.stats}))
+        first = first_index.setdefault(id(outcome), t_idx)
+        if first != t_idx:
+            print(f"  note: same tile as tile[{first}]; its results are counted once")
+            continue
         for d_idx, dissection in enumerate(outcome.dissections):
             total += 1
             tag = " standard" if is_standard(dissection) else ""
@@ -431,6 +447,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deduplicate results by the region symmetry group",
     )
     p.add_argument("--max-nodes", type=int, default=None, help="node budget")
+    p.add_argument(
+        "--max-results", type=int, default=None, help="stop after N dissections per tile"
+    )
+    p.add_argument(
+        "--time-budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock budget per tile",
+    )
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print each tile's search counters as one JSON line",
+    )
     p.add_argument("--out", help="directory for JSON + SVG of every result")
     p.set_defaults(func=_cmd_search)
 

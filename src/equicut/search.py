@@ -20,9 +20,22 @@ The enumeration is a depth-first search on the uncovered region:
   wedge-counting argument shows some piece of every completed dissection
   must sit exactly like that, so trying all 3 corners (times 2 mirror
   orientations when reflections are allowed) loses nothing.
-* Sound pruning rules cut branches that provably cannot complete; two of
+* Sound pruning rules cut branches that provably cannot complete; three of
   them can be toggled off for differential testing, which must only ever
-  grow the node count, never change the result set.
+  grow the node count, never change the result set:
+
+  - *remainder*: a corner placed at a frontier vertex must leave a wedge
+    no narrower than the tile's smallest angle;
+  - *overshoot*: a tile side longer than the outgoing edge must continue
+    past a reflex vertex;
+  - *lengths* (Laczkovich's boundary lemma): a frontier edge whose two end
+    vertices are both convex must have a length p*s0 + q*s1 + r*s2 with
+    integers p, q, r >= 0, where s0 <= s1 <= s2 are the tile sides.  The
+    region left uncovered is tiled exactly, and each tile that meets the
+    edge along a segment has a side on it.  That side cannot pass a convex
+    end: past the end it would leave the region, since the next edge turns
+    into the tile's half-plane.  So the sides along the edge partition it.
+    Each frontier polygon is checked once, when it is made.
 
 ``complete=True`` on the outcome certifies the returned list is exhaustive.
 """
@@ -35,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .exact import FieldBuilder, TowerReal, exactify, sqrt_adjoin
+from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
     AngleVec,
     Isometry,
@@ -72,9 +85,11 @@ class SearchSpec:
     use).  ``allow_reflections=False`` restricts pieces to the single
     handedness whose counterclockwise side cycle runs in ascending sorted
     order.  ``symmetry_quotient=True`` keeps one representative per orbit of
-    the region's symmetry group.  The two ``prune_*`` switches exist for
+    the region's symmetry group.  The three ``prune_*`` switches exist for
     differential testing of search soundness; disabling them may only slow
-    the search down, never change its results.
+    the search down, never change its results.  ``max_nodes``,
+    ``max_results`` and ``time_budget`` (seconds) stop the search early,
+    and the outcome then says which one did.
     """
 
     region: Triangle
@@ -87,18 +102,34 @@ class SearchSpec:
     time_budget: Optional[float] = None
     prune_remainder: bool = True
     prune_overshoot: bool = True
+    prune_lengths: bool = True
+
+
+_PRUNE_RULES = ("remainder", "overshoot", "lengths")
+
+
+def _stats(nodes: int = 0, cuts: Optional[dict] = None, truncated_by: Optional[str] = None) -> dict:
+    cuts = dict(cuts or dict.fromkeys(_PRUNE_RULES, 0))
+    return {"expanded": nodes, "cuts": cuts, "truncated_by": truncated_by}
 
 
 @dataclass
 class SearchOutcome:
     """Result of one search: the dissections found (canonically ordered),
     whether the enumeration provably covered the whole tree, the number of
-    expansion calls, and an optional notice for vacuous cases."""
+    expansion calls, and an optional notice for vacuous cases.
+
+    ``stats`` holds ``expanded`` (equal to ``nodes``), ``cuts`` (branches
+    cut per pruning rule: ``remainder``, ``overshoot``, ``lengths``) and
+    ``truncated_by`` (None for a complete search, else ``"nodes"``,
+    ``"results"`` or ``"time"``).
+    """
 
     dissections: List[Dissection]
     complete: bool
     nodes: int
     note: Optional[str] = None
+    stats: dict = field(default_factory=_stats)
 
 
 @dataclass
@@ -121,7 +152,10 @@ class CountReport:
 
     @property
     def total_dissections(self) -> int:
-        return sum(len(r.outcome.dissections) for r in self.reports)
+        """Dissections found, counting an outcome shared by repeated tiles
+        once."""
+        distinct = {id(r.outcome): r.outcome for r in self.reports}
+        return sum(len(o.dissections) for o in distinct.values())
 
     @property
     def complete(self) -> bool:
@@ -427,22 +461,94 @@ class _Searcher:
             return SearchOutcome([], True, 0, note=self.note)
         self.results: List[Dissection] = []
         self.nodes = 0
-        self.truncated = False
+        self.truncated_by: Optional[str] = None
+        self.cuts = dict.fromkeys(_PRUNE_RULES, 0)
+        self.representable: dict = {}  # _value_key(length) -> verdict
         self.deadline = (
             time.monotonic() + self.spec.time_budget
             if self.spec.time_budget is not None
             else None
         )
+        t = self.tile
+        self.unit_sides = (t.s[1] / t.s[0], t.s[2] / t.s[0])
         v = self.region.vertices
         root = _Poly(
             (v[0], v[1], v[2]),
             (self.side_lens[0], self.side_lens[1], self.side_lens[2]),
         )
-        self._expand([root], [])
+        if self._lengths_fit([root]):
+            self._expand([root], [])
         self.results.sort(key=lambda d: _piece_multiset_key(d.pieces))
         if self.spec.symmetry_quotient:
             self.results = _quotient_by_symmetry(self.region, self.results)
-        return SearchOutcome(self.results, not self.truncated, self.nodes)
+        return SearchOutcome(
+            self.results,
+            self.truncated_by is None,
+            self.nodes,
+            stats=_stats(self.nodes, self.cuts, self.truncated_by),
+        )
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncated_by is not None
+
+    def _out_of_time(self) -> bool:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.truncated_by = "time"
+            return True
+        return False
+
+    # -- the length rule ---------------------------------------------------
+
+    def _lengths_fit(self, polys: Sequence[_Poly]) -> bool:
+        """False when some edge between two convex vertices of ``polys`` is
+        no sum of whole tile sides (the *lengths* rule in the module
+        docstring), so the frontier cannot be tiled; counts the cut."""
+        if not self.spec.prune_lengths:
+            return True
+        for poly in polys:
+            verts, n = poly.verts, len(poly.verts)
+            convex = [
+                orientation(verts[i - 1], verts[i], verts[(i + 1) % n]) > 0
+                for i in range(n)
+            ]
+            for i in range(n):
+                if convex[i] and convex[(i + 1) % n] and not self._representable(poly.lens[i]):
+                    self.cuts["lengths"] += 1
+                    return False
+        return True
+
+    def _representable(self, length: TowerReal) -> bool:
+        """Whether ``length`` = p*s0 + q*s1 + r*s2 for integers p, q, r >= 0.
+
+        Works in units of s0: with u1 = s1/s0 and u2 = s2/s0, it enumerates
+        r and then q while the exact remainder length/s0 - r*u2 - q*u1 stays
+        non-negative, and asks whether a remainder is a rational integer.
+        Since u2 >= u1 >= 1, that is at most (L/s1 + 1)(L/s2 + 1) steps, and
+        every bound comes from an exact sign.  A search stopped by its time
+        budget inside the loop answers True without memoising, and its
+        caller sees the truncation.
+        """
+        key = _value_key(length)
+        verdict = self.representable.get(key)
+        if verdict is not None:
+            return verdict
+        u1, u2 = self.unit_sides
+        rem_r = length / self.tile.s[0]
+        verdict = False
+        while not verdict and rem_r.sign() >= 0:
+            rem = rem_r
+            while rem.sign() >= 0:
+                if self._out_of_time():
+                    return True
+                whole = rem.as_fraction()
+                if whole is not None and whole.denominator == 1:
+                    verdict = True
+                    break
+                rem = rem - u1
+            rem_r = rem_r - u2
+        self.representable[key] = verdict
+        return verdict
 
     # -- node expansion ----------------------------------------------------
 
@@ -451,10 +557,9 @@ class _Searcher:
             return
         self.nodes += 1
         if self.spec.max_nodes is not None and self.nodes > self.spec.max_nodes:
-            self.truncated = True
+            self.truncated_by = "nodes"
             return
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.truncated = True
+        if self._out_of_time():
             return
         if not frontier:
             self._emit(pieces)
@@ -488,6 +593,7 @@ class _Searcher:
             if cmp < 0 and self.spec.prune_remainder:
                 remainder = AngleVec.between(d_dir, prev_vec)
                 if remainder < tile.min_angle:
+                    self.cuts["remainder"] += 1
                     continue
             for along_len, other_len in orders:
                 if self.truncated:
@@ -497,6 +603,7 @@ class _Searcher:
                         v_at, v_next, poly.verts[(vi + 2) % n]
                     )
                     if not w_angle.is_reflex():
+                        self.cuts["overshoot"] += 1
                         continue
                 a_pt = v_at + e * along_len
                 x_pt = v_at + d_dir * other_len
@@ -507,6 +614,8 @@ class _Searcher:
                 if not self._fits(poly, tri):
                     continue
                 new_polys = _subtract(poly, tri, (along_len, tile.s[k], other_len))
+                if not self._lengths_fit(new_polys):
+                    continue
                 child = frontier[:pi] + new_polys + frontier[pi + 1 :]
                 pieces.append(Triangle(*tri))
                 self._expand(child, pieces)
@@ -551,7 +660,7 @@ class _Searcher:
             self.spec.max_results is not None
             and len(self.results) >= self.spec.max_results
         ):
-            self.truncated = True
+            self.truncated_by = "results"
 
 
 def _angle_point_less(key_a, key_b) -> bool:

@@ -144,11 +144,14 @@ def test_criterion_02_verifier_rejects_100_corruptions():
 def test_criterion_03_scalene_sweep_unique_standard():
     t0 = time.monotonic()
     expected_counts = {2: 0, 3: 0, 4: 1, 5: 0, 6: 0}
+    # pinned with the length prune off; beside them, the default search's
     expected_nodes = {2: 3, 3: 4, 4: 9, 5: 17, 6: 23}
+    default_nodes = {2: 0, 3: 0, 4: 5, 5: 0, 6: 0}
     total = 0
     for m in range(2, 7):
+        tile = similar_tile(SCALENE, m)
         out = search_dissections(
-            SearchSpec(region=SCALENE, tile=similar_tile(SCALENE, m), m=m)
+            SearchSpec(region=SCALENE, tile=tile, m=m, prune_lengths=False)
         )
         assert out.complete
         assert len(out.dissections) == expected_counts[m]
@@ -156,6 +159,12 @@ def test_criterion_03_scalene_sweep_unique_standard():
         total += len(out.dissections)
         if m == 4:
             assert is_standard(out.dissections[0])
+        default = search_dissections(SearchSpec(region=SCALENE, tile=tile, m=m))
+        assert default.complete
+        assert default.nodes == default_nodes[m]
+        assert [_piece_multiset_key(d.pieces) for d in default.dissections] == [
+            _piece_multiset_key(d.pieces) for d in out.dissections
+        ]
     elapsed = time.monotonic() - t0
     assert total == 1
     assert elapsed < 300.0

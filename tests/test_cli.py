@@ -381,7 +381,78 @@ class TestSearch:
             "3",
         )
         assert code == 0
-        assert "truncated" in out
+        assert "truncated by --max-nodes" in out
+
+    def test_max_results_reports_truncated(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "search",
+            "--region",
+            "sqrt(1/2),sqrt(1/2)",
+            "--pieces",
+            "4",
+            "--max-results",
+            "1",
+        )
+        assert code == 0
+        assert "1 dissection(s), truncated by --max-results" in out
+        assert "total: 1 dissection(s)" in out
+
+    def test_time_budget_reports_truncated(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "search",
+            "--region",
+            "sqrt(1/2),sqrt(1/2)",
+            "--pieces",
+            "4",
+            "--time-budget",
+            "1e-9",
+        )
+        assert code == 0
+        assert "truncated by --time-budget" in out
+
+    def test_generous_budgets_leave_the_search_complete(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "search",
+            "--region",
+            "sqrt(1/2),sqrt(1/2)",
+            "--pieces",
+            "4",
+            "--time-budget",
+            "600",
+            "--max-results",
+            "3",
+        )
+        assert code == 0
+        assert "2 dissection(s), complete, 7 nodes" in out
+
+    def test_stats_prints_one_json_line_per_tile(self, capsys):
+        args = ["search", "--region", "1,1", "--pieces", "3",
+                "--tile", "sqrt(1/3),sqrt(1/3),1"]
+        _, plain, _ = run(capsys, *args)
+        code, out, _ = run(capsys, *args, "--stats")
+        assert code == 0
+        stats = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert stats == [
+            {"tile": 0, "expanded": 0, "cuts": {"remainder": 0, "overshoot": 0, "lengths": 1},
+             "truncated_by": None},
+            {"tile": 1, "expanded": 4, "cuts": {"remainder": 0, "overshoot": 2, "lengths": 0},
+             "truncated_by": None},
+        ]
+        assert [line for line in out.splitlines() if not line.startswith("{")] == (
+            plain.splitlines()
+        )
+
+    def test_duplicate_tile_counted_once(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--region", "1,1", "--pieces", "4", "--tile", "1/2,1/2,1/2"
+        )
+        assert code == 0
+        assert out.count("  result ") == 1
+        assert "note: same tile as tile[0]; its results are counted once" in out
+        assert "total: 1 dissection(s)" in out
 
     def test_zero_pieces_usage_error(self, capsys):
         code, _, err = run(capsys, "search", "--region", "1,1", "--pieces", "0")
@@ -395,6 +466,24 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert err == "error: --max-nodes must be at least 1\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_max_results_usage_error(self, capsys, budget):
+        code, out, err = run(
+            capsys, "search", "--region", "1,1", "--pieces", "4", "--max-results", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-results must be at least 1\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-0.5", "nan"])
+    def test_nonpositive_time_budget_usage_error(self, capsys, budget):
+        code, out, err = run(
+            capsys, "search", "--region", "1,1", "--pieces", "4", "--time-budget", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --time-budget must be positive\n"
 
     def test_bad_tile_usage_error(self, capsys):
         code, _, err = run(

@@ -21,7 +21,11 @@ independent oracles:
   and its four-piece midpoint dissection finishes the five.
 """
 
+import random
+import time
 from fractions import Fraction
+from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,6 +81,18 @@ def assert_contains(dissections, pieces):
     assert any(want == k for k in keys(dissections))
 
 
+def nodes_without_lengths(region, m, **kw) -> int:
+    """Nodes of a complete similar-tile search with the length prune off.
+    The node pins taken before that prune existed are kept this way."""
+    out = search_dissections(
+        SearchSpec(
+            region=region, tile=similar_tile(region, m), m=m, prune_lengths=False, **kw
+        )
+    )
+    assert out.complete
+    return out.nodes
+
+
 class TestSmallOracles:
     def test_right_isoceles_m2_is_exactly_the_altitude_cut(self):
         out = search_dissections(
@@ -92,7 +108,8 @@ class TestSmallOracles:
             tri((Fraction(1, 2), 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))),
         ]
         assert_contains(out.dissections, expected)
-        assert out.nodes == 4
+        assert out.nodes == 3
+        assert nodes_without_lengths(RIGHT_ISOCELES, 2) == 4
 
     def test_scalene_m2_has_no_dissection(self):
         out = search_dissections(
@@ -123,7 +140,9 @@ class TestSmallOracles:
         )
         assert out.complete
         assert out.dissections == []
-        assert out.nodes == 2
+        assert out.nodes == 0  # sqrt(3) times a side is no sum of sides
+        assert out.stats["cuts"]["lengths"] == 1
+        assert nodes_without_lengths(EQUILATERAL, 3) == 2
 
     def test_thirty_sixty_m3_finds_the_rep3(self):
         out = search_dissections(
@@ -161,6 +180,7 @@ class TestSmallOracles:
         assert len(out.dissections) == 1
         assert_contains(out.dissections, [SCALENE])
         assert out.nodes == 2
+        assert nodes_without_lengths(SCALENE, 1) == 2
 
     def test_m1_without_reflections_respects_handedness(self):
         # the canonical scalene region has the mirror handedness relative to
@@ -216,7 +236,8 @@ class TestRightIsocelesM4:
             assert verify_dissection(d).ok
 
     def test_node_count_regression(self):
-        assert self.run().nodes == 12
+        assert self.run().nodes == 7
+        assert self.run(prune_lengths=False).nodes == 12
 
 
 class TestLegsOneTwoM5:
@@ -241,27 +262,36 @@ class TestLegsOneTwoM5:
         assert_contains(out.dissections, oracle)
         # regression pins: the middle rectangle splits along either diagonal
         assert len(out.dissections) == 2
-        assert out.nodes == 25
+        assert out.nodes == 10
+        assert nodes_without_lengths(LEGS_ONE_TWO, 5) == 25
 
 
 class TestScaleneSweep:
     def test_m2_to_m6_only_the_standard_four_piece(self):
         expected_counts = {2: 0, 3: 0, 4: 1, 5: 0, 6: 0}
-        expected_nodes = {2: 3, 3: 4, 4: 9, 5: 17, 6: 23}
+        # (nodes with the length prune, nodes without it)
+        expected_nodes = {2: (0, 3), 3: (0, 4), 4: (5, 9), 5: (0, 17), 6: (0, 23)}
         for m, want in expected_counts.items():
-            out = search_dissections(
-                SearchSpec(region=SCALENE, tile=similar_tile(SCALENE, m), m=m)
-            )
-            assert out.complete, m
-            assert len(out.dissections) == want, m
-            assert out.nodes == expected_nodes[m], m
-            if m == 4:
-                assert is_standard(out.dissections[0])
+            for prune, nodes in zip((True, False), expected_nodes[m]):
+                out = search_dissections(
+                    SearchSpec(
+                        region=SCALENE,
+                        tile=similar_tile(SCALENE, m),
+                        m=m,
+                        prune_lengths=prune,
+                    )
+                )
+                assert out.complete, m
+                assert len(out.dissections) == want, m
+                assert out.nodes == nodes, (m, prune)
+                if m == 4:
+                    assert is_standard(out.dissections[0])
 
 
 class TestNamedTrianglePins:
     """(nodes, results) of complete similar-tile searches on the named
-    triangles, beside the instances pinned above."""
+    triangles, beside the instances pinned above, with the length prune off
+    and with the default settings."""
 
     REGIONS = {
         "30-60-90": THIRTY_SIXTY,
@@ -290,6 +320,32 @@ class TestNamedTrianglePins:
     )
     def test_node_and_result_counts(self, name, m, nodes, results):
         region = self.REGIONS[name]
+        out = search_dissections(
+            SearchSpec(region=region, tile=similar_tile(region, m), m=m, prune_lengths=False)
+        )
+        assert out.complete
+        assert (out.nodes, len(out.dissections)) == (nodes, results)
+
+    @pytest.mark.parametrize(
+        "name,m,nodes,results",
+        [
+            ("30-60-90", 2, 0, 0),
+            ("30-60-90", 3, 4, 1),
+            ("30-60-90", 4, 13, 4),
+            ("equilateral", 2, 0, 0),
+            ("equilateral", 3, 0, 0),
+            ("equilateral", 4, 5, 1),
+            ("equilateral", 5, 0, 0),
+            ("equilateral", 9, 10, 1),
+            ("legs-1:2", 2, 0, 0),
+            ("legs-1:2", 3, 0, 0),
+            ("legs-1:2", 4, 8, 2),
+            ("right-isoceles", 3, 0, 0),
+            ("right-isoceles", 8, 19, 4),
+        ],
+    )
+    def test_default_node_and_result_counts(self, name, m, nodes, results):
+        region = self.REGIONS[name]
         out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
         assert out.complete
         assert (out.nodes, len(out.dissections)) == (nodes, results)
@@ -309,6 +365,8 @@ class TestPruningSoundness:
             {"prune_remainder": False},
             {"prune_overshoot": False},
             {"prune_remainder": False, "prune_overshoot": False},
+            {"prune_lengths": False},
+            {"prune_remainder": False, "prune_overshoot": False, "prune_lengths": False},
         ],
     )
     def test_disabling_prunes_never_changes_results(self, toggle):
@@ -323,8 +381,113 @@ class TestPruningSoundness:
             assert alt.nodes >= base.nodes
 
 
+def _seeded_rational_triangles(count: int, seed: int):
+    """Triangles with sides (a, b, 1) for small-denominator rationals a, b."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = Fraction(rng.randint(1, 23), rng.randint(2, 24))
+        b = Fraction(rng.randint(1, 23), rng.randint(2, 24))
+        if abs(a - b) < 1 < a + b:
+            out.append(canonical_triangle(a, b))
+    return out
+
+
+class TestLengthPruneDifferential:
+    """The length prune only cuts subtrees that hold no dissection: with it
+    on and off, every search returns the same results (exact keys, in
+    order), and it never visits more nodes with the prune on."""
+
+    PINNED = (
+        [(RIGHT_ISOCELES, m) for m in (2, 3, 4, 8)]
+        + [(EQUILATERAL, m) for m in (2, 3, 4, 5, 9)]
+        + [(THIRTY_SIXTY, m) for m in (2, 3, 4)]
+        + [(LEGS_ONE_TWO, m) for m in (2, 3, 4, 5)]
+        + [(SCALENE, m) for m in (1, 2, 3, 4, 5, 6)]
+    )
+
+    @staticmethod
+    def assert_same(region, m, tile=None, **kw):
+        tile = tile or similar_tile(region, m)
+        on, off = (
+            search_dissections(
+                SearchSpec(region=region, tile=tile, m=m, prune_lengths=prune, **kw)
+            )
+            for prune in (True, False)
+        )
+        assert on.complete and off.complete
+        assert keys(on.dissections) == keys(off.dissections)
+        assert on.nodes <= off.nodes
+        assert off.stats["cuts"]["lengths"] == 0
+
+    def test_pinned_instances(self):
+        for region, m in self.PINNED:
+            self.assert_same(region, m)
+        self.assert_same(EQUILATERAL, 3, tile=(INV_SQRT3, INV_SQRT3, 1))
+        self.assert_same(THIRTY_SIXTY, 3, allow_reflections=False)
+        self.assert_same(SCALENE, 1, allow_reflections=False)
+        self.assert_same(RIGHT_ISOCELES, 4, symmetry_quotient=True)
+
+    def test_seeded_rational_triangles(self):
+        for region in _seeded_rational_triangles(11, seed=2024):
+            for m in range(2, 7):
+                self.assert_same(region, m)
+
+
+class TestRepTileOracle:
+    """Snover, Waiveris and Williams (Discrete Math. 91, 1991): a triangle
+    cuts into m pieces similar to itself exactly when m = n^2, or m = n^2 +
+    k^2 and it is right with legs n:k, or m = 3n^2 and it is the 30-60-90.
+    The similar-tile search must find results exactly there, for m <= 12."""
+
+    @staticmethod
+    def allowed(name: str, m: int) -> bool:
+        def square(x: int) -> bool:
+            return isqrt(x) ** 2 == x
+
+        legs = {"right-isoceles": (1, 1), "legs-1:2": (1, 2)}.get(name)
+        if square(m):
+            return True
+        if legs is not None:
+            base = legs[0] ** 2 + legs[1] ** 2
+            return m % base == 0 and square(m // base)
+        return name == "30-60-90" and m % 3 == 0 and square(m // 3)
+
+    def test_results_exactly_where_the_classification_allows(self):
+        regions = dict(TestNamedTrianglePins.REGIONS, scalene=SCALENE)
+        t0 = time.monotonic()
+        found = set()
+        for name, region in regions.items():
+            for m in range(2, 13):
+                out = search_dissections(
+                    SearchSpec(region=region, tile=similar_tile(region, m), m=m)
+                )
+                assert out.complete, (name, m)
+                assert bool(out.dissections) == self.allowed(name, m), (name, m)
+                if out.dissections:
+                    found.add((name, m))
+        elapsed = time.monotonic() - t0
+        assert ("30-60-90", 12) in found and ("legs-1:2", 5) in found
+        assert ("right-isoceles", 8) in found and ("scalene", 9) in found
+        assert elapsed < 15.0
+
+
 class TestLimits:
     def test_max_nodes_truncates_and_reports_incomplete(self):
+        out = search_dissections(
+            SearchSpec(
+                region=RIGHT_ISOCELES,
+                tile=similar_tile(RIGHT_ISOCELES, 4),
+                m=4,
+                max_nodes=5,
+                prune_lengths=False,
+            )
+        )
+        assert not out.complete
+        assert out.nodes == 6  # the call that tripped the limit is counted
+        assert out.stats["truncated_by"] == "nodes"
+
+    def test_max_nodes_with_the_length_prune(self):
         out = search_dissections(
             SearchSpec(
                 region=RIGHT_ISOCELES,
@@ -334,7 +497,8 @@ class TestLimits:
             )
         )
         assert not out.complete
-        assert out.nodes == 6  # the call that tripped the limit is counted
+        assert (out.nodes, len(out.dissections)) == (6, 1)
+        assert out.stats["truncated_by"] == "nodes"
 
     def test_max_results_stops_after_first_find(self):
         out = search_dissections(
@@ -348,6 +512,7 @@ class TestLimits:
         assert not out.complete
         assert len(out.dissections) == 1
         assert verify_dissection(out.dissections[0]).ok
+        assert out.stats["truncated_by"] == "results"
 
     def test_zero_time_budget_stops_immediately(self):
         out = search_dissections(
@@ -360,6 +525,61 @@ class TestLimits:
         )
         assert not out.complete
         assert out.dissections == []
+        assert out.stats["truncated_by"] == "time"
+
+    def test_time_budget_is_checked_inside_the_length_check(self, monkeypatch):
+        # The clock passes the deadline after the first call, which sets it,
+        # so the root's length check must notice and stop the search.
+        ticks = iter(range(1000))
+        monkeypatch.setattr(search_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        out = search_dissections(
+            SearchSpec(
+                region=SCALENE, tile=similar_tile(SCALENE, 5), m=5, time_budget=0.5
+            )
+        )
+        assert not out.complete
+        assert out.nodes == 0 and out.stats["cuts"]["lengths"] == 0
+        assert out.stats["truncated_by"] == "time"
+
+
+class TestStats:
+    def test_counts_expansions_and_cuts_per_rule(self):
+        out = search_dissections(
+            SearchSpec(region=SCALENE, tile=similar_tile(SCALENE, 4), m=4)
+        )
+        assert out.stats == {
+            "expanded": out.nodes,
+            "cuts": {"remainder": 3, "overshoot": 2, "lengths": 2},
+            "truncated_by": None,
+        }
+
+    def test_disabled_rule_never_cuts(self):
+        out = search_dissections(
+            SearchSpec(
+                region=SCALENE,
+                tile=similar_tile(SCALENE, 4),
+                m=4,
+                prune_remainder=False,
+                prune_lengths=False,
+            )
+        )
+        assert out.stats["cuts"]["remainder"] == 0
+        assert out.stats["cuts"]["lengths"] == 0
+        assert out.stats["expanded"] == out.nodes
+
+    def test_vacuous_search_reports_zero(self):
+        out = search_dissections(
+            SearchSpec(
+                region=SCALENE,
+                tile=(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+                m=4,
+            )
+        )
+        assert out.stats == {
+            "expanded": 0,
+            "cuts": {"remainder": 0, "overshoot": 0, "lengths": 0},
+            "truncated_by": None,
+        }
 
 
 class TestVacuousCases:
@@ -427,6 +647,13 @@ class TestSearchForCount:
             RIGHT_ISOCELES, 4, extra_tiles=[similar_tile(RIGHT_ISOCELES, 4)]
         )
         assert report.reports[0].outcome is report.reports[1].outcome
+
+    def test_duplicate_tile_is_counted_once(self):
+        half = Fraction(1, 2)
+        report = search_for_count(EQUILATERAL, 4, extra_tiles=[(half, half, half)] * 2)
+        assert len(report.reports) == 3
+        assert len(report.reports[0].outcome.dissections) == 1
+        assert report.total_dissections == 1
 
 
 class TestSymmetry:
@@ -571,7 +798,11 @@ class TestSubtractAgainstReference:
 
         monkeypatch.setattr(search_module, "_subtract", checked)
         for region, m in SUBTRACT_CASES:
-            search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
+            search_dissections(
+                SearchSpec(
+                    region=region, tile=similar_tile(region, m), m=m, prune_lengths=False
+                )
+            )
         assert len(calls) == 656
 
     def test_pinch_vertex_inside_a_straight_edge(self):
