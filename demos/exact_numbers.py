@@ -4,13 +4,16 @@ signs, the multiquadratic field, and the literal syntax.
 
 Coordinates in this package are never floats.  They live in towers of
 real quadratic extensions of the rationals: start from Q, repeatedly
-adjoin the square root of something you already have.  Every arithmetic
-operation is exact, and crucially the sign of any element is decidable
--- first from a rigorous enclosure, and when that cannot decide (for
-instance because the value is exactly zero), by an exact recursive
-argument.  That is what lets geometric
-predicates (orientation, on-segment, congruence) return true answers
-instead of float guesses.
+adjoin the square root of something you already have.  A value is stored
+as integer coefficients over the products of the adjoined square roots,
+with one denominator, whether the radicands are integers or nested
+radicals such as 5 + 2*sqrt(6); so every arithmetic operation is exact and
+equality compares coefficients.  Crucially the sign of any element is
+decidable -- first from a rigorous fixed-point enclosure, and when that
+cannot decide (for instance because the value is exactly zero), by an
+exact recursive argument.  That is what lets geometric predicates
+(orientation, on-segment, congruence) return true answers instead of
+float guesses.
 
 Usage:
     python3 exact_numbers.py

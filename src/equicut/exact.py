@@ -1,17 +1,17 @@
 """Exact arithmetic over iterated square-root extensions of the rationals.
 
 ``TowerReal`` is an element of an explicit real quadratic tower
-Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)).  In a *flat* tower, where every
-radicand is a rational integer, a value is a vector of integer
-coefficients over the products of the radicands' square roots, with one
-positive denominator; the square roots of distinct squarefree integers
-are linearly independent over Q, so these coordinates are unique and the
-form is canonical.  Its signs come from a 64-bit fixed-point enclosure
-of those square roots, or from an exact halving recursion when the
-enclosure cannot certify one.  In a tower with a nested radicand, values
-are nested (p, q) pairs with Fraction leaves, and signs come from a
-rational-interval fast path with a pure recursion as the decision
-procedure.  Every value offers the nested-pair view as ``raw``.
+Q(sqrt(r1))(sqrt(r2))...(sqrt(rk)), where each radicand lies in the tower
+below it.  Every value is a vector of integer coefficients over the
+products of the radicands' square roots, one per bit mask, with one
+positive denominator.  These products are a basis of the tower over Q,
+because no radicand is a square at its own level, so the coordinates are
+unique and the form is canonical.  In a *flat* tower, where every radicand
+is a rational integer, products multiply by masks; in a tower with a nested
+radicand, t_i**2 = r_i is a vector one level down and products reduce by
+halves, top level first.  Signs come from a 64-bit fixed-point enclosure of
+the basis products, or from an exact halving recursion when the enclosure
+cannot certify one.  Every value offers the nested-pair view as ``raw``.
 
 ``KElement`` is the squarefree-basis view of a flat vector: a rational
 combination of square roots of squarefree integers in canonical form, so
@@ -53,7 +53,6 @@ DEFAULT_FACTOR_BOUND = 10**6
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 Rationalish = Union[int, Fraction]
 
@@ -250,8 +249,10 @@ def _refine_to(bits: int, attempt: Callable[[int], Optional[RatInterval]]) -> Ra
 
 
 # ---------------------------------------------------------------------------
-# Raw nested-pair values.  A value at level 0 is a Fraction; at level k it is
-# a pair (p, q) of level-(k-1) values meaning p + q*sqrt(radicands[k-1]).
+# The raw nested-pair view.  A value at level 0 is a Fraction; at level k it
+# is a pair (p, q) of level-(k-1) values meaning p + q*sqrt(radicands[k-1]).
+# Contexts are keyed by their radicands in this form, and ``interval(bits)``
+# evaluates it.
 
 
 def _rconst(c: Fraction, k: int):
@@ -262,162 +263,12 @@ def _rconst(c: Fraction, k: int):
     return (lower, zero)
 
 
-def _riszero(x, k: int) -> bool:
-    if k == 0:
-        return x == 0
-    return _riszero(x[0], k - 1) and _riszero(x[1], k - 1)
-
-
-def _radd(x, y, k: int):
-    if k == 0:
-        return x + y
-    return (_radd(x[0], y[0], k - 1), _radd(x[1], y[1], k - 1))
-
-
-def _rneg(x, k: int):
-    if k == 0:
-        return -x
-    return (_rneg(x[0], k - 1), _rneg(x[1], k - 1))
-
-
-def _rsub(x, y, k: int):
-    if k == 0:
-        return x - y
-    return (_rsub(x[0], y[0], k - 1), _rsub(x[1], y[1], k - 1))
-
-
-def _rscale(x, c: Fraction, k: int):
-    if k == 0:
-        return x * c
-    return (_rscale(x[0], c, k - 1), _rscale(x[1], c, k - 1))
-
-
-def _rmul(x, y, k: int, rads):
-    if k == 0:
-        return x * y
-    p1, q1 = x
-    p2, q2 = y
-    r = rads[k - 1]
-    pp = _rmul(p1, p2, k - 1, rads)
-    qq = _rmul(q1, q2, k - 1, rads)
-    cross = _radd(
-        _rmul(p1, q2, k - 1, rads), _rmul(q1, p2, k - 1, rads), k - 1
-    )
-    return (_radd(pp, _rmul(qq, r, k - 1, rads), k - 1), cross)
-
-
-def _rinv(x, k: int, rads):
-    if k == 0:
-        if x == 0:
-            raise ZeroDivisionError("division by zero in tower field")
-        return 1 / x
-    p, q = x
-    if _riszero(q, k - 1):
-        return (_rinv(p, k - 1, rads), q)
-    r = rads[k - 1]
-    den = _rsub(
-        _rmul(p, p, k - 1, rads),
-        _rmul(_rmul(q, q, k - 1, rads), r, k - 1, rads),
-        k - 1,
-    )
-    iden = _rinv(den, k - 1, rads)
-    return (_rmul(p, iden, k - 1, rads), _rneg(_rmul(q, iden, k - 1, rads), k - 1))
-
-
-def _rsign(x, k: int, rads) -> int:
-    if k == 0:
-        if x > 0:
-            return 1
-        if x < 0:
-            return -1
-        return 0
-    p, q = x
-    sq = _rsign(q, k - 1, rads)
-    if sq == 0:
-        return _rsign(p, k - 1, rads)
-    sp = _rsign(p, k - 1, rads)
-    if sp == 0:
-        return sq
-    if sp == sq:
-        return sp
-    # p and q*sqrt(r) pull in opposite directions; compare p**2 with q**2*r.
-    d = _rsub(
-        _rmul(p, p, k - 1, rads),
-        _rmul(_rmul(q, q, k - 1, rads), rads[k - 1], k - 1, rads),
-        k - 1,
-    )
-    sd = _rsign(d, k - 1, rads)
-    if sd == 0:
-        raise AssertionError("radicand was a perfect square at its own level")
-    return sp * sd
-
-
-def _rasfrac(x, k: int) -> Optional[Fraction]:
-    if k == 0:
-        return x
-    if not _riszero(x[1], k - 1):
-        return None
-    return _rasfrac(x[0], k - 1)
-
-
 def _rflatten(x, k: int, out: list[Fraction]) -> None:
     if k == 0:
         out.append(x)
         return
     _rflatten(x[0], k - 1, out)
     _rflatten(x[1], k - 1, out)
-
-
-def _rhalf(x, k: int):
-    return _rscale(x, _HALF, k)
-
-
-def _rsqrt_try(x, k: int, rads):
-    """Return a raw y >= 0 with y*y == x, or None if x is not a square here."""
-    if k == 0:
-        if x < 0:
-            return None
-        n, d = x.numerator, x.denominator
-        rn, rd = isqrt(n), isqrt(d)
-        if rn * rn == n and rd * rd == d:
-            return Fraction(rn, rd)
-        return None
-    p, q = x
-    r = rads[k - 1]
-    zero = _rconst(_ZERO, k - 1)
-    if _riszero(q, k - 1):
-        s = _rsqrt_try(p, k - 1, rads)
-        if s is not None:
-            return (s, zero)
-        # x = t*sqrt(r) requires t**2 = p / r
-        pr = _rmul(p, _rinv(r, k - 1, rads), k - 1, rads)
-        t = _rsqrt_try(pr, k - 1, rads)
-        if t is not None:
-            return (zero, t)
-        return None
-    d2 = _rsub(
-        _rmul(p, p, k - 1, rads),
-        _rmul(_rmul(q, q, k - 1, rads), r, k - 1, rads),
-        k - 1,
-    )
-    if _rsign(d2, k - 1, rads) < 0:
-        return None
-    s = _rsqrt_try(d2, k - 1, rads)
-    if s is None:
-        return None
-    for c2 in (_rhalf(_radd(p, s, k - 1), k - 1), _rhalf(_rsub(p, s, k - 1), k - 1)):
-        if _rsign(c2, k - 1, rads) <= 0:
-            continue
-        c = _rsqrt_try(c2, k - 1, rads)
-        if c is None:
-            continue
-        dd = _rmul(_rhalf(q, k - 1), _rinv(c, k - 1, rads), k - 1, rads)
-        cand = (c, dd)
-        if _riszero(_rsub(_rmul(cand, cand, k, rads), x, k), k):
-            if _rsign(cand, k, rads) < 0:
-                cand = _rneg(cand, k)
-            return cand
-    return None
 
 
 def _rinterval(x, k: int, sqrt_ivs) -> RatInterval:
@@ -427,22 +278,41 @@ def _rinterval(x, k: int, sqrt_ivs) -> RatInterval:
     return _rinterval(p, k - 1, sqrt_ivs) + _rinterval(q, k - 1, sqrt_ivs) * sqrt_ivs[k - 1]
 
 
+def _vector(raw, k: int) -> tuple[list[int], int]:
+    """(num, den) with the level-k raw value equal to num/den coordinatewise;
+    gcd(den, *num) == 1."""
+    coords: list[Fraction] = []
+    _rflatten(raw, k, coords)
+    den = lcm(*[c.denominator for c in coords])
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _vraw(v, den: int):
+    """The raw nested-pair value of the vector v over den."""
+    h = len(v) >> 1
+    if h == 0:
+        return Fraction(v[0], den)
+    return (_vraw(v[:h], den), _vraw(v[h:], den))
+
+
 # ---------------------------------------------------------------------------
-# Integer vectors over a flat context.  Coordinate m of a vector is the
-# coefficient of sqrt(prods[m]), where prods[m] is the product of the
-# radicands picked by the bits of mask m; a vector has 2**depth coordinates,
-# so its low half lies one level down and its high half is the coefficient
-# of the top radicand's square root.
+# Integer vectors.  Coordinate m of a vector over a context is the
+# coefficient of the product of the square roots t_i = sqrt(radicands[i])
+# picked by the bits of mask m; these products are a basis of the tower over
+# Q, since no radicand is a square at its own level.  A vector has 2**k
+# coordinates for some k, so its low half lies one level down and its high
+# half is the coefficient of t_{k-1}.
+#
+# The product picks its method from the context.  Over a flat context every
+# t_i**2 is a rational integer, so the basis multiplies by masks (``_vmul``).
+# Over a nested one t_i**2 = R_i/e_i is a vector one level down, and the
+# product reduces by these relations top level first (``_hmul``), as for
+# triangular sets (Li, Moreno Maza and Schost, J. Symb. Comput. 44, 2009).
 
 
 def _vmul(x, y, prods) -> list:
-    """The product of two vectors, from
+    """The product of two vectors over a flat context, x the longer, from
     sqrt(prods[a]) * sqrt(prods[b]) == prods[a & b] * sqrt(prods[a ^ b])."""
-    if len(x) < len(y):
-        x, y = y, x
-    if len(y) == 1:
-        c = y[0]
-        return [a * c for a in x]
     out = [0] * len(x)
     for a, xa in enumerate(x):
         if xa:
@@ -452,9 +322,46 @@ def _vmul(x, y, prods) -> list:
     return out
 
 
+def _hmul(x, y, k: int, rads, scales) -> list:
+    """S_k * x * y over a nested context, for x of 2**k coordinates and y of
+    at most as many; S_k = S_{k-1}**2 * e_{k-1} keeps it in integers.
+
+    By halves, with t = t_{k-1} and t**2 = r = R/e:
+    (p1 + q1*t)(p2 + q2*t) = p1*p2 + r*q1*q2 + (p1*q2 + q1*p2)*t."""
+    if len(y) == 1:
+        c = y[0] * scales[k]
+        return [a * c for a in x]
+    h = 1 << (k - 1)
+    R, e = rads[k - 1]
+    c = scales[k - 1] * e
+    p1, q1, p2, q2 = x[:h], x[h:], y[:h], y[h:]
+    # S_{k-1} times each product, then c = S_{k-1}*e brings S_k
+    low = [a * c for a in _hmul(p1, p2, k - 1, rads, scales)]
+    high = _hmul(q1, p2, k - 1, rads, scales)
+    if q2:
+        qq = _hmul(q1, q2, k - 1, rads, scales)
+        low = list(map(add, low, _hmul(qq, R, k - 1, rads, scales)))
+        high = list(map(add, high, _hmul(p1, q2, k - 1, rads, scales)))
+    return low + [a * c for a in high]
+
+
+def _product(ctx, x, y) -> tuple[list, int]:
+    """(z, s) with z == s * x * y, s a positive integer, over ``ctx``."""
+    if len(x) < len(y):
+        x, y = y, x
+    if len(y) == 1:
+        c = y[0]
+        return [a * c for a in x], 1
+    prods = ctx._prods
+    if prods is not None:
+        return _vmul(x, y, prods), 1
+    k = (len(x) - 1).bit_length()
+    return _hmul(x, y, k, ctx._rads, ctx._scales), ctx._scales[k]
+
+
 def _vcombine(ctx, x, y, s: int) -> "TowerReal":
-    """x + s*y over the flat ``ctx`` for s = +-1, where x and y are
-    (numerators, denominator) pairs."""
+    """x + s*y over ``ctx`` for s = +-1, where x and y are (numerators,
+    denominator) pairs."""
     (xn, xd), (yn, yd) = x, y
     if xd != yd:
         xn = [c * yd for c in xn]
@@ -464,19 +371,25 @@ def _vcombine(ctx, x, y, s: int) -> "TowerReal":
         xn = [*xn, *[0] * (len(yn) - len(xn))]
     elif len(yn) < len(xn):
         yn = [*yn, *[0] * (len(xn) - len(yn))]
-    return _flat_value(ctx, list(map(add if s > 0 else sub, xn, yn)), xd)
+    return _vector_value(ctx, list(map(add if s > 0 else sub, xn, yn)), xd)
 
 
-def _vnorm(v, prods) -> list:
-    """p**2 - r*q**2 for v = p + q*sqrt(r), r the top radicand: the product
-    of v and its conjugate, one level down."""
+def _vnorm(v, ctx) -> tuple[list, int]:
+    """(n, lam): n == lam * (p**2 - r*q**2) for v = p + q*sqrt(r), r the top
+    radicand of v's level, and lam a positive integer.  p**2 - r*q**2 is
+    the product of v and its conjugate, one level down."""
     h = len(v) >> 1
     p, q = v[:h], v[h:]
-    r = prods[h]
-    return [a - r * b for a, b in zip(_vmul(p, p, prods), _vmul(q, q, prods))]
+    R, e = ctx._rads[h.bit_length() - 1]
+    # p and q have the same length, so one scale s serves both squares
+    pp, s = _product(ctx, p, p)
+    qq, _ = _product(ctx, q, q)
+    rqq, s2 = _product(ctx, R, qq)
+    c = s2 * e
+    return [c * a - b for a, b in zip(pp, rqq)], s * c
 
 
-def _vinv(v, prods) -> tuple[list, int]:
+def _vinv(v, ctx) -> tuple[list, int]:
     """(w, d) with v*w == d, d a nonzero integer, for a nonzero vector v."""
     h = len(v) >> 1
     if h == 0:
@@ -485,24 +398,29 @@ def _vinv(v, prods) -> tuple[list, int]:
         return [1], v[0]
     p, q = v[:h], v[h:]
     if not any(q):
-        return _vinv(p, prods)
-    w, d = _vinv(_vnorm(v, prods), prods)
-    return _vmul(list(p) + [-c for c in q], w, prods), d
+        return _vinv(p, ctx)
+    n, lam = _vnorm(v, ctx)
+    w, d = _vinv(n, ctx)
+    # lam*v*conj(v)*w == d, and z == s*conj(v)*w
+    z, s = _product(ctx, list(p) + [-c for c in q], w)
+    if lam != 1:
+        z = [lam * c for c in z]
+    return z, s * d
 
 
-def _vsign(v, prods) -> int:
-    """Exact sign of a vector; the integer twin of ``_rsign``."""
+def _vsign(v, ctx) -> int:
+    """Exact sign of a vector over ``ctx``, by halves."""
     h = len(v) >> 1
     if h == 0:
         return (v[0] > 0) - (v[0] < 0)
-    sq = _vsign(v[h:], prods)
+    sq = _vsign(v[h:], ctx)
     if sq == 0:
-        return _vsign(v[:h], prods)
-    sp = _vsign(v[:h], prods)
+        return _vsign(v[:h], ctx)
+    sp = _vsign(v[:h], ctx)
     if sp == 0 or sp == sq:
         return sq
     # p and q*sqrt(r) pull in opposite directions; compare p**2 with q**2*r.
-    sd = _vsign(_vnorm(v, prods), prods)
+    sd = _vsign(_vnorm(v, ctx)[0], ctx)
     if sd == 0:
         raise AssertionError("radicand was a perfect square at its own level")
     return sp * sd
@@ -511,8 +429,9 @@ def _vsign(v, prods) -> int:
 def _vfilter(v, roots) -> int:
     """Sign of a vector certified from the fixed-point roots, else 0.
 
-    roots[m] <= sqrt(prods[m]) * 2**64 < roots[m] + 1, so the sum c of
-    v[m] * roots[m] lies within sum |v[m]| of the value times 2**64."""
+    roots[m] <= 2**64 * (the product of the t_i picked by m) < roots[m] + 1,
+    so the sum c of v[m] * roots[m] lies within sum |v[m]| of the value
+    times 2**64."""
     if len(v) == 1:
         return (v[0] > 0) - (v[0] < 0)
     c = e = 0
@@ -526,16 +445,39 @@ def _vfilter(v, roots) -> int:
     return 0
 
 
+def _roots(ctx) -> list[int]:
+    """The context's fixed-point roots (see ``_vfilter``).  A flat context
+    holds them from the start; a nested one computes them on first use."""
+    if ctx._roots is None:
+        k = ctx.depth - 1
+        ctx._roots = _roots(ctx.prefix(k)) + [_nested_root(ctx, m) for m in range(1 << k, 2 << k)]
+    return ctx._roots
+
+
+def _nested_root(ctx, m: int) -> int:
+    """floor(2**64 * the product of the t_i picked by m), from enclosures
+    through ``sqrt_enclosures`` refined until that floor is certain.  The
+    product is irrational for m != 0, so the refinement ends."""
+
+    def attempt(work: int) -> Optional[RatInterval]:
+        out = _interval(_ONE, _ONE)
+        for i, iv in enumerate(ctx.sqrt_enclosures(work)):
+            if m >> i & 1:
+                out = out * iv
+        lo, hi = [(f.numerator << 64) // f.denominator for f in out]
+        return out if lo == hi else None
+
+    lo = _refine_to(64, attempt).lo
+    return (lo.numerator << 64) // lo.denominator
+
+
 def _float_bounds(x: "TowerReal") -> Optional[tuple[float, float]]:
-    """Floats lo <= x <= hi for a value over a flat context, or None (also
-    beyond the float range).  As in ``_vfilter``, the value times
-    den * 2**64 lies within e of c; int / int division rounds correctly, so
-    one float step outward from each quotient encloses the value."""
-    v = x._num
-    if v is None:
-        return None
+    """Floats lo <= x <= hi, or None beyond the float range.  As in
+    ``_vfilter``, the value times den * 2**64 lies within e of c; int / int
+    division rounds correctly, so one float step outward from each quotient
+    encloses the value."""
     c = e = 0
-    for a, s in zip(v, x.ctx._roots):
+    for a, s in zip(x._num, _roots(x.ctx)):
         c += a * s
         e += abs(a)
     d = x._den << 64
@@ -545,14 +487,6 @@ def _float_bounds(x: "TowerReal") -> Optional[tuple[float, float]]:
         return None
 
 
-def _vraw(v, den: int):
-    """The raw nested-pair value of the vector v over den."""
-    h = len(v) >> 1
-    if h == 0:
-        return Fraction(v[0], den)
-    return (_vraw(v[:h], den), _vraw(v[h:], den))
-
-
 # ---------------------------------------------------------------------------
 # Tower contexts and values.
 
@@ -560,17 +494,22 @@ def _vraw(v, den: int):
 class TowerContext:
     """An interned, immutable list of adjoined radicands.
 
-    ``radicands[i]`` is a raw level-i value; level-(i+1) values are pairs
-    over it.  Stored radicands are certified nonnegative and are never
-    perfect squares at their own level.
+    ``radicands[i]`` is a raw level-i value, the interning key; stored
+    radicands are certified nonnegative and are never perfect squares at
+    their own level.  ``_rads[i] = (R, e)`` is the same radicand as a
+    canonical integer vector R over the positive denominator e.
 
     A context is *flat* when every radicand is a rational integer.  It then
     keeps ``_prods[m]``, the product of the radicands picked by the bits of
     mask m, and ``_roots[m] = isqrt(_prods[m] << 128)``, the square roots of
-    those products in 64-bit fixed point; a nested context keeps None.
+    those products in 64-bit fixed point.  A nested context keeps the
+    per-level scales ``_scales`` of ``_hmul`` instead, and fills ``_roots``
+    on first use (``_roots``).
     """
 
-    __slots__ = ("radicands", "depth", "_sqrt_cache", "_prefixes", "_prods", "_roots")
+    __slots__ = (
+        "radicands", "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots"
+    )
 
     _interned: dict[tuple, "TowerContext"] = {}
 
@@ -579,15 +518,22 @@ class TowerContext:
         self.depth = len(radicands)
         self._sqrt_cache: dict[int, list[RatInterval]] = {}
         self._prefixes: dict[int, TowerContext] = {}
-        prods: Optional[list[int]] = [1]
+        self._rads = rads = []
         for i, rad in enumerate(radicands):
-            f = _rasfrac(rad, i)
-            if f is None or f.denominator != 1:
-                prods = None
-                break
-            prods += [p * f.numerator for p in prods]
-        self._prods = prods
-        self._roots = None if prods is None else [isqrt(p << 128) for p in prods]
+            r = _vector_value(self.prefix(i), *_vector(rad, i))
+            rads.append((r._num, r._den))
+        self._prods = self._scales = self._roots = None
+        if all(len(R) == 1 and e == 1 for R, e in rads):
+            prods = [1]
+            for (r,), _ in rads:
+                prods += [p * r for p in prods]
+            self._prods = prods
+            self._roots = [isqrt(p << 128) for p in prods]
+        else:
+            scales = [1]
+            for _, e in rads:
+                scales.append(scales[-1] ** 2 * e)
+            self._scales = scales
 
     @classmethod
     def get(cls, radicands: tuple) -> "TowerContext":
@@ -626,38 +572,29 @@ _BASE_CTX = TowerContext.get(())
 class TowerReal:
     """An exact real number living in a square-root tower over Q.
 
-    Over a flat context the value is an integer vector ``_num`` over one
-    positive denominator ``_den``, in canonical form: gcd(den, *num) == 1
-    and zero top halves stripped, so equality is tuple equality.  ``raw``,
-    the nested-pair view, is then built on first use.  Over a nested
-    context ``raw`` is the value and ``_num`` is None.
+    The value is an integer vector ``_num`` over one positive denominator
+    ``_den``, in canonical form over the least prefix of the context that
+    holds it: gcd(den, *num) == 1 and zero top halves stripped, so equality
+    is tuple equality.  ``raw``, the nested-pair view, is built on first
+    use.  Signs come from the context's 64-bit fixed-point roots, or from the
+    exact halving recursion ``_vsign`` when those cannot certify one.
     """
 
     __slots__ = ("ctx", "_raw", "_num", "_den", "_sign", "_ivs")
 
     def __init__(self, ctx: TowerContext, raw):
-        k = ctx.depth
-        while k > 0 and _riszero(raw[1], k - 1):
-            raw = raw[0]
-            k -= 1
-        self.ctx = ctx = ctx.prefix(k)
-        self._raw = raw
+        v = _vector_value(ctx, *_vector(raw, ctx.depth))
+        self.ctx, self._num, self._den = v.ctx, v._num, v._den
+        self._raw = None
         self._sign: Optional[int] = None
         self._ivs: Optional[dict[int, RatInterval]] = None
-        self._num = self._den = None
-        if ctx._prods is not None:
-            coords: list[Fraction] = []
-            _rflatten(raw, k, coords)
-            den = lcm(*[c.denominator for c in coords])
-            self._num = tuple([c.numerator * (den // c.denominator) for c in coords])
-            self._den = den
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Rationalish) -> "TowerReal":
         f = Fraction(value)
-        return _value(_BASE_CTX, f, (f.numerator,), f.denominator)
+        return _value(_BASE_CTX, (f.numerator,), f.denominator)
 
     @property
     def depth(self) -> int:
@@ -672,17 +609,9 @@ class TowerReal:
         return self._raw
 
     def as_fraction(self) -> Optional[Fraction]:
-        if self._num is not None:
-            return self.raw if len(self._num) == 1 else None
-        return _rasfrac(self.raw, self.depth)
+        return self.raw if len(self._num) == 1 else None
 
     # -- coercion -----------------------------------------------------------
-
-    def _lift_to(self, ctx: TowerContext):
-        raw = self.raw
-        for k in range(self.depth, ctx.depth):
-            raw = (raw, _rconst(_ZERO, k))
-        return raw
 
     @staticmethod
     def _merge(a: "TowerReal", b: "TowerReal"):
@@ -697,24 +626,18 @@ class TowerReal:
             builder = FieldBuilder(ca)
             b = builder.embed(b)
             ctx = builder.ctx
-        if ctx._prods is not None:
-            return ctx, (a._num, a._den), (b._num, b._den)
-        return ctx, a._lift_to(ctx), b._lift_to(ctx)
+        return ctx, (a._num, a._den), (b._num, b._den)
 
     def _coerce(self, other) -> Optional[tuple]:
         """(ctx, x, y): both operands over one context, as (numerators,
-        denominator) pairs when it is flat, else as raw values."""
+        denominator) pairs."""
         if isinstance(other, TowerReal):
             return TowerReal._merge(self, other)
         if isinstance(other, int):
-            if self._num is not None:
-                return self.ctx, (self._num, self._den), ((other,), 1)
-        elif isinstance(other, Fraction):
-            if self._num is not None:
-                return self.ctx, (self._num, self._den), ((other.numerator,), other.denominator)
-        else:
-            return None
-        return self.ctx, self.raw, _rconst(Fraction(other), self.depth)
+            return self.ctx, (self._num, self._den), ((other,), 1)
+        if isinstance(other, Fraction):
+            return self.ctx, (self._num, self._den), ((other.numerator,), other.denominator)
+        return None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -723,9 +646,7 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
-        if ctx._prods is not None:
-            return _vcombine(ctx, x, y, 1)
-        return TowerReal(ctx, _radd(x, y, ctx.depth))
+        return _vcombine(ctx, x, y, 1)
 
     __radd__ = __add__
 
@@ -734,38 +655,26 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
-        if ctx._prods is not None:
-            return _vcombine(ctx, x, y, -1)
-        return TowerReal(ctx, _rsub(x, y, ctx.depth))
+        return _vcombine(ctx, x, y, -1)
 
     def __rsub__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
         ctx, x, y = co
-        if ctx._prods is not None:
-            return _vcombine(ctx, y, x, -1)
-        return TowerReal(ctx, _rsub(y, x, ctx.depth))
+        return _vcombine(ctx, y, x, -1)
 
     def __mul__(self, other):
-        if self._num is None and isinstance(other, (int, Fraction)):
-            return TowerReal(self.ctx, _rscale(self.raw, Fraction(other), self.depth))
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        ctx, x, y = co
-        if ctx._prods is not None:
-            return _flat_value(ctx, _vmul(x[0], y[0], ctx._prods), x[1] * y[1])
-        return TowerReal(ctx, _rmul(x, y, ctx.depth, ctx.radicands))
+        ctx, (xn, xd), (yn, yd) = co
+        z, s = _product(ctx, xn, yn)
+        return _vector_value(ctx, z, s * xd * yd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if self._num is None and isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero in tower field")
-            return TowerReal(self.ctx, _rscale(self.raw, 1 / f, self.depth))
         co = self._coerce(other)
         if co is None:
             return NotImplemented
@@ -780,19 +689,13 @@ class TowerReal:
 
     @staticmethod
     def _divide(ctx: TowerContext, x, y) -> "TowerReal":
-        prods = ctx._prods
-        if prods is not None:
-            (xn, xd), (yn, yd) = x, y
-            w, d = _vinv(yn, prods)
-            return _flat_value(ctx, [c * yd for c in _vmul(xn, w, prods)], xd * d)
-        if _riszero(y, ctx.depth):
-            raise ZeroDivisionError("division by zero in tower field")
-        return TowerReal(ctx, _rmul(x, _rinv(y, ctx.depth, ctx.radicands), ctx.depth, ctx.radicands))
+        (xn, xd), (yn, yd) = x, y
+        w, d = _vinv(yn, ctx)
+        z, s = _product(ctx, xn, w)
+        return _vector_value(ctx, [c * yd for c in z], xd * d * s)
 
     def __neg__(self):
-        if self._num is not None:
-            return _value(self.ctx, None, tuple([-c for c in self._num]), self._den)
-        return TowerReal(self.ctx, _rneg(self.raw, self.depth))
+        return _value(self.ctx, tuple([-c for c in self._num]), self._den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -827,19 +730,12 @@ class TowerReal:
 
     def sign(self) -> int:
         if self._sign is None:
-            v = self._num
-            if v is not None:
-                self._sign = _vfilter(v, self.ctx._roots) or _vsign(v, self.ctx._prods)
-            else:
-                self._sign = self.interval(64).strict_sign() or _rsign(
-                    self.raw, self.depth, self.ctx.radicands
-                )
+            v, ctx = self._num, self.ctx
+            self._sign = _vfilter(v, ctx._roots or _roots(ctx)) or _vsign(v, ctx)
         return self._sign
 
     def is_zero(self) -> bool:
-        if self._num is not None:
-            return len(self._num) == 1 and self._num[0] == 0
-        return _riszero(self.raw, self.depth)
+        return len(self._num) == 1 and self._num[0] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -852,9 +748,7 @@ class TowerReal:
         if co is None:
             return NotImplemented
         ctx, x, y = co
-        if ctx._prods is not None:
-            return x == y
-        return _riszero(_rsub(x, y, ctx.depth), ctx.depth)
+        return x == y
 
     def __lt__(self, other):
         diff = self - other
@@ -889,12 +783,12 @@ class TowerReal:
 _new_value = object.__new__
 
 
-def _value(ctx: TowerContext, raw, num, den) -> TowerReal:
+def _value(ctx: TowerContext, num: tuple, den: int) -> TowerReal:
     """Unchecked constructor: ``num`` and ``den`` already in canonical form
-    over the flat ``ctx``, or ``raw`` already stripped over a nested one."""
+    over ``ctx``."""
     out = _new_value(TowerReal)
     out.ctx = ctx
-    out._raw = raw
+    out._raw = None
     out._num = num
     out._den = den
     out._sign = None
@@ -902,8 +796,8 @@ def _value(ctx: TowerContext, raw, num, den) -> TowerReal:
     return out
 
 
-def _flat_value(ctx: TowerContext, num: list, den: int) -> TowerReal:
-    """The value num/den over the flat ``ctx``, put in canonical form."""
+def _vector_value(ctx: TowerContext, num: list, den: int) -> TowerReal:
+    """The value num/den over a prefix of ``ctx``, put in canonical form."""
     top = len(num) - 1
     while top and not num[top]:
         top -= 1
@@ -915,7 +809,7 @@ def _flat_value(ctx: TowerContext, num: list, den: int) -> TowerReal:
     if g != 1:
         num = [c // g for c in num]
         den //= g
-    return _value(ctx if k == ctx.depth else ctx.prefix(k), None, tuple(num), den)
+    return _value(ctx if k == ctx.depth else ctx.prefix(k), tuple(num), den)
 
 
 def _value_key(x: TowerReal) -> tuple:
@@ -923,15 +817,72 @@ def _value_key(x: TowerReal) -> tuple:
     (contexts that are prefixes of one another, as one ``FieldBuilder``'s
     are) each value has one canonical form over its least prefix, so equal
     values have equal keys; across chains, such as (2, 3) and (3, 2), not."""
-    if x._num is not None:
-        return (x.ctx, x._num, x._den)
-    return (x.ctx, x.raw)
+    return (x.ctx, x._num, x._den)
 
 
 def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:
     if isinstance(value, TowerReal):
         return value
     return TowerReal.from_rational(value)
+
+
+# ---------------------------------------------------------------------------
+# Square roots inside a tower: denesting on values over prefix contexts.
+
+
+def _join(ctx: TowerContext, p: TowerReal, q: TowerReal) -> TowerReal:
+    """p + q*sqrt(top radicand) over ``ctx``, for p and q one level down."""
+    h = 1 << (ctx.depth - 1)
+    d = lcm(p._den, q._den)
+    num = [c * (d // p._den) for c in p._num]
+    num += [0] * (h - len(num))
+    num += [c * (d // q._den) for c in q._num]
+    num += [0] * (2 * h - len(num))
+    return _vector_value(ctx, num, d)
+
+
+def _sqrt_try(x: TowerReal, ctx: TowerContext) -> Optional[TowerReal]:
+    """The y >= 0 of ``ctx``'s field with y*y == x, for x over a prefix of
+    ``ctx``, or None if x is not a square there."""
+    k = ctx.depth
+    if k == 0:
+        f = x.as_fraction()
+        if f < 0:
+            return None
+        n, d = f.numerator, f.denominator
+        rn, rd = isqrt(n), isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return TowerReal.from_rational(Fraction(rn, rd))
+        return None
+    # x = p + q*sqrt(r) over the level below
+    lower, h = ctx.prefix(k - 1), 1 << (k - 1)
+    R, e = ctx._rads[-1]
+    p = _vector_value(lower, list(x._num[:h]), x._den)
+    q = _vector_value(lower, list(x._num[h:]) or [0], x._den)
+    r = _vector_value(lower, list(R), e)
+    if q.is_zero():
+        s = _sqrt_try(p, lower)
+        if s is not None:
+            return s
+        # x = t*sqrt(r) requires t**2 = p / r
+        t = _sqrt_try(p / r, lower)
+        return None if t is None else _join(ctx, q, t)
+    d2 = p * p - q * q * r
+    if d2.sign() < 0:
+        return None
+    s = _sqrt_try(d2, lower)
+    if s is None:
+        return None
+    for c2 in ((p + s) / 2, (p - s) / 2):
+        if c2.sign() <= 0:
+            continue
+        c = _sqrt_try(c2, lower)
+        if c is None:
+            continue
+        cand = _join(ctx, c, q / 2 / c)
+        if cand * cand == x:
+            return -cand if cand.sign() < 0 else cand
+    return None
 
 
 class FieldBuilder:
@@ -968,22 +919,21 @@ class FieldBuilder:
             raise NegativeSqrtError("sqrt of a negative tower value")
         if sg == 0:
             return self.const(0)
-        k = self.ctx.depth
-        rads = self.ctx.radicands
-        raw = value._lift_to(self.ctx)
-        found = _rsqrt_try(raw, k, rads)
+        found = _sqrt_try(value, self.ctx)
         if found is not None:
-            return TowerReal(self.ctx, found)
-        fr = _rasfrac(raw, k)
-        zero = _rconst(_ZERO, k)
+            return found
+        k = self.ctx.depth
+        fr = value.as_fraction()
+        top = [0] * (2 << k)
         if fr is not None:
             s, d = squarefree_decompose(fr.numerator * fr.denominator)
             self.ctx = self.ctx.extended(_rconst(Fraction(d), k))
-            new_raw = (zero, _rconst(Fraction(s, fr.denominator), k))
-        else:
-            self.ctx = self.ctx.extended(raw)
-            new_raw = (zero, _rconst(_ONE, k))
-        return TowerReal(self.ctx, new_raw)
+            top[1 << k] = s
+            return _vector_value(self.ctx, top, fr.denominator)
+        v = value._num
+        self.ctx = self.ctx.extended(_vraw(v + (0,) * ((1 << k) - len(v)), value._den))
+        top[1 << k] = 1
+        return _vector_value(self.ctx, top, 1)
 
 
 def sqrt_adjoin(value: Union[TowerReal, Rationalish]) -> TowerReal:
@@ -1123,7 +1073,7 @@ class KElement:
         if o is None:
             return NotImplemented
         ctx, ((xn, xd), (yn, yd)) = _k_vectors(self, o)
-        return _k_from(_flat_value(ctx, _vmul(xn, yn, ctx._prods), xd * yd))
+        return _k_from(_vector_value(ctx, _vmul(xn, yn, ctx._prods), xd * yd))
 
     __rmul__ = __mul__
 
@@ -1131,8 +1081,8 @@ class KElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in K")
         ctx, ((v, den),) = _k_vectors(self)
-        w, d = _vinv(v, ctx._prods)
-        return _k_from(_flat_value(ctx, [c * den for c in w], d))
+        w, d = _vinv(v, ctx)
+        return _k_from(_vector_value(ctx, [c * den for c in w], d))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1178,12 +1128,23 @@ def _k_from(value: TowerReal) -> KElement:
 
 
 def tower_to_k(value: TowerReal) -> Optional[KElement]:
-    """Convert to the squarefree-basis normal form, or None if the value's
-    tower involves a nested (non-rational) radicand."""
-    if value.ctx._prods is None:
-        return None
+    """Convert to the squarefree-basis normal form, or None if a nonzero
+    coordinate of the value involves a nested (non-rational) radicand.  A
+    value over a nested tower is read off too when its nonzero coordinates
+    sit only on products of rational radicands."""
+    rads = value.ctx._rads
+    terms = []
+    for m, c in enumerate(value._num):
+        if c:
+            d = 1
+            for i, (R, e) in enumerate(rads):
+                if m >> i & 1:
+                    if len(R) != 1 or e != 1:
+                        return None
+                    d *= R[0]
+            terms.append((d, Fraction(c, value._den)))
     try:
-        return _k_from(value)
+        return KElement(terms)
     except SquarefreeBoundError:
         return None
 

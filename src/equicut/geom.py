@@ -10,8 +10,8 @@ filter of Broennimann, Burnikel and Pion (2001).  Each point caches float
 intervals around its coordinates (``exact._float_bounds``), and the
 predicate's polynomial is evaluated on them with every ``+ - *`` rounded
 outward by one float step.  An interval decides a sign only when it excludes
-0.  When it contains 0, when a coordinate lies over a nested tower, or when
-an end leaves the float range, the exact expression decides.
+0.  When it contains 0, or when an end leaves the float range, the exact
+expression decides.
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ _SYMBOLS = set("+-*/()")
 
 _MAX_NESTING = 100  # parentheses and sqrt(: well inside the recursion limit
 
-# Square roots one literal may adjoin.  Each adjoined root costs about five
-# times the one before, so 8 parse in well under a second and 12 take minutes.
+# Square roots one literal may adjoin.  Each adjoined root costs about twice
+# the one before (8 nested roots parse in 0.03 s and 12 in 0.7 s, Python 3.11
+# on 2 shared CPUs), so the cap bounds a literal's parse time.
 _MAX_ROOTS = 8
 
 

@@ -175,6 +175,17 @@ class TestStandard:
         svg = (out_dir / "standard_n3.svg").read_text()
         assert svg.count("<polygon") == 9
 
+    def test_rational_radicands_after_a_nested_one_print_flat(self, tmp_path, capsys):
+        """The apex lies in Q(sqrt(3), sqrt(5)) though the literal's tower
+        also holds sqrt(1 + sqrt(5)), between sqrt(5) and sqrt(3)."""
+        region = "1/4*sqrt(5) + 0*sqrt(1 + sqrt(5)) + 1/4*sqrt(3),1"
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "standard", "--region", region, "-n", "1", "--out", str(out_dir))
+        assert code == 0
+        data = json.loads((out_dir / "standard_n1.json").read_text())
+        assert data["region"][2] == ["3/4 - 1/16*sqrt(15)", "sqrt(97/256 + 3/32*sqrt(15))"]
+        assert verify_dissection(dissection_from_json(json.dumps(data))).ok
+
     def test_no_out_just_prints(self, capsys):
         code, out, _ = run(capsys, "standard", "--region", "1,1", "-n", "1")
         assert code == 0

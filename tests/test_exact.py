@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicut import exact
+from equicut import exact, literals
 from equicut.exact import (
     FieldBuilder,
     KElement,
@@ -23,6 +23,8 @@ from equicut.exact import (
     tower_to_k,
 )
 from equicut.literals import format_k_element, format_number, parse_number
+
+import tower_reference as ref
 
 
 def R(x) -> TowerReal:
@@ -252,7 +254,7 @@ class TestIntervalDifferential:
 
 
 # Integer-vector arithmetic on flat towers, checked against the recursive
-# Fraction-leaf path, which stays in exact.py for nested towers.
+# Fraction-leaf path in tower_reference.
 
 FLAT_RADICANDS = [(2,), (3, 2), (2, 3, 5), (5, 7, 2), (15, 5), (6, 10)]
 
@@ -275,15 +277,9 @@ def _random_raw(rng, k):
     return (_random_raw(rng, k - 1), _random_raw(rng, k - 1))
 
 
-def _lift(raw, k, to_k):
-    for j in range(k, to_k):
-        raw = (raw, exact._rconst(Fraction(0), j))
-    return raw
-
-
 def _reference_format(ctx, raw):
     """``format_number`` as it read the coordinates off the raw form."""
-    ds = [exact._rasfrac(rad, i).numerator for i, rad in enumerate(ctx.radicands)]
+    ds = [ref.rasfrac(rad, i).numerator for i, rad in enumerate(ctx.radicands)]
     coords = []
     exact._rflatten(raw, ctx.depth, coords)
     terms = []
@@ -330,10 +326,10 @@ def _flat_pairs(seed):
 def _check_result(z, ctx, want):
     """z, computed on integer vectors, against the raw result ``want``."""
     k = ctx.depth
-    assert _lift(z.raw, z.depth, k) == want
+    assert ref.lift(z.raw, z.depth, k) == want
     assert TowerReal(ctx, want) == z
-    assert z.sign() == exact._rsign(want, k, ctx.radicands)
-    assert z.is_zero() == exact._riszero(want, k)
+    assert z.sign() == ref.rsign(want, k, ctx.radicands)
+    assert z.is_zero() == ref.riszero(want, k)
     reference = SimpleNamespace(ctx=ctx, raw=want, depth=k)
     for bits in (32, 64):
         assert (z.interval(bits).lo, z.interval(bits).hi) == _reference_interval(reference, bits)
@@ -362,28 +358,28 @@ class TestFlatDifferential:
             ctx = builder.ctx
             k, rads = ctx.depth, ctx.radicands
             assert y_in == y
-            xr = _lift(x.raw, x.depth, k)
-            yr = _lift(y_in.raw, y_in.depth, k)
+            xr = ref.lift(x.raw, x.depth, k)
+            yr = ref.lift(y_in.raw, y_in.depth, k)
             assert TowerReal(x.ctx, x.raw)._num == x._num
-            _check_result(x + y, ctx, exact._radd(xr, yr, k))
-            _check_result(x - y, ctx, exact._rsub(xr, yr, k))
-            _check_result(x * y, ctx, exact._rmul(xr, yr, k, rads))
-            assert (x == y) == exact._riszero(exact._rsub(xr, yr, k), k)
-            assert (x - y).sign() == exact._rsign(exact._rsub(xr, yr, k), k, rads)
-            if exact._riszero(yr, k):
+            _check_result(x + y, ctx, ref.radd(xr, yr, k))
+            _check_result(x - y, ctx, ref.rsub(xr, yr, k))
+            _check_result(x * y, ctx, ref.rmul(xr, yr, k, rads))
+            assert (x == y) == ref.riszero(ref.rsub(xr, yr, k), k)
+            assert (x - y).sign() == ref.rsign(ref.rsub(xr, yr, k), k, rads)
+            if ref.riszero(yr, k):
                 with pytest.raises(ZeroDivisionError):
                     x / y
             else:
-                want = exact._rmul(xr, exact._rinv(yr, k, rads), k, rads)
+                want = ref.rmul(xr, ref.rinv(yr, k, rads), k, rads)
                 _check_result(x / y, ctx, want)
 
     def test_near_zero_signs_take_the_exact_fallback(self, monkeypatch):
         calls = []
         reference_vsign = exact._vsign
 
-        def counting_vsign(v, prods):
+        def counting_vsign(v, ctx):
             calls.append(len(v))
-            return reference_vsign(v, prods)
+            return reference_vsign(v, ctx)
 
         monkeypatch.setattr(exact, "_vsign", counting_vsign)
 
@@ -425,8 +421,241 @@ class TestFlatDifferential:
                 assert exact._vfilter(v._num, v.ctx._roots) == 0
                 want = mpmath.sign(_mp_value(v.raw, v.depth, v.ctx.radicands))
                 assert v.sign() == want
-                assert v.sign() == exact._rsign(v.raw, v.depth, v.ctx.radicands)
+                assert v.sign() == ref.rsign(v.raw, v.depth, v.ctx.radicands)
         assert len(calls) >= len(values)
+
+
+# ---------------------------------------------------------------------------
+# Integer vectors on nested towers, checked against the Fraction-leaf
+# recursion in tower_reference: arithmetic, decisions, the raw view, the
+# literal form, and the radicands FieldBuilder adjoins.
+
+
+def _nested_values(seed: int) -> list:
+    """Seeded values of nested towers of depth 2 to 6: kernel-shaped
+    v + sqrt(v*v + 1), the non-denesting sqrt(5 + 2*sqrt(6)) and
+    sqrt(3 + sqrt(5)), the paper's generic sides, and their products and
+    sums, merged across radicand orders."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 9))
+
+    def kernel_shaped(radicands, builder=None):
+        sqrt = builder.sqrt if builder is not None else sqrt_adjoin
+        v = R(coeff())
+        for r in radicands:
+            v = v + coeff() * sqrt(r)
+        return v + sqrt(v * v + 1)
+
+    rads = rng.sample((2, 3, 5, 7), 3)
+    a = parse_number("1/2*sqrt(1 + sqrt(2))")
+    b = parse_number("1/2*sqrt(1 + sqrt(3))")
+    values = [
+        kernel_shaped(rads[:1]),
+        kernel_shaped(rads[:2]),
+        kernel_shaped(rads),
+        kernel_shaped(rads[1::-1]),
+        coeff() * parse_number("sqrt(5 + 2*sqrt(6))") + coeff(),
+        coeff() * parse_number("sqrt(3 + sqrt(5))") + coeff() * sqrt_adjoin(5),
+        a,
+        b,
+        coeff() * a + coeff() * b,
+    ]
+    x, y = values[1], values[3]  # one radicand set, adjoined in two orders
+    values += [x + y, x * y - coeff(), (x + b) * y, a * b + kernel_shaped(rads[:1])]
+    values.append(x * kernel_shaped((rads[2], 11)) + coeff())  # two nested chains
+    shared = FieldBuilder()
+    z = kernel_shaped(rads[:2], shared)
+    values += [z, kernel_shaped(rads[:2], shared) * z + coeff()]  # depth 4 in one chain
+    return values
+
+
+def _nested_pairs(seed: int) -> list:
+    """(x, y) pairs: one context, a value and a prefix value, and values of
+    different tower chains, which the product merges."""
+    rng = random.Random(seed + 100)
+    values = _nested_values(seed)
+    pairs = []
+    for x in values:
+        k = rng.randrange(x.depth)
+        lower = TowerReal(x.ctx.prefix(k), _random_raw(rng, k))
+        same = TowerReal(x.ctx, _random_raw(rng, x.depth))
+        pairs.append((x, lower) if len(pairs) % 2 else (lower, x))
+        if x.depth <= 4:  # the reference recursion is slow above
+            pairs += [(x, same), (x, x), (x, R(rng.randint(-4, 4)))]
+    pairs += [(values[i], values[j]) for i, j in ((0, 3), (1, 3), (2, 6), (6, 7), (4, 5), (9, 0))]
+    return pairs
+
+
+def _reference_embed(x, y):
+    """(radicands, raw of y, depth of y) for y embedded in x's chain."""
+    builder = ref.ReferenceBuilder(x.ctx.radicands)
+    raw, k = builder.embed((y.raw, y.depth), y.ctx.radicands)
+    return builder.rads, raw, k
+
+
+def _reference_terms(rads, raw, k):
+    """``format_number``'s terms from the raw form: the squarefree basis
+    when every nonzero coordinate sits on rational radicands, else
+    p + q*sqrt(r) structurally."""
+    raw, k = ref.strip(raw, k)
+    coords = []
+    exact._rflatten(raw, k, coords)
+    terms = []
+    for mask, c in enumerate(coords):
+        if c:
+            d = 1
+            for j in range(k):
+                f = ref.rasfrac(rads[j], j) if mask >> j & 1 else 1
+                if f is None:
+                    break
+                d *= f
+            else:
+                terms.append((int(d), c))
+                continue
+            break
+    else:
+        return literals._k_terms(KElement(terms))
+    p, q = raw
+    terms = _reference_terms(rads, p, k - 1)
+    q, kq = ref.strip(q, k - 1)
+    if not ref.riszero(q, kq):
+        root = f"sqrt({literals._join_terms(_reference_terms(rads, rads[k - 1], k - 1))})"
+        qf = ref.rasfrac(q, kq)
+        if qf is None:
+            terms.append((1, f"({literals._join_terms(_reference_terms(rads, q, kq))})*{root}"))
+        elif abs(qf) == 1:
+            terms.append((1 if qf > 0 else -1, root))
+        else:
+            terms.append((1 if qf > 0 else -1, f"{literals._frac_str(abs(qf))}*{root}"))
+    return terms
+
+
+def _check_nested_result(z, ctx, want, bits=(64,)):
+    """z, computed on integer vectors, against the raw result ``want``;
+    ``interval`` at each precision in ``bits``."""
+    k, rads = ctx.depth, ctx.radicands
+    assert ref.lift(z.raw, z.depth, k) == want
+    assert ctx.prefix(z.depth) is z.ctx
+    assert ref.strip(want, k)[1] == z.depth
+    assert z.sign() == ref.rsign(want, k, rads)
+    assert z.is_zero() == ref.riszero(want, k)
+    assert z.as_fraction() == ref.rasfrac(want, k)
+    reference = SimpleNamespace(ctx=ctx, raw=want, depth=k)
+    for b in bits:
+        assert (z.interval(b).lo, z.interval(b).hi) == _reference_interval(reference, b)
+    assert format_number(z) == literals._join_terms(_reference_terms(rads, want, k))
+
+
+class TestNestedDifferential:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_towers_are_nested_of_depth_two_to_six(self, seed):
+        values = _nested_values(seed)
+        assert all(v.ctx._prods is None for v in values)
+        assert {v.depth for v in values} >= {2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_arithmetic_matches_recursion(self, seed):
+        for x, y in _nested_pairs(seed):
+            # the context the operations use: the deeper of one chain, else
+            # x's chain with y embedded in it
+            if x.depth < y.depth and y.ctx.prefix(x.depth) is x.ctx:
+                ctx, y_in = y.ctx, y
+            else:
+                builder = FieldBuilder(x.ctx)
+                y_in = builder.embed(y)
+                ctx = builder.ctx
+                want_rads, want_raw, want_k = _reference_embed(x, y)
+                assert ctx.radicands[: len(want_rads)] == want_rads
+                assert y_in.ctx.radicands == want_rads[:want_k] and y_in.raw == want_raw
+                assert y_in == y
+            k, rads = ctx.depth, ctx.radicands
+            xr = ref.lift(x.raw, x.depth, k)
+            yr = ref.lift(y_in.raw, y_in.depth, k)
+            assert TowerReal(x.ctx, x.raw)._num == x._num
+            _check_nested_result(x + y, ctx, ref.radd(xr, yr, k))
+            _check_nested_result(x - y, ctx, ref.rsub(xr, yr, k))
+            _check_nested_result(x * y, ctx, ref.rmul(xr, yr, k, rads), (32, 64, 128))
+            assert (x == y) == ref.riszero(ref.rsub(xr, yr, k), k)
+            if ref.riszero(yr, k):
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                _check_nested_result(x / y, ctx, ref.rmul(xr, ref.rinv(yr, k, rads), k, rads))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sqrt_adjoins_what_the_recursion_adjoins(self, seed):
+        rng = random.Random(seed)
+        values = _nested_values(seed)
+        for v in values:
+            w = TowerReal(v.ctx, _random_raw(rng, v.depth))
+            args = [v * v, R(rng.randint(2, 30)), v if v.sign() > 0 else -v]
+            if v.depth <= 4:  # the reference recursion is slow above
+                args += [v * v + 1, w * w, w * w * 3]
+            for arg in args:
+                builder = FieldBuilder(v.ctx)
+                got = builder.sqrt(arg)
+                reference = ref.ReferenceBuilder(v.ctx.radicands)
+                raw, k = reference.sqrt((arg.raw, arg.depth), arg.ctx.radicands)
+                assert builder.ctx.radicands == reference.rads
+                assert (got.raw, got.depth) == (raw, k)
+                assert got.sign() >= 0 and got * got == builder.embed(arg)
+
+    def test_near_zero_signs_take_the_exact_fallback(self, monkeypatch):
+        """Values too close to zero for the 64-bit roots, so the nested
+        halving recursion decides; both halves tiny and of opposite signs
+        need the norm one level down."""
+        calls = []
+        reference_vsign = exact._vsign
+
+        def counting_vsign(v, ctx):
+            if ctx._prods is None:
+                calls.append(len(v))
+            return reference_vsign(v, ctx)
+
+        monkeypatch.setattr(exact, "_vsign", counting_vsign)
+        values = []
+        for text in ("sqrt(1 + sqrt(2))", "sqrt(5 + 2*sqrt(6))", "sqrt(3 + sqrt(5))"):
+            t = parse_number(text)
+            top = sqrt_adjoin(t + 7)  # a nested level above t
+            w = t - 1 if t < 2 else t - 3  # |w| < 1 < its conjugates
+            for n in (30, 40, 60):
+                small, smaller = w**n, w ** (n + 10)
+                values += [small, -small, t.enclosure(40 + 2 * n).lo - t, small * top - smaller]
+                values += [smaller - small * top, small * top + 3 * smaller]
+        with mpmath.workdps(400):
+            for v in values:
+                assert v.ctx._prods is None
+                assert exact._vfilter(v._num, exact._roots(v.ctx)) == 0
+                want = mpmath.sign(_mp_value(v.raw, v.depth, v.ctx.radicands))
+                assert want != 0
+                assert v.sign() == want == ref.rsign(v.raw, v.depth, v.ctx.radicands)
+        assert len(values) == 54
+        assert len(calls) >= len(values)
+
+    def test_roots_of_nested_contexts(self):
+        """roots[m] <= 2**64 * (product of the t_i picked by m) < roots[m] + 1."""
+        for v in _nested_values(0):
+            ctx = v.ctx
+            roots = exact._roots(ctx)
+            assert len(roots) == 1 << ctx.depth and roots[0] == 1 << 64
+            with mpmath.workdps(120):
+                ts = [mpmath.sqrt(_mp_value(r, i, ctx.radicands)) for i, r in enumerate(ctx.radicands)]
+                for m, root in enumerate(roots):
+                    x = mpmath.mpf(2) ** 64
+                    for i, t in enumerate(ts):
+                        if m >> i & 1:
+                            x *= t
+                    assert root <= x < root + 1
+
+    def test_float_bounds_enclose_nested_values(self):
+        for v in _nested_values(1):
+            for x in (v, v * v - 3, 1 / v):
+                lo, hi = exact._float_bounds(x)
+                iv = x.interval(128)
+                assert lo <= iv.lo and iv.hi <= hi
+                assert hi - lo <= 1e-12 * max(1.0, abs(lo))
 
 
 class TestSqrtAdjoin:
@@ -606,7 +835,7 @@ def _ref_k_membership(value, basis):
 
     def vec(v):
         out = []
-        exact._rflatten(v._lift_to(ctx), ctx.depth, out)
+        exact._rflatten(ref.lift(v.raw, v.depth, ctx.depth), ctx.depth, out)
         return out
 
     matrix = [vec(builder.embed(c)) for c in cols]

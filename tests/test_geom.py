@@ -389,7 +389,9 @@ class TestAngleVec:
 # ---------------------------------------------------------------------------
 # The interval filter against the exact expressions it stands in for.
 
-FILTER_RADICANDS = [(), (2,), (3, 2), (2, 3, 5)]
+# A literal stands for a nested radicand: (2, "1 + sqrt(2)") is the tower
+# Q(sqrt(2))(sqrt(1 + sqrt(2))) of the paper's generic sides.
+FILTER_RADICANDS = [(), (2,), (3, 2), (2, 3, 5), (2, "1 + sqrt(2)")]
 # Powers of ten that scale every coordinate.  Products of 10**-160 are
 # subnormal, where rounding is coarse; products of 10**160 and 10**+-300
 # overflow or vanish, and 10**+-400 coordinates do themselves.
@@ -469,12 +471,12 @@ class _FilterCases:
     def __init__(self, radicands, seed):
         self.rng = random.Random(seed)
         builder = FieldBuilder()
-        roots = [builder.sqrt(r) for r in radicands]
+        roots = [builder.sqrt(parse_number(r) if isinstance(r, str) else r) for r in radicands]
         self.basis = [TowerReal.from_rational(1)] + roots + [
             r * s for i, r in enumerate(roots) for s in roots[i + 1:]
         ]
-        squarefree = {r for r in radicands} | {r * s for i, r in enumerate(radicands)
-                                                  for s in radicands[i + 1:]}
+        ints = [r for r in radicands if isinstance(r, int)]
+        squarefree = set(ints) | {r * s for i, r in enumerate(ints) for s in ints[i + 1:]}
         self.pell = [(builder.sqrt(d), _pell(d, 2)) for d in sorted(squarefree)]
 
     def value(self):
@@ -622,18 +624,20 @@ class TestFilterDifferential:
                 assert eager.compare(AngleVec.between(u2, w2)) == want
         assert fallbacks > 0 and decided > 0
 
-    def test_nested_coordinates_take_the_exact_path(self, exact_calls):
+    def test_nested_coordinates_filter(self, exact_calls):
+        """Nested coordinates have float boxes too: generic cases are decided
+        by the box and agree with the exact path; a collinear one falls back."""
         r = parse_number("sqrt(5 + 2*sqrt(6))")
         assert r.ctx._prods is None
         a, b = Pt(0, 0), Pt(r, 1)
-        for c in (Pt(1, 2), Pt(r * 2, 2), Pt(r, -r)):
+        for c, collinear in ((Pt(1, 2), False), (Pt(r * 2, 2), True), (Pt(r, -r), False)):
             got, fell_back = _fell_back(exact_calls, orientation, a, b, c)
             assert got == _exact_orientation(a, b, c)
-            assert fell_back
+            assert fell_back == collinear
         angle = AngleVec.between(b - a, Pt(1, 2))
         got, fell_back = _fell_back(exact_calls, angle.compare, AngleVec.between(Pt(1, 0), Pt(1, 1)))
         assert got == _exact_angle_compare(b - a, Pt(1, 2), Pt(1, 0), Pt(1, 1))
-        assert fell_back
+        assert not fell_back
 
     def test_no_infinity_or_nan_decides(self):
         inf, nan = float("inf"), float("nan")

@@ -161,6 +161,24 @@ class TestRoundTrip:
             v = parse_number(text)
             assert parse_number(format_number(v)) == v
 
+    def test_rational_radicands_after_a_nested_one(self):
+        """sqrt(3) is adjoined after the nested sqrt(1 + sqrt(5)), yet the
+        value lies in Q(sqrt(3), sqrt(5)) and prints in that basis, as its
+        re-parse does."""
+        v = parse_number("sqrt(5) + 0*sqrt(1 + sqrt(5)) + sqrt(3)")
+        assert v.ctx._prods is None
+        assert format_number(v) == "sqrt(3) + sqrt(5)"
+        w = v * parse_number("1/2*sqrt(5)") + sqrt_adjoin(3) * v
+        assert format_number(w) == "11/2 + 3/2*sqrt(15)"
+        for x in (v, w):
+            again = parse_number(format_number(x))
+            assert again == x
+            assert format_number(again) == format_number(x)
+        # a coordinate on the nested radicand still prints structurally
+        u = v + parse_number("sqrt(1 + sqrt(5))")
+        assert format_number(u) == "sqrt(5) + sqrt(1 + sqrt(5)) + sqrt(3)"
+        assert format_number(parse_number(format_number(u))) == format_number(u)
+
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 
