@@ -210,12 +210,14 @@ def _cmd_verify(args) -> int:
     if result.ok:
         standard = " (standard)" if is_standard(dissection) else ""
         print(f"valid: {dissection.piece_count} pieces{standard}")
-        return 0
-    print(f"invalid: {len(result.failures)} failure(s)")
-    for failure in result.failures:
-        which = ",".join(str(i) for i in failure.pieces)
-        print(f"  [{failure.kind.value}] pieces {which}: {failure.detail}")
-    return 1
+    else:
+        print(f"invalid: {len(result.failures)} failure(s)")
+        for failure in result.failures:
+            which = ",".join(str(i) for i in failure.pieces)
+            print(f"  [{failure.kind.value}] pieces {which}: {failure.detail}")
+    if args.stats:
+        print(json.dumps(result.stats))
+    return 0 if result.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +428,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a dissection JSON file")
     p.add_argument("file", help="dissection JSON file")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print the verifier's counters as one JSON line",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="search for dissections into congruent tiles")

@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 from typing import List, Sequence, Tuple, Union
 
 from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
@@ -27,7 +27,7 @@ from .geom import (
     Location,
     Pt,
     Triangle,
-    congruent,
+    _same_multiset,
     point_in_triangle,
     triangles_interior_disjoint,
 )
@@ -137,20 +137,42 @@ class VerificationFailure:
 class VerificationResult:
     ok: bool
     failures: List[VerificationFailure] = field(default_factory=list)
-    pairs_tested: int = 0  # pairs that reached the exact separating-axis test
+    pairs_tested: int = 0  # pairs that reached the exact disjointness test
+    # pairs_tested again; pairs_pruned, pairs of nondegenerate pieces whose
+    # boxes are apart; edges_measured, distinct vertex pairs measured for
+    # congruence; area, "piece0" (m * |area of piece 0|) or "summed"
+    stats: dict = field(default_factory=dict)
 
     def kinds(self) -> set:
         return {f.kind for f in self.failures}
 
 
-def _bbox(tri: Triangle, bits: int = 32) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs = [v.x.interval(bits) for v in tri.vertices]
-    ys = [v.y.interval(bits) for v in tri.vertices]
+_Key = Tuple[float, Fraction]
+
+
+def _key(f: Fraction) -> _Key:
+    """f behind its correctly rounded float.  Rounding is monotone, so such
+    pairs compare as the Fractions do, and look at the Fractions only when
+    the floats tie."""
+    try:
+        return float(f), f
+    except OverflowError:
+        return (inf if f > 0 else -inf), f
+
+
+def _corner(v: Pt, bits: int = 32) -> Tuple[_Key, _Key, _Key, _Key]:
+    """The ends (x lo, x hi, y lo, y hi) of v's coordinate intervals."""
+    x, y = v.x.interval(bits), v.y.interval(bits)
+    return _key(x.lo), _key(x.hi), _key(y.lo), _key(y.hi)
+
+
+def _bbox(a, b, c) -> Tuple[_Key, _Key, _Key, _Key]:
+    """The box of a triangle from the ``_corner``s of its vertices."""
     return (
-        min(iv.lo for iv in xs),
-        max(iv.hi for iv in xs),
-        min(iv.lo for iv in ys),
-        max(iv.hi for iv in ys),
+        min(a[0], b[0], c[0]),
+        max(a[1], b[1], c[1]),
+        min(a[2], b[2], c[2]),
+        max(a[3], b[3], c[3]),
     )
 
 
@@ -180,6 +202,11 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
     contained in the (convex) region, pairwise interior-disjoint pieces, and
     piece areas summing exactly to the region area; together these force the
     pieces to tile the region without gaps.
+
+    Work shared by pieces is done once per vertex object: each edge's squared
+    length, each vertex's location and box.  When every piece is congruent to
+    piece 0, all have its |area| (Heron's formula), so the area sum is
+    m * |area of piece 0| and the pieces are degenerate exactly when piece 0 is.
     """
     region = dissection.region.oriented()
     if region.is_degenerate():
@@ -189,9 +216,21 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
     pieces = dissection.pieces
     failures: List[VerificationFailure] = []
 
-    ref = pieces[0]
+    edges = {}  # (id, id) of a vertex pair -> its squared length
+
+    def sides(piece: Triangle):
+        out = []
+        for u, w in ((piece.vb, piece.vc), (piece.vc, piece.va), (piece.va, piece.vb)):
+            key = (id(u), id(w)) if id(u) < id(w) else (id(w), id(u))
+            d = edges.get(key)
+            if d is None:
+                d = edges[key] = (w - u).norm_sq()
+            out.append(d)
+        return out
+
+    ref = sides(pieces[0])
     for i, piece in enumerate(pieces[1:], start=1):
-        if not congruent(ref, piece):
+        if not _same_multiset(ref, sides(piece)):
             failures.append(
                 VerificationFailure(
                     FailureKind.CONGRUENCE_MISMATCH,
@@ -199,6 +238,7 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
                     f"piece {i} is not congruent to piece 0",
                 )
             )
+    all_congruent = not failures
 
     where = {}  # id(vertex) -> Location: a vertex shared by pieces is located once
     for i, piece in enumerate(pieces):
@@ -216,8 +256,28 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
                 )
                 break
 
+    def magnitude(piece: Triangle) -> TowerReal:
+        area = piece.signed_area()
+        return -area if area.sign() < 0 else area
+
+    if all_congruent:
+        area = magnitude(pieces[0])
+        total = area * len(pieces)
+        live = [] if area.is_zero() else range(len(pieces))
+    else:
+        total = TowerReal.from_rational(0)
+        for piece in pieces:
+            total = total + magnitude(piece)
+        live = [i for i, p in enumerate(pieces) if not p.is_degenerate()]
+
     # a degenerate piece has an empty interior, disjoint from everything
-    boxes = {i: _bbox(p) for i, p in enumerate(pieces) if not p.is_degenerate()}
+    corners = {}  # id(vertex) -> _corner(vertex)
+    boxes = {}
+    for i in live:
+        for v in pieces[i].vertices:
+            if id(v) not in corners:
+                corners[id(v)] = _corner(v)
+        boxes[i] = _bbox(*(corners[id(v)] for v in pieces[i].vertices))
     pairs = _box_pairs(boxes)
     for i, j in pairs:
         if not triangles_interior_disjoint(pieces[i], pieces[j]):
@@ -229,12 +289,6 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
                 )
             )
 
-    total = TowerReal.from_rational(0)
-    for piece in pieces:
-        area = piece.signed_area()
-        if area.sign() < 0:
-            area = -area
-        total = total + area
     region_area = region.signed_area()
     if total != region_area:
         failures.append(
@@ -246,7 +300,15 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
             )
         )
 
-    return VerificationResult(ok=not failures, failures=failures, pairs_tested=len(pairs))
+    stats = {
+        "pairs_tested": len(pairs),
+        "pairs_pruned": len(boxes) * (len(boxes) - 1) // 2 - len(pairs),
+        "edges_measured": len(edges),
+        "area": "piece0" if all_congruent else "summed",
+    }
+    return VerificationResult(
+        ok=not failures, failures=failures, pairs_tested=len(pairs), stats=stats
+    )
 
 
 def _vertex_key(p: Pt):

@@ -4,14 +4,14 @@ Every predicate returns a certified answer with no epsilons anywhere:
 orientation, segment classification, point location, interior-disjointness
 of triangles, congruence, and sqrt-free comparison of angles.
 
-The sign-deciding predicates (``orientation``, ``point_on_segment``, the
-separating-axis test, ``AngleVec``'s comparisons) first run the interval
-filter of Broennimann, Burnikel and Pion (2001).  Each point caches float
-intervals around its coordinates (``exact._float_bounds``), and the
-predicate's polynomial is evaluated on them with every ``+ - *`` rounded
-outward by one float step.  An interval decides a sign only when it excludes
-0.  When it contains 0, or when an end leaves the float range, the exact
-expression decides.
+The sign-deciding predicates (``orientation``, which also decides
+``triangles_interior_disjoint``, ``point_on_segment`` and ``AngleVec``'s
+comparisons) first run the interval filter of Broennimann, Burnikel and
+Pion (2001).  Each point caches float intervals around its coordinates
+(``exact._float_bounds``), and the predicate's polynomial is evaluated on
+them with every ``+ - *`` rounded outward by one float step.  An interval
+decides a sign only when it excludes 0.  When it contains 0, or when an end
+leaves the float range, the exact expression decides.
 """
 
 from __future__ import annotations
@@ -242,15 +242,15 @@ class Triangle:
     def vertices(self) -> tuple[Pt, Pt, Pt]:
         return (self.va, self.vb, self.vc)
 
-    # cached: the verifier asks once per piece vertex and congruence test
+    # cached: signed_area, is_degenerate and oriented share one exact area
     @cached_property
     def _signed_area(self) -> TowerReal:
         return (self.vb - self.va).cross(self.vc - self.va) / 2
 
+    # cached: the verifier tests each piece against all its neighbours
     @cached_property
-    def _sorted_sides(self) -> tuple[TowerReal, TowerReal, TowerReal]:
-        # three exact comparisons give a full sort
-        return tuple(sorted(self.sides_squared()))
+    def _turn(self) -> int:
+        return orientation(self.va, self.vb, self.vc)
 
     def signed_area(self) -> TowerReal:
         return self._signed_area
@@ -277,7 +277,7 @@ class Triangle:
         return tuple(sqrt_adjoin(s) for s in self.sides_squared())
 
     def sorted_sides_squared(self) -> tuple[TowerReal, TowerReal, TowerReal]:
-        return self._sorted_sides
+        return tuple(sorted(self.sides_squared()))
 
 
 def point_in_triangle(p: Pt, tri: Triangle) -> Location:
@@ -325,48 +325,26 @@ def point_in_polygon(p: Pt, vertices: Sequence[Pt]) -> Location:
     return Location.INSIDE if crossings % 2 == 1 else Location.OUTSIDE
 
 
-def _fprojections(a, b, *pts):
-    """Intervals of the projections of pts onto the normal of the edge a->b."""
-    ex, ey = _fvec(a, b)
-    normal = ((-ey[1], -ey[0]), ex)
-    return [_fdot(normal, p) for p in pts]
-
-
-def _axis_separates(a: Pt, b: Pt, verts1: Sequence[Pt], verts2: Sequence[Pt]) -> bool:
-    """Whether the normal of the edge from a to b weakly separates the two
-    vertex sets: each projection of one set is <= each of the other.  Two
-    projections are compared by their intervals when those are apart, else
-    they are equal when the vertices are or both lie on {a, b}, else their
-    exact difference is cross(b - a, w - v)."""
-    pts = (*verts1, *verts2)
-    ivs = _box(_fprojections, *[v._floats() for v in (a, b, *pts)])
-
-    def le(i: int, j: int) -> bool:
-        if ivs is not None:
-            if ivs[i][1] <= ivs[j][0]:
-                return True
-            if ivs[i][0] > ivs[j][1]:
-                return False
-        v, w = pts[i], pts[j]
-        if v == w or ((v == a or v == b) and (w == a or w == b)):
-            return True
-        return (b - a).cross(w - v).sign() >= 0
-
-    pairs = [(i, j) for i in range(len(verts1)) for j in range(len(verts1), len(pts))]
-    return all(le(i, j) for i, j in pairs) or all(le(j, i) for i, j in pairs)
-
-
 def triangles_interior_disjoint(t1: Triangle, t2: Triangle) -> bool:
-    """True when the open interiors do not meet (touching is allowed).
+    """True when the open interiors do not meet (touching is allowed).  A
+    degenerate triangle has an empty open interior, so it is disjoint from
+    everything.
 
-    Separating-axis test over the six edge normals; for convex shapes a
-    weakly separating axis always exists among them when interiors are
-    disjoint, and never exists when interiors overlap.
+    Two convex polygons with disjoint interiors are weakly separated by the
+    line through an edge of one of them: the origin then lies outside or on
+    the boundary of their Minkowski difference, whose edges are edges of the
+    two.  So the pair is disjoint exactly when, for some edge a->b of either
+    triangle, every vertex of the other is a or b or lies on the closed side
+    of the line ab away from that triangle's interior.
     """
     v1, v2 = t1.vertices, t2.vertices
-    for verts in (v1, v2):
+    s1, s2 = t1._turn, t2._turn
+    if s1 == 0 or s2 == 0:
+        return True
+    for verts, s, other in ((v1, s1, v2), (v2, s2, v1)):
         for i in range(3):
-            if _axis_separates(verts[i], verts[(i + 1) % 3], v1, v2):
+            a, b = verts[i - 1], verts[i]
+            if all(p is a or p is b or orientation(a, b, p) * s <= 0 for p in other):
                 return True
     return False
 
@@ -413,11 +391,22 @@ class Isometry:
         return not self.reflect
 
 
+def _same_multiset(xs: Sequence, ys: Sequence) -> bool:
+    """Whether xs and ys hold equal values equally often, by ``==`` alone."""
+    rest = list(ys)
+    for x in xs:
+        for k, y in enumerate(rest):
+            if x == y:
+                del rest[k]
+                break
+        else:
+            return False
+    return not rest
+
+
 def congruent(t1: Triangle, t2: Triangle) -> bool:
-    """Exact congruence by comparing sorted squared side lengths."""
-    s1 = t1.sorted_sides_squared()
-    s2 = t2.sorted_sides_squared()
-    return all(a == b for a, b in zip(s1, s2))
+    """Exact congruence: equal squared side lengths, as multisets (SSS)."""
+    return _same_multiset(t1.sides_squared(), t2.sides_squared())
 
 
 def _ordered_isometry(

@@ -244,6 +244,37 @@ class TestVerify:
         assert "invalid" in out
         assert "area_mismatch" in out
 
+    def test_stats_line_follows_a_valid_report(self, tmp_path, capsys):
+        path = self.make_file(tmp_path, capsys)
+        _, plain, _ = run(capsys, "verify", path)
+        code, out, _ = run(capsys, "verify", path, "--stats")
+        assert code == 0
+        assert plain == "valid: 4 pieces (standard)\n"
+        report, line = out.splitlines()[:-1], out.splitlines()[-1]
+        assert report == plain.splitlines()
+        assert json.loads(line) == {
+            "pairs_tested": 5, "pairs_pruned": 1, "edges_measured": 9, "area": "piece0",
+        }
+
+    def test_stats_line_follows_an_invalid_report(self, tmp_path, capsys):
+        data = json.loads(open(self.make_file(tmp_path, capsys)).read())
+        data["pieces"][0] = data["region"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        _, plain, _ = run(capsys, "verify", str(bad))
+        code, out, _ = run(capsys, "verify", str(bad), "--stats")
+        assert code == 1
+        assert out.startswith(plain) and out.count("\n") == plain.count("\n") + 1
+        stats = json.loads(out.splitlines()[-1])
+        assert stats["area"] == "summed" and stats["pairs_tested"] == 6
+
+    def test_stats_not_printed_for_a_bad_file(self, tmp_path, capsys):
+        bad = tmp_path / "junk.json"
+        bad.write_text("{not json")
+        code, out, err = run(capsys, "verify", str(bad), "--stats")
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad dissection file:")
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run(capsys, "verify", "/no/such/file.json")
         assert code == 2

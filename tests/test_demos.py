@@ -1,4 +1,6 @@
-"""Each script in demos/ runs to completion against the package in src/."""
+"""Each script in demos/ runs to completion against the package in src/, and
+the verifier demo prints exactly its golden output (tests/golden/), which
+holds every failure detail the verifier reports to a user."""
 
 import os
 import subprocess
@@ -15,15 +17,24 @@ def test_all_demos_found():
     assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
+def run_demo(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    proc = run_demo(script)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_verify_and_break_output_is_golden():
+    proc = run_demo(ROOT / "demos" / "verify_and_break.py")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "verify_and_break.out").read_bytes()

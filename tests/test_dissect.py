@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import verifier_reference as reference
 from equicut import dissect
 from equicut.dissect import (
     Dissection,
@@ -563,3 +564,141 @@ class TestHashedIsStandard:
             Triangle(*(Pt(move(v.x), move(v.y)) for v in p.vertices)) for p in d.pieces
         ))
         assert not is_standard(fake) and not is_standard_reference(fake)
+
+
+# The verifier decides disjointness by orientation signs along edge lines,
+# measures each shared edge once and, when all pieces are congruent, takes
+# the area sum as m * |area of piece 0|.  verifier_reference keeps the
+# separating-axis test, the sorted side comparison and the summed areas.
+
+
+def mirrored_halves(*, clockwise=(), drop=()):
+    """An isoceles region cut along its axis into two mirror-image scalene
+    right triangles (sides 1, 2, sqrt(5)), each cut again into four by the
+    lattice: eight pieces, four of each handedness.  Pieces listed in
+    ``clockwise`` are reversed and those in ``drop`` left out."""
+    region = Triangle(pt(-1, 0), pt(1, 0), pt(0, 2))
+    left = standard_from_region(Triangle(pt(-1, 0), pt(0, 0), pt(0, 2)), 2).pieces
+    right = standard_from_region(Triangle(pt(1, 0), pt(0, 0), pt(0, 2)), 2).pieces
+    pieces = [Triangle(p.vc, p.vb, p.va) if i in clockwise else p
+              for i, p in enumerate(left + right)]
+    return Dissection(region, tuple(p for i, p in enumerate(pieces) if i not in drop))
+
+
+def mixed_towers(drop=None):
+    """A standard 9-piece dissection over the tower (2, 3) whose odd pieces
+    are re-embedded over (3, 2), so the pieces' areas lie in two towers."""
+    builder = FieldBuilder()
+    r2, r3 = builder.sqrt(2), builder.sqrt(3)
+    d = standard_from_region(Triangle(pt(0, 0), pt(1, 0), Pt(r2 + r3, r3)), 3)
+    builder = FieldBuilder()
+    builder.sqrt(3)
+    builder.sqrt(2)
+    swapped = reembedded(d, builder).pieces
+    pieces = [q if i % 2 else p for i, (p, q) in enumerate(zip(d.pieces, swapped))]
+    return Dissection(d.region, tuple(p for i, p in enumerate(pieces) if i != drop))
+
+
+NESTED_REGION = (parse_number("1/4*sqrt(5 + 2*sqrt(6))"), 1)
+
+
+class TestVerifierDifferential:
+    @pytest.mark.parametrize("name", NAMED)
+    @pytest.mark.parametrize("kind", ["moved", "deleted", "shrunk", "grown"])
+    def test_corrupted_files_match_the_reference(self, name, kind):
+        d = corrupted(standard_file(NAMED[name], 8), kind)
+        assert outcome(verify_dissection(d)) == outcome(reference.verify_dissection(d))
+
+    @pytest.mark.parametrize("name", NAMED)
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_standard_files_match_the_reference(self, name, n):
+        d = standard_file(NAMED[name], n)
+        assert outcome(verify_dissection(d)) == outcome(reference.verify_dissection(d))
+
+    @pytest.mark.parametrize("kind", ["standard", "moved", "deleted", "shrunk", "grown"])
+    def test_nested_tower_matches_the_reference(self, kind):
+        d = standard_file(NESTED_REGION, 5)
+        if kind != "standard":
+            d = corrupted(d, kind)
+        assert outcome(verify_dissection(d)) == outcome(reference.verify_dissection(d))
+
+    @pytest.mark.parametrize("drop", [None, 0, 4])
+    def test_pieces_over_two_towers_match_the_reference(self, drop):
+        d = mixed_towers(drop=drop)
+        got = verify_dissection(d)
+        assert outcome(got) == outcome(reference.verify_dissection(d))
+        assert got.ok == (drop is None)
+
+    def test_fresh_points_and_windmill_match_the_reference(self):
+        text = dissection_to_json_str(standard_dissection(*SCALENE, 6))
+        for d in (reference_from_json(text), windmill_dissection()):
+            assert outcome(verify_dissection(d)) == outcome(reference.verify_dissection(d))
+
+
+class TestVerifierAreaPath:
+    @pytest.mark.parametrize("clockwise", [(), (0,), (1, 2, 5, 6), tuple(range(8))])
+    def test_congruent_pieces_of_both_handedness(self, clockwise):
+        d = mirrored_halves(clockwise=clockwise)
+        result = verify_dissection(d)
+        assert result.ok and result.stats["area"] == "piece0"
+        assert outcome(result) == outcome(reference.verify_dissection(d))
+        areas = [abs(p.signed_area().as_fraction()) for p in d.pieces]
+        assert areas == [F(1, 4)] * 8
+        assert sum(areas) == 8 * areas[0] == d.region.signed_area().as_fraction()
+
+    def test_congruent_pieces_that_miss_the_area(self):
+        d = mirrored_halves(clockwise=(0, 3), drop=(2,))
+        result = verify_dissection(d)
+        assert result.stats["area"] == "piece0"
+        assert outcome(result) == outcome(reference.verify_dissection(d))
+        assert [f.detail for f in result.failures] == [
+            "piece areas sum to 7/4 but the region area is 2"
+        ]
+
+    def test_degenerate_piece_0_and_its_copies(self):
+        flat = lambda x: Triangle(pt(x, F(1, 8)), pt(x + F(1, 8), F(1, 8)), pt(x + F(1, 4), F(1, 8)))
+        d = Dissection(canonical_triangle(*SCALENE), tuple(flat(F(k, 8)) for k in range(1, 4)))
+        result = verify_dissection(d)
+        assert result.stats == {
+            "pairs_tested": 0, "pairs_pruned": 0, "edges_measured": 9, "area": "piece0",
+        }
+        assert [f.kind for f in result.failures] == [AREA]
+        assert outcome(result) == outcome(reference.verify_dissection(d))
+
+    def test_mix_of_congruent_and_other_pieces(self):
+        d = mirrored_halves(clockwise=(4,))
+        a, b, c = d.pieces[5].vertices
+        half = Triangle(a, b, Pt((a.x + c.x) / 2, (a.y + c.y) / 2))
+        d = Dissection(d.region, d.pieces[:5] + (half,) + d.pieces[6:])
+        result = verify_dissection(d)
+        assert result.stats["area"] == "summed"
+        assert outcome(result) == outcome(reference.verify_dissection(d))
+        assert result.failures[-1].detail == "piece areas sum to 15/8 but the region area is 2"
+
+
+class TestVerifierStats:
+    @pytest.mark.parametrize("name", NAMED)
+    def test_standard_files(self, name):
+        for n, pairs in zip((8, 12), PAIRS_TESTED[name]):
+            m = n * n
+            assert verify_dissection(standard_file(NAMED[name], n)).stats == {
+                "pairs_tested": pairs,
+                "pairs_pruned": m * (m - 1) // 2 - pairs,
+                "edges_measured": 3 * n * (n + 1) // 2,
+                "area": "piece0",
+            }
+
+    @pytest.mark.parametrize("kind", ["moved", "deleted", "shrunk", "grown"])
+    def test_corrupted_files(self, kind):
+        d = corrupted(standard_file(SCALENE, 8), kind)
+        result = verify_dissection(d)
+        m = d.piece_count
+        assert result.stats["pairs_tested"] == result.pairs_tested == CORRUPTED["scalene"][kind][0]
+        assert result.stats["pairs_pruned"] == m * (m - 1) // 2 - result.pairs_tested
+        assert result.stats["area"] == ("piece0" if kind == "deleted" else "summed")
+
+    def test_each_edge_is_measured_once_per_pair_of_point_objects(self):
+        text = dissection_to_json_str(standard_dissection(*SCALENE, 4))
+        shared, fresh = dissection_from_json(text), reference_from_json(text)
+        assert verify_dissection(shared).stats["edges_measured"] == 3 * 4 * 5 // 2
+        assert verify_dissection(fresh).stats["edges_measured"] == 3 * 16

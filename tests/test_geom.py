@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verifier_reference as reference
 from equicut import geom
 from equicut.exact import FieldBuilder, TowerReal, sqrt_adjoin
 from equicut.literals import parse_number
@@ -237,6 +238,24 @@ class TestInteriorDisjoint:
         other = Triangle(Pt(Fraction(1, 2) - eps, Fraction(1, 2) - eps), P(2, 1), P(1, 2))
         assert not triangles_interior_disjoint(UNIT_RIGHT, other)
 
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            # a segment crossing the interior, once with a repeated end
+            Triangle(P(0, Fraction(1, 4)), P(1, Fraction(1, 4)), P(Fraction(1, 2), Fraction(1, 4))),
+            Triangle(P(0, Fraction(1, 4)), P(1, Fraction(1, 4)), P(1, Fraction(1, 4))),
+            # a point inside, and a segment inside
+            Triangle(*[P(Fraction(1, 4), Fraction(1, 4))] * 3),
+            Triangle(P(Fraction(1, 8), Fraction(1, 8)), P(Fraction(1, 4), Fraction(1, 4)),
+                     P(Fraction(1, 8), Fraction(1, 8))),
+        ],
+    )
+    def test_degenerate_triangle_has_no_interior_to_meet(self, flat):
+        assert flat.is_degenerate()
+        assert triangles_interior_disjoint(UNIT_RIGHT, flat)
+        assert triangles_interior_disjoint(flat, UNIT_RIGHT)
+        assert triangles_interior_disjoint(flat, flat)
+
 
 class TestTriangleBasics:
     def test_area_and_orientation(self):
@@ -279,6 +298,15 @@ class TestCongruence:
 
     def test_not_congruent(self):
         assert not congruent(UNIT_RIGHT, Triangle(P(0, 0), P(2, 0), P(0, 1)))
+
+    def test_same_side_values_with_other_multiplicities(self):
+        # squared sides (1, 1, 2) against (1, 2, 2), in every vertex order
+        wide = Triangle(P(0, 0), P(1, 0), Pt(Fraction(1, 2), sqrt_adjoin(7) / 2))
+        for k in range(3):
+            turned = Triangle(*wide.vertices[k:], *wide.vertices[:k])
+            assert not congruent(UNIT_RIGHT, turned)
+            assert not congruent(turned, UNIT_RIGHT)
+            assert congruent(wide, turned)
 
     def test_irrational_rotation(self):
         r2 = sqrt_adjoin(2)
@@ -537,6 +565,29 @@ def _fell_back(count, call, *args):
     return result, count[0] > before
 
 
+def _disjoint_cases(radicands):
+    """(k, (t1, t2, t3, t4, into, away)): seeded triangles at the scale 10**k."""
+    cases = _FilterCases(radicands, seed=10 + len(radicands))
+    for _ in range(8):
+        for k in (0, -160, 300):
+            t1 = Triangle(*_scaled(cases.generic(), k))
+            t2 = Triangle(*_scaled(cases.generic(), k))
+            a, b, c = t1.vertices
+            # a neighbour over the edge ab, and a copy touching it at a
+            t3 = Triangle(a, b, Pt(a.x + b.x - c.x, a.y + b.y - c.y))
+            t4 = Triangle(*(Pt(v.x + a.x - b.x, v.y + a.y - b.y) for v in t1.vertices))
+            # the neighbour pushed into t1, or away from it, by a tiny step
+            eps = cases.tiny()
+            step = Pt((c.x - a.x) * eps, (c.y - a.y) * eps)
+            into = Triangle(*(v + step for v in t3.vertices))
+            away = Triangle(*(v - step for v in t3.vertices))
+            yield k, (t1, t2, t3, t4, into, away)
+
+
+def _disjoint_pairs(t1, t2, t3, t4, into, away):
+    return ((t1, t2), (t1, t3), (t3, t1), (t1, t4), (t1, t1), (t1, into), (away, t1))
+
+
 class TestFilterDifferential:
     """Every filtered predicate against its exact expression, on cases the
     filter decides, cases whose boxes straddle 0, and cases it has no
@@ -566,33 +617,26 @@ class TestFilterDifferential:
 
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_point_in_triangle_and_disjointness(self, radicands, exact_calls):
-        cases = _FilterCases(radicands, seed=10 + len(radicands))
         decided = 0
-        for _ in range(8):
-            for k in (0, -160, 300):
-                t1 = Triangle(*_scaled(cases.generic(), k))
-                t2 = Triangle(*_scaled(cases.generic(), k))
-                a, b, c = t1.vertices
-                # a neighbour over the edge ab, and a copy touching it at a
-                t3 = Triangle(a, b, Pt(a.x + b.x - c.x, a.y + b.y - c.y))
-                t4 = Triangle(*(Pt(v.x + a.x - b.x, v.y + a.y - b.y) for v in t1.vertices))
-                # the neighbour pushed into t1, or away from it, by a tiny step
-                eps = cases.tiny()
-                step = Pt((c.x - a.x) * eps, (c.y - a.y) * eps)
-                into = Triangle(*(v + step for v in t3.vertices))
-                away = Triangle(*(v - step for v in t3.vertices))
-                for p in (*t2.vertices, *into.vertices, Pt((a.x + b.x) / 2, (a.y + b.y) / 2)):
-                    assert point_in_triangle(p, t1) == _exact_in_triangle(p, t1)
-                for u, w in ((t1, t2), (t1, t3), (t3, t1), (t1, t4), (t1, t1),
-                             (t1, into), (away, t1)):
-                    got, fell_back = _fell_back(exact_calls, triangles_interior_disjoint, u, w)
-                    assert got == _exact_disjoint(u, w), k
-                    decided += k == 0 and not fell_back
-                    if w is into or u is away:
-                        assert fell_back
-                assert not triangles_interior_disjoint(t1, into)
-                assert triangles_interior_disjoint(away, t1)
+        for k, (t1, t2, t3, t4, into, away) in _disjoint_cases(radicands):
+            a, b, c = t1.vertices
+            for p in (*t2.vertices, *into.vertices, Pt((a.x + b.x) / 2, (a.y + b.y) / 2)):
+                assert point_in_triangle(p, t1) == _exact_in_triangle(p, t1)
+            for u, w in _disjoint_pairs(t1, t2, t3, t4, into, away):
+                got, fell_back = _fell_back(exact_calls, triangles_interior_disjoint, u, w)
+                assert got == _exact_disjoint(u, w), k
+                decided += k == 0 and not fell_back
+                if w is into or u is away:
+                    assert fell_back
+            assert not triangles_interior_disjoint(t1, into)
+            assert triangles_interior_disjoint(away, t1)
         assert decided > 0
+
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_disjointness_matches_the_separating_axis_reference(self, radicands):
+        for k, cases in _disjoint_cases(radicands):
+            for u, w in _disjoint_pairs(*cases):
+                assert triangles_interior_disjoint(u, w) == reference.triangles_interior_disjoint(u, w), k
 
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_angle_comparisons(self, radicands, exact_calls):
