@@ -344,7 +344,7 @@ def is_standard(dissection: Dissection) -> bool:
     region's own vertex labelling does not matter."""
     m = len(dissection.pieces)
     n = isqrt(m)
-    if n * n != m:
+    if n == 0 or n * n != m:
         return False
     std = standard_from_region(dissection.region, n)
     if _hashed_pieces(dissection.pieces) == _hashed_pieces(std.pieces):

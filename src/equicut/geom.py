@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, nextafter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exact import TowerReal, _float_bounds, exactify, sqrt_adjoin
 
@@ -341,11 +341,18 @@ def triangles_interior_disjoint(t1: Triangle, t2: Triangle) -> bool:
     s1, s2 = t1._turn, t2._turn
     if s1 == 0 or s2 == 0:
         return True
-    for verts, s, other in ((v1, s1, v2), (v2, s2, v1)):
-        for i in range(3):
-            a, b = verts[i - 1], verts[i]
-            if all(p is a or p is b or orientation(a, b, p) * s <= 0 for p in other):
-                return True
+    return _separated(v1, s1, v2) or _separated(v2, s2, v1)
+
+
+def _separated(verts: Sequence[Pt], s: int, other: Sequence[Pt]) -> bool:
+    """True when some edge line of the cycle ``verts``, whose turn sign is
+    ``s``, has every point of ``other`` on its closed far side: each point
+    is an end of that edge or turns from it against ``s``.  A segment is the
+    2-cycle (p, q) with s = 1, whose two edges test both sides of its line."""
+    for i in range(len(verts)):
+        a, b = verts[i - 1], verts[i]
+        if all(p is a or p is b or orientation(a, b, p) * s <= 0 for p in other):
+            return True
     return False
 
 
@@ -367,12 +374,6 @@ class Isometry:
     def __post_init__(self):
         if not (self.cos_t * self.cos_t + self.sin_t * self.sin_t == 1):
             raise ValueError("rotation part is not orthogonal")
-
-    @classmethod
-    def identity(cls) -> "Isometry":
-        one = TowerReal.from_rational(1)
-        zero = TowerReal.from_rational(0)
-        return cls(one, zero, False, zero, zero)
 
     def apply(self, p: Pt) -> Pt:
         x, y = p.x, p.y
@@ -464,17 +465,11 @@ class AngleVec:
 
     Total order agrees with the numeric angle but needs no square roots or
     transcendentals: first by region (0,pi) / pi / (pi,2*pi), then by a
-    cross-multiplied comparison of squared cosines.  An angle made by
-    ``between`` computes d, c and m only when the interval filter cannot.
+    cross-multiplied comparison of squared cosines.  ``between`` is the only
+    constructor; it computes d, c and m only when the interval filter cannot.
     """
 
     __slots__ = ("d", "c", "m", "_uw", "_box")
-
-    def __init__(self, d: TowerReal, c: TowerReal, m: TowerReal):
-        self.d = d
-        self.c = c
-        self.m = m
-        self._uw, self._box = None, False
 
     @classmethod
     def between(cls, u: Pt, w: Pt) -> "AngleVec":
@@ -483,7 +478,7 @@ class AngleVec:
         return out
 
     def __getattr__(self, name: str):
-        # called only while the slots d, c and m of a ``between`` angle are unset
+        # called only while the slots d, c and m are unset
         if name not in ("d", "c", "m"):
             raise AttributeError(name)
         u, w = self._uw
@@ -493,11 +488,7 @@ class AngleVec:
     def _floats(self):
         """The box (d, c, m) of intervals, built on first use, or None."""
         if self._box is False:
-            if self._uw is None:
-                box = tuple(map(_float_bounds, (self.d, self.c, self.m)))
-                self._box = None if None in box else box
-            else:
-                self._box = _box(_fangle, self._uw[0]._floats(), self._uw[1]._floats())
+            self._box = _box(_fangle, self._uw[0]._floats(), self._uw[1]._floats())
         return self._box
 
     def _sign(self, k: int) -> int:

@@ -46,7 +46,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
@@ -56,6 +56,7 @@ from .geom import (
     Pt,
     Triangle,
     _ordered_isometry,
+    _separated,
     orientation,
     point_in_polygon,
     point_on_segment,
@@ -180,44 +181,6 @@ class _Poly:
     lens: Tuple[TowerReal, ...]
 
 
-def _segment_meets_triangle_interior(p: Pt, q: Pt, tri: Sequence[Pt]) -> bool:
-    """True when the open segment (p, q) meets the open triangle interior.
-
-    Clips the segment's parameter interval against the three inward
-    half-planes of the counterclockwise triangle.  Interval endpoints are
-    kept as (numerator, positive denominator) pairs so the whole test runs
-    on sign evaluations without any division, and the exact edge
-    functionals are built only for an edge that the segment crosses.
-    """
-    zero = TowerReal.from_rational(0)
-    one = TowerReal.from_rational(1)
-    lo_n, lo_d = zero, one
-    hi_n, hi_d = one, one
-    for i in range(3):
-        e0, e1 = tri[i], tri[(i + 1) % 3]
-        s0, s1 = orientation(e0, e1, p), orientation(e0, e1, q)
-        if s0 <= 0 and s1 <= 0:
-            return False
-        if s0 > 0 and s1 > 0:
-            continue
-        ev = e1 - e0
-        f0 = ev.cross(p - e0)
-        f1 = ev.cross(q - e0)
-        if s0 > 0:
-            n, d = f0, f0 - f1
-            if n * hi_d < hi_n * d:
-                hi_n, hi_d = n, d
-        else:
-            n, d = -f0, f1 - f0
-            if n * lo_d > lo_n * d:
-                lo_n, lo_d = n, d
-    return lo_n * hi_d < hi_n * lo_d
-
-
-def _same_direction(d1: Pt, d2: Pt) -> bool:
-    return d1.cross(d2).is_zero() and d1.dot(d2).sign() > 0
-
-
 def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
     """Split the directed segment (p, q) at every candidate point strictly
     inside it, returning consecutive (start, end, exact length) pieces."""
@@ -249,18 +212,16 @@ def _merge_cycle(segs) -> _Poly:
     """Merge maximal collinear runs of a closed edge cycle into single
     edges and return the resulting counterclockwise polygon."""
     n = len(segs)
-    dirs = [w - u for (u, w, _) in segs]
-    start = None
-    for i in range(n):
-        if not _same_direction(dirs[i - 1], dirs[i]):
-            start = i
-            break
+    # the edges are nondegenerate, so edge i - 1 runs straight on into edge i
+    # exactly when its end u lies on the segment from its start to w
+    straight = [point_on_segment(u, segs[i - 1][0], w) for i, (u, w, _) in enumerate(segs)]
+    start = next((i for i in range(n) if not straight[i]), None)
     if start is None:
         raise RuntimeError("boundary cycle degenerated to a line")
     order = list(range(start, n)) + list(range(start))
     runs: List[List[int]] = []
     for idx in order:
-        if runs and _same_direction(dirs[runs[-1][-1]], dirs[idx]):
+        if runs and straight[idx]:
             runs[-1].append(idx)
         else:
             runs.append([idx])
@@ -337,7 +298,7 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
         for jdx in starts.get(_point_key(q), ()):
             u, w, _ = edges[jdx]
             g = w - u
-            if _same_direction(g, rev):
+            if point_on_segment(w, q, p) or point_on_segment(p, q, w):
                 raise RuntimeError("dangling boundary edge after subtraction")
             # The region lies in the wedge swept counterclockwise from the
             # outgoing edge to the reversed incoming edge, so the true
@@ -396,7 +357,6 @@ class _TileData:
         if self.heron16.sign() <= 0:
             raise ValueError("tile sides violate the triangle inequality")
         sqrt_h = builder.sqrt(self.heron16)
-        one = TowerReal.from_rational(1)
         self.cos = []
         self.sin = []
         self.angles = []
@@ -407,7 +367,7 @@ class _TileData:
             sin_k = sqrt_h / denom
             self.cos.append(cos_k)
             self.sin.append(sin_k)
-            self.angles.append(AngleVec(cos_k, sin_k, one))
+            self.angles.append(AngleVec.between(Pt(1, 0), Pt(cos_k, sin_k)))
         self.min_angle = min(self.angles)
 
 
@@ -477,7 +437,16 @@ class _Searcher:
             (self.side_lens[0], self.side_lens[1], self.side_lens[2]),
         )
         if self._lengths_fit([root]):
-            self._expand([root], [])
+            # depth first on an explicit stack of expansions, so the depth is
+            # bounded by memory and the budgets, not by Python's recursion limit
+            pieces: List[Triangle] = []
+            stack = [self._expand([root], pieces)]
+            while stack:
+                child = next(stack[-1], None)
+                if child is None:
+                    stack.pop()
+                else:
+                    stack.append(self._expand(child, pieces))
         self.results.sort(key=lambda d: _piece_multiset_key(d.pieces))
         if self.spec.symmetry_quotient:
             self.results = _quotient_by_symmetry(self.region, self.results)
@@ -552,7 +521,9 @@ class _Searcher:
 
     # -- node expansion ----------------------------------------------------
 
-    def _expand(self, frontier: List[_Poly], pieces: List[Triangle]) -> None:
+    def _expand(self, frontier: List[_Poly], pieces: List[Triangle]) -> Iterator[List[_Poly]]:
+        """Expand one node: yield each child frontier, with its new piece on
+        ``pieces`` until the child's expansion is done."""
         if self.truncated:
             return
         self.nodes += 1
@@ -618,7 +589,7 @@ class _Searcher:
                     continue
                 child = frontier[:pi] + new_polys + frontier[pi + 1 :]
                 pieces.append(Triangle(*tri))
-                self._expand(child, pieces)
+                yield child
                 pieces.pop()
 
     def _canonical_vertex(self, frontier: List[_Poly]):
@@ -637,10 +608,20 @@ class _Searcher:
         return best[1], best[2], best[0][0]
 
     def _fits(self, poly: _Poly, tri: Tuple[Pt, Pt, Pt]) -> bool:
+        """Whether the placed triangle ``tri`` lies inside ``poly`` with no
+        frontier edge through its open interior.
+
+        ``tri`` is counterclockwise by construction: its third vertex lies
+        at a tile angle in (0, pi), measured counterclockwise from the edge
+        its first two span.  A frontier edge misses the open interior
+        exactly when an edge line of the triangle or the edge's own line
+        weakly separates the two, the Minkowski-difference argument of
+        ``triangles_interior_disjoint`` applied to a triangle and a segment.
+        """
         n = len(poly.verts)
         for idx in range(n):
-            p, q = poly.verts[idx], poly.verts[(idx + 1) % n]
-            if _segment_meets_triangle_interior(p, q, tri):
+            seg = (poly.verts[idx], poly.verts[(idx + 1) % n])
+            if not (_separated(tri, 1, seg) or _separated(seg, 1, tri)):
                 return False
         centroid = (tri[0] + tri[1] + tri[2]) / 3
         return point_in_polygon(centroid, poly.verts) is Location.INSIDE

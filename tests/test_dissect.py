@@ -233,6 +233,10 @@ class TestIsStandard:
     def test_windmill_not_standard(self):
         assert not is_standard(windmill_dissection())
 
+    def test_no_pieces_is_not_standard(self):
+        d = standard_dissection(*SCALENE, 1)
+        assert not is_standard(Dissection(d.region, ()))
+
 
 class TestJson:
     def test_golden_literals(self):

@@ -22,6 +22,7 @@ independent oracles:
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import isqrt
@@ -39,13 +40,21 @@ from equicut.dissect import (
 )
 from equicut import search as search_module
 from equicut.dissect import _point_key
-from equicut.exact import _value_key, exactify, sqrt_adjoin
-from equicut.geom import AngleVec, Pt, Triangle, point_on_segment
+from equicut.exact import TowerReal, _value_key, exactify, sqrt_adjoin
+from equicut.geom import (
+    AngleVec,
+    Location,
+    Pt,
+    Triangle,
+    orientation,
+    point_in_polygon,
+    point_on_segment,
+    polygon_area,
+)
 from equicut.search import (
     _edge_sort_key,
-    _merge_cycle,
     _Poly,
-    _same_direction,
+    _Searcher,
     _split_edge,
     SearchSpec,
     region_symmetries,
@@ -500,6 +509,22 @@ class TestLimits:
         assert (out.nodes, len(out.dissections)) == (6, 1)
         assert out.stats["truncated_by"] == "nodes"
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 144 pieces deep, with room for only 120 more frames on the stack
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 120)
+        try:
+            out = search_dissections(
+                SearchSpec(region=EQUILATERAL, tile=similar_tile(EQUILATERAL, 144), m=144)
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.complete and out.nodes == 145
+        assert len(out.dissections) == 1 and is_standard(out.dissections[0])
+
     def test_max_results_stops_after_first_find(self):
         out = search_dissections(
             SearchSpec(
@@ -701,6 +726,84 @@ class TestDeterminism:
         assert keys(a.dissections) == keys(b.dissections)
 
 
+def _same_direction(d1, d2):
+    return d1.cross(d2).is_zero() and d1.dot(d2).sign() > 0
+
+
+def _segment_meets_triangle_interior(p, q, tri):
+    """The search's placement test before it used geom's edge-line
+    separation: True when the open segment (p, q) meets the open interior of
+    the counterclockwise triangle ``tri``.  It clips the segment's parameter
+    interval against the three inward half-planes, with each interval end
+    kept as a (numerator, positive denominator) pair."""
+    zero = TowerReal.from_rational(0)
+    one = TowerReal.from_rational(1)
+    lo_n, lo_d = zero, one
+    hi_n, hi_d = one, one
+    for i in range(3):
+        e0, e1 = tri[i], tri[(i + 1) % 3]
+        s0, s1 = orientation(e0, e1, p), orientation(e0, e1, q)
+        if s0 <= 0 and s1 <= 0:
+            return False
+        if s0 > 0 and s1 > 0:
+            continue
+        ev = e1 - e0
+        f0 = ev.cross(p - e0)
+        f1 = ev.cross(q - e0)
+        if s0 > 0:
+            n, d = f0, f0 - f1
+            if n * hi_d < hi_n * d:
+                hi_n, hi_d = n, d
+        else:
+            n, d = -f0, f1 - f0
+            if n * lo_d > lo_n * d:
+                lo_n, lo_d = n, d
+    return lo_n * hi_d < hi_n * lo_d
+
+
+def _fits_reference(poly, tri):
+    """``_Searcher._fits`` on the clipper above."""
+    n = len(poly.verts)
+    for idx in range(n):
+        if _segment_meets_triangle_interior(poly.verts[idx], poly.verts[(idx + 1) % n], tri):
+            return False
+    centroid = (tri[0] + tri[1] + tri[2]) / 3
+    return point_in_polygon(centroid, poly.verts) is Location.INSIDE
+
+
+def _merge_cycle_reference(segs):
+    """``search._merge_cycle`` before it asked ``point_on_segment``: edges
+    run straight on when their direction vectors agree exactly."""
+    n = len(segs)
+    dirs = [w - u for (u, w, _) in segs]
+    start = None
+    for i in range(n):
+        if not _same_direction(dirs[i - 1], dirs[i]):
+            start = i
+            break
+    if start is None:
+        raise RuntimeError("boundary cycle degenerated to a line")
+    order = list(range(start, n)) + list(range(start))
+    runs = []
+    for idx in order:
+        if runs and _same_direction(dirs[runs[-1][-1]], dirs[idx]):
+            runs[-1].append(idx)
+        else:
+            runs.append([idx])
+    verts = tuple(segs[r[0]][0] for r in runs)
+    lens = []
+    for r in runs:
+        total = segs[r[0]][2]
+        for idx in r[1:]:
+            total = total + segs[idx][2]
+        lens.append(total)
+    if len(verts) < 3:
+        raise RuntimeError("boundary cycle with fewer than three corners")
+    if polygon_area(verts).sign() <= 0:
+        raise RuntimeError("boundary cycle is not counterclockwise")
+    return _Poly(verts, tuple(lens))
+
+
 def _subtract_reference(poly, tri, tri_lens):
     """``search._subtract`` as it was before it matched pieces by point keys:
     a piece is covered when its midpoint lies on an edge of the other set,
@@ -763,7 +866,7 @@ def _subtract_reference(poly, tri, tri_lens):
             orbit.append(cur)
             cur = successor(cur)
         cycles.append(orbit)
-    return [_merge_cycle([edges[i] for i in orbit]) for orbit in cycles]
+    return [_merge_cycle_reference([edges[i] for i in orbit]) for orbit in cycles]
 
 
 def _polygons(polys):
@@ -785,25 +888,55 @@ SUBTRACT_CASES = (
 )
 
 
-class TestSubtractAgainstReference:
-    def test_every_subtraction_of_the_searches(self, monkeypatch):
-        fast = search_module._subtract
-        calls = []
 
-        def checked(poly, tri, tri_lens):
-            out = fast(poly, tri, tri_lens)
-            assert _polygons(out) == _polygons(_subtract_reference(poly, tri, tri_lens))
-            calls.append(out)
-            return out
+@pytest.fixture(scope="module")
+def checked_calls():
+    """Run the ``SUBTRACT_CASES`` searches once with ``_subtract``,
+    ``_Searcher._fits`` and ``_merge_cycle`` each checked against its
+    reference on every call; the number of calls of each."""
+    calls = {"subtract": 0, "fits": 0, "merge": 0}
+    subtract, fits, merge = search_module._subtract, _Searcher._fits, search_module._merge_cycle
 
-        monkeypatch.setattr(search_module, "_subtract", checked)
+    def checked_subtract(poly, tri, tri_lens):
+        out = subtract(poly, tri, tri_lens)
+        assert _polygons(out) == _polygons(_subtract_reference(poly, tri, tri_lens))
+        calls["subtract"] += 1
+        return out
+
+    def checked_fits(self, poly, tri):
+        out = fits(self, poly, tri)
+        assert out == _fits_reference(poly, tri)
+        calls["fits"] += 1
+        return out
+
+    def checked_merge(segs):
+        out = merge(segs)
+        assert _polygons([out]) == _polygons([_merge_cycle_reference(segs)])
+        calls["merge"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "_subtract", checked_subtract)
+        patch.setattr(_Searcher, "_fits", checked_fits)
+        patch.setattr(search_module, "_merge_cycle", checked_merge)
         for region, m in SUBTRACT_CASES:
             search_dissections(
                 SearchSpec(
                     region=region, tile=similar_tile(region, m), m=m, prune_lengths=False
                 )
             )
-        assert len(calls) == 656
+    return calls
+
+
+class TestSubtractAgainstReference:
+    def test_every_subtraction_of_the_searches(self, checked_calls):
+        assert checked_calls["subtract"] == 656
+
+    def test_every_placement_of_the_searches(self, checked_calls):
+        assert checked_calls["fits"] == 1327
+
+    def test_every_merge_of_the_searches(self, checked_calls):
+        assert checked_calls["merge"] == 628
 
     def test_pinch_vertex_inside_a_straight_edge(self):
         # The frontier touches itself at (2, 0): a wedge below meets the
@@ -819,3 +952,37 @@ class TestSubtractAgainstReference:
         want = _subtract_reference(poly, tri, tri_lens)
         assert len(want) == 1 and len(want[0].verts) == 14
         assert _polygons(search_module._subtract(poly, tri, tri_lens)) == _polygons(want)
+
+
+# (name, segment, whether the open segment meets the open interior of
+# PLACEMENT_TRIANGLE); "outside a corner" is separated only by its own line
+PLACEMENT_TRIANGLE = ((0, 0), (4, 0), (0, 4))
+PLACEMENT_CASES = (
+    ("along an edge", ((1, 0), (3, 0)), False),
+    ("the whole edge", ((0, 0), (4, 0)), False),
+    ("past an edge's end", ((2, 0), (6, 0)), False),
+    ("through a vertex only", ((3, -1), (5, 1)), False),
+    ("crossing a corner", ((3, -1), (3, 2)), True),
+    ("endpoint on an edge, going out", ((2, 0), (2, -2)), False),
+    ("endpoint on an edge, going in", ((2, 0), (1, 1)), True),
+    ("fully inside", ((1, 1), (2, 1)), True),
+    ("outside a corner", ((3, -1), (6, 1)), False),
+    ("fully outside", ((5, 5), (6, 7)), False),
+)
+
+
+class TestPlacementAgainstReference:
+    @pytest.mark.parametrize("name, seg, meets", PLACEMENT_CASES, ids=[c[0] for c in PLACEMENT_CASES])
+    def test_segment_against_triangle(self, monkeypatch, name, seg, meets):
+        """``_fits`` on a frontier of the one segment, each way round, with
+        the centroid check answering INSIDE: it fits exactly when the
+        segment misses the open interior, for every rotation of the
+        counterclockwise triangle."""
+        monkeypatch.setattr(search_module, "point_in_polygon", lambda p, verts: Location.INSIDE)
+        corners = [Pt(x, y) for x, y in PLACEMENT_TRIANGLE]
+        p, q = (Pt(x, y) for x, y in seg)
+        for r in range(3):
+            tri = tuple(corners[r:] + corners[:r])
+            for a, b in ((p, q), (q, p)):
+                assert _segment_meets_triangle_interior(a, b, tri) == meets
+                assert _Searcher._fits(None, _Poly((a, b), ()), tri) == (not meets)
