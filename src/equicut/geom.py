@@ -11,7 +11,10 @@ Pion (2001).  Each point caches float intervals around its coordinates
 (``exact._float_bounds``), and the predicate's polynomial is evaluated on
 them with every ``+ - *`` rounded outward by one float step.  An interval
 decides a sign only when it excludes 0.  When it contains 0, or when an end
-leaves the float range, the exact expression decides.
+leaves the float range, the exact expression decides.  The same boxes order
+two coordinates (``point_in_polygon``'s half-open test) when their intervals
+are apart, rule a point off a segment whose ends' boxes it lies past, and
+give ``AngleVec.interior`` its box straight from the three corner points.
 """
 
 from __future__ import annotations
@@ -168,6 +171,8 @@ def _fdot_from(p, a, b):
 
 def orientation(a: Pt, b: Pt, c: Pt) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear."""
+    if a is b or b is c or a is c:
+        return 0  # a repeated point object: collinear without arithmetic
     s = _certified(_forientation, a._floats(), b._floats(), c._floats())
     return s or (b - a).cross(c - a).sign()
 
@@ -185,11 +190,22 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
+def _box_outside(p, a, b) -> bool:
+    """Whether the box p lies past the hull of the boxes a and b along x or
+    y, so no point of p is between points of a and b there."""
+    return any(p[k][1] < min(a[k][0], b[k][0]) or p[k][0] > max(a[k][1], b[k][1]) for k in (0, 1))
+
+
 def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
     """True when p lies on the closed segment [a, b]."""
+    if p is a or p is b:
+        return True
+    fp, fa, fb = p._floats(), a._floats(), b._floats()
+    if fp and fa and fb and _box_outside(fp, fa, fb):
+        return False
     if orientation(a, b, p) != 0:
         return False
-    s = _certified(_fdot_from, p._floats(), a._floats(), b._floats())
+    s = _certified(_fdot_from, fp, fa, fb)
     return (s or (p - a).dot(p - b).sign()) <= 0
 
 
@@ -305,6 +321,18 @@ def polygon_area(vertices: Sequence[Pt]) -> TowerReal:
     return total / 2
 
 
+def _coord_sign(a: Pt, b: Pt, k: int) -> int:
+    """Sign of coordinate k (0 for x, 1 for y) of a - b: from the two
+    points' boxes when their k-intervals are apart, else exactly."""
+    fa, fb = a._floats(), b._floats()
+    if fa and fb:
+        if fa[k][0] > fb[k][1]:
+            return 1
+        if fa[k][1] < fb[k][0]:
+            return -1
+    return (a.x - b.x).sign() if k == 0 else (a.y - b.y).sign()
+
+
 def point_in_polygon(p: Pt, vertices: Sequence[Pt]) -> Location:
     """Exact location of a point relative to a simple polygon.
 
@@ -315,12 +343,14 @@ def point_in_polygon(p: Pt, vertices: Sequence[Pt]) -> Location:
     for i in range(n):
         if point_on_segment(p, vertices[i], vertices[(i + 1) % n]):
             return Location.ON_BOUNDARY
+    above = [_coord_sign(v, p, 1) for v in vertices]  # sign of v.y - p.y
     crossings = 0
     for i in range(n):
         u, w = vertices[i], vertices[(i + 1) % n]
-        if u.y <= p.y < w.y and orientation(u, w, p) > 0:
+        su, sw = above[i], above[(i + 1) % n]
+        if su <= 0 < sw and orientation(u, w, p) > 0:  # u.y <= p.y < w.y
             crossings += 1
-        elif w.y <= p.y < u.y and orientation(u, w, p) < 0:
+        elif sw <= 0 < su and orientation(u, w, p) < 0:  # w.y <= p.y < u.y
             crossings += 1
     return Location.INSIDE if crossings % 2 == 1 else Location.OUTSIDE
 
@@ -454,6 +484,11 @@ def _fangle(u, w):
     return _fdot(u, w), _fcross(u, w), _imul(_fdot(u, u), _fdot(w, w))
 
 
+def _fangle_at(a, p, q):
+    """``_fangle`` of the vectors p - a and q - a, from the points' boxes."""
+    return _fangle(_fvec(a, p), _fvec(a, q))
+
+
 def _fcos_diff(a, b):
     """Interval of d1**2 * m2 - d2**2 * m1 from the angle boxes (d, c, m)."""
     return _isub(_imul(_imul(a[0], a[0]), b[2]), _imul(_imul(b[0], b[0]), a[2]))
@@ -465,41 +500,53 @@ class AngleVec:
 
     Total order agrees with the numeric angle but needs no square roots or
     transcendentals: first by region (0,pi) / pi / (pi,2*pi), then by a
-    cross-multiplied comparison of squared cosines.  ``between`` is the only
-    constructor; it computes d, c and m only when the interval filter cannot.
+    cross-multiplied comparison of squared cosines.  ``between`` takes the
+    two vectors; ``interior`` takes three corner points and keeps them, so
+    its box comes from the points' boxes and the vectors are built only for
+    the exact path.  Either computes d, c and m only when the interval
+    filter cannot decide.
     """
 
-    __slots__ = ("d", "c", "m", "_uw", "_box")
+    __slots__ = ("d", "c", "m", "_at", "_uw", "_box")
 
     @classmethod
     def between(cls, u: Pt, w: Pt) -> "AngleVec":
         out = cls.__new__(cls)
-        out._uw, out._box = (u, w), False
+        out._at, out._uw, out._box = None, (u, w), False
+        return out
+
+    @classmethod
+    def interior(cls, prev_pt: Pt, at: Pt, next_pt: Pt) -> "AngleVec":
+        """Interior angle of a counterclockwise polygon at ``at``: the angle
+        from next_pt - at to prev_pt - at."""
+        out = cls.__new__(cls)
+        out._at, out._uw, out._box = at, (next_pt, prev_pt), False
         return out
 
     def __getattr__(self, name: str):
         # called only while the slots d, c and m are unset
         if name not in ("d", "c", "m"):
             raise AttributeError(name)
-        u, w = self._uw
+        (u, w), at = self._uw, self._at
+        if at is not None:  # u and w are points seen from at
+            u, w = u - at, w - at
         self.d, self.c, self.m = u.dot(w), u.cross(w), u.norm_sq() * w.norm_sq()
         return getattr(self, name)
 
     def _floats(self):
         """The box (d, c, m) of intervals, built on first use, or None."""
         if self._box is False:
-            self._box = _box(_fangle, self._uw[0]._floats(), self._uw[1]._floats())
+            (u, w), at = self._uw, self._at
+            if at is None:
+                self._box = _box(_fangle, u._floats(), w._floats())
+            else:
+                self._box = _box(_fangle_at, at._floats(), u._floats(), w._floats())
         return self._box
 
     def _sign(self, k: int) -> int:
         """Sign of d (k = 0) or c (k = 1), from its interval when that
         excludes 0, else exactly."""
         return _certified(lambda box: box[k], self._floats()) or (self.c if k else self.d).sign()
-
-    @classmethod
-    def interior(cls, prev_pt: Pt, at: Pt, next_pt: Pt) -> "AngleVec":
-        """Interior angle of a counterclockwise polygon at ``at``."""
-        return cls.between(next_pt - at, prev_pt - at)
 
     def _region(self) -> int:
         cs = self._sign(1)

@@ -55,6 +55,7 @@ from .geom import (
     Location,
     Pt,
     Triangle,
+    _coord_sign,
     _ordered_isometry,
     _separated,
     orientation,
@@ -183,12 +184,13 @@ class _Poly:
 
 def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
     """Split the directed segment (p, q) at every candidate point strictly
-    inside it, returning consecutive (start, end, exact length) pieces."""
+    inside it, returning consecutive (start, end, exact length) pieces.
+    Points are told apart by identity: a search keeps one ``Pt`` per point."""
     inside = []
     for c in candidates:
-        if c == p or c == q:
+        if c is p or c is q or any(c is s for s in inside):
             continue
-        if point_on_segment(c, p, q) and all(not (c == s) for s in inside):
+        if point_on_segment(c, p, q):
             inside.append(c)
     if not inside:
         return [(p, q, length)]
@@ -254,7 +256,8 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
 
     A piece is covered exactly when the other edge set has the same piece,
     found by the points' hashed keys.  Every value in one search comes from
-    the search's one ``FieldBuilder``, so equal points there have equal keys.
+    the search's one ``FieldBuilder``, so equal points there have equal keys;
+    and the search keeps one ``Pt`` per key, so equal points are one object.
     """
     n = len(poly.verts)
     poly_edges = [
@@ -292,20 +295,19 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
 
     def successor(idx: int) -> int:
         p, q, _ = edges[idx]
-        rev = p - q  # points back along the incoming edge
         best = None
         best_angle: Optional[AngleVec] = None
         for jdx in starts.get(_point_key(q), ()):
-            u, w, _ = edges[jdx]
-            g = w - u
+            w = edges[jdx][1]
             if point_on_segment(w, q, p) or point_on_segment(p, q, w):
                 raise RuntimeError("dangling boundary edge after subtraction")
             # The region lies in the wedge swept counterclockwise from the
             # outgoing edge to the reversed incoming edge, so the true
             # continuation bounds the smallest such wedge; a straight pass
             # through a pinch vertex would claim a half-plane and swallow
-            # the wedge on the other side.
-            angle = AngleVec.between(g, rev)
+            # the wedge on the other side.  The outgoing edge starts at q,
+            # so the wedge is the angle at q from w round to p.
+            angle = AngleVec.interior(p, q, w)
             if best_angle is None or angle < best_angle:
                 best, best_angle = jdx, angle
             elif angle == best_angle:
@@ -432,6 +434,9 @@ class _Searcher:
         t = self.tile
         self.unit_sides = (t.s[1] / t.s[0], t.s[2] / t.s[0])
         v = self.region.vertices
+        # one Pt per distinct point, so equal points are one object: boxes are
+        # built once, and the verifier in _emit meets shared vertices and edges
+        self.points = {_point_key(p): p for p in v}
         root = _Poly(
             (v[0], v[1], v[2]),
             (self.side_lens[0], self.side_lens[1], self.side_lens[2]),
@@ -576,9 +581,9 @@ class _Searcher:
                     if not w_angle.is_reflex():
                         self.cuts["overshoot"] += 1
                         continue
-                a_pt = v_at + e * along_len
-                x_pt = v_at + d_dir * other_len
-                if any(a_pt == a2 and x_pt == x2 for (a2, x2) in seen):
+                a_pt = self._shared(v_at + e * along_len)
+                x_pt = self._shared(v_at + d_dir * other_len)
+                if any(a_pt is a2 and x_pt is x2 for (a2, x2) in seen):
                     continue
                 seen.append((a_pt, x_pt))
                 tri = (v_at, a_pt, x_pt)
@@ -592,6 +597,10 @@ class _Searcher:
                 yield child
                 pieces.pop()
 
+    def _shared(self, p: Pt) -> Pt:
+        """The search's one ``Pt`` equal to ``p``."""
+        return self.points.setdefault(_point_key(p), p)
+
     def _canonical_vertex(self, frontier: List[_Poly]):
         best = None
         for pi, poly in enumerate(frontier):
@@ -602,7 +611,7 @@ class _Searcher:
                     poly.verts[vi],
                     poly.verts[(vi + 1) % n],
                 )
-                key = (angle, poly.verts[vi].x, poly.verts[vi].y)
+                key = (angle, poly.verts[vi])
                 if best is None or _angle_point_less(key, best[0]):
                     best = (key, pi, vi)
         return best[1], best[2], best[0][0]
@@ -645,16 +654,10 @@ class _Searcher:
 
 
 def _angle_point_less(key_a, key_b) -> bool:
-    angle_a, xa, ya = key_a
-    angle_b, xb, yb = key_b
-    cmp = angle_a.compare(angle_b)
-    if cmp != 0:
-        return cmp < 0
-    if not (xa == xb):
-        return xa < xb
-    if not (ya == yb):
-        return ya < yb
-    return False
+    """Whether the (angle, vertex) key_a sorts first: by angle, then by the
+    vertex's x and y."""
+    (angle_a, a), (angle_b, b) = key_a, key_b
+    return (angle_a.compare(angle_b) or _coord_sign(a, b, 0) or _coord_sign(a, b, 1)) < 0
 
 
 # ---------------------------------------------------------------------------

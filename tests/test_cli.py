@@ -6,9 +6,14 @@ input error), and the emitted files.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import equicut
 from equicut import cli
 from equicut.cli import main
 from equicut.exact import MAX_WORK_BITS, RefinementLimitError
@@ -658,3 +663,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        """``python -m equicut`` works from a checkout with only ``src`` on
+        the path."""
+        src = str(Path(equicut.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "equicut", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: equicut")

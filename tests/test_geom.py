@@ -37,6 +37,11 @@ UNIT_RIGHT = Triangle(P(0, 0), P(1, 0), P(0, 1))
 
 
 class TestOrientation:
+    def test_repeated_point_object_needs_no_arithmetic(self, exact_calls):
+        a, b = P(0, 0), P(1, 1)
+        for args in ((a, a, b), (a, b, a), (b, a, a)):
+            assert _fell_back(exact_calls, orientation, *args) == (0, False)
+
     def test_basic(self):
         assert orientation(P(0, 0), P(1, 0), P(0, 1)) == 1
         assert orientation(P(0, 0), P(0, 1), P(1, 0)) == -1
@@ -63,6 +68,13 @@ class TestOrientation:
 
 
 class TestPointOnSegment:
+    def test_apart_boxes_and_ends_need_no_arithmetic(self, exact_calls):
+        # collinear but past an end, where the boxes are apart; and an end
+        a, b = P(0, 0), P(1, 1)
+        assert _fell_back(exact_calls, point_on_segment, P(3, 3), a, b) == (False, False)
+        assert _fell_back(exact_calls, point_on_segment, P(-1, -1), a, b) == (False, False)
+        assert _fell_back(exact_calls, point_on_segment, a, a, b) == (True, False)
+
     def test_cases(self):
         assert point_on_segment(P(1, 1), P(0, 0), P(2, 2))
         assert point_on_segment(P(0, 0), P(0, 0), P(2, 2))
@@ -162,6 +174,25 @@ class TestPointInTriangle:
 
 
 L_SHAPE = [P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)]
+# horizontal edges at three levels, and vertices level with other vertices
+COMB = [P(0, 0), P(4, 0), P(4, 3), P(3, 3), P(3, 1), P(2, 2), P(1, 1), P(1, 3), P(0, 3)]
+
+
+def _point_in_polygon_reference(p, vertices):
+    """``point_in_polygon`` with its half-open y tests as exact
+    comparisons, as it was before they read the points' boxes."""
+    n = len(vertices)
+    for i in range(n):
+        if point_on_segment(p, vertices[i], vertices[(i + 1) % n]):
+            return Location.ON_BOUNDARY
+    crossings = 0
+    for i in range(n):
+        u, w = vertices[i], vertices[(i + 1) % n]
+        if u.y <= p.y < w.y and orientation(u, w, p) > 0:
+            crossings += 1
+        elif w.y <= p.y < u.y and orientation(u, w, p) < 0:
+            crossings += 1
+    return Location.INSIDE if crossings % 2 == 1 else Location.OUTSIDE
 
 
 class TestPointInPolygon:
@@ -180,6 +211,28 @@ class TestPointInPolygon:
         assert point_in_polygon(P(1, Fraction(3, 2)), L_SHAPE) == Location.ON_BOUNDARY
         assert point_in_polygon(P(Fraction(1, 2), 2), L_SHAPE) == Location.ON_BOUNDARY
         assert point_in_polygon(P(1, 1), L_SHAPE) == Location.ON_BOUNDARY  # reflex vertex
+
+    @pytest.mark.parametrize("scale", ["one", "nested", "1e300", "1e400"])
+    def test_matches_the_exact_reference(self, scale):
+        """Box-first y tests against all-exact ones: points level with
+        vertices, on horizontal edges, at vertices and on edges, over a
+        nested tower, and far out, where 10**400 leaves no float box."""
+        builder = FieldBuilder()
+        if scale == "nested":
+            r = builder.sqrt(1 + builder.sqrt(2))
+            move = lambda x, y: Pt(r * x + 1, r * y - r)
+        else:
+            f = {"one": 1, "1e300": Fraction(10) ** 300, "1e400": Fraction(10) ** 400}[scale]
+            move = lambda x, y: Pt(x * f, y * f)
+        step = Fraction(1, 2)
+        for shape in (L_SHAPE, COMB):
+            poly = [move(v.x, v.y) for v in shape]
+            for i in range(-1, 10):
+                for j in range(-1, 8):
+                    p = move(TowerReal.from_rational(i * step), TowerReal.from_rational(j * step))
+                    if scale == "1e400" and (i or j):
+                        assert p._floats() is None
+                    assert point_in_polygon(p, poly) == _point_in_polygon_reference(p, poly), (i, j)
 
     def test_area(self):
         assert polygon_area(L_SHAPE).as_fraction() == 3
@@ -548,9 +601,10 @@ def _scaled(pts, k):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts the exact products (Pt.cross and Pt.dot) the predicates build."""
+    """Counts the exact products (Pt.cross and Pt.dot) and difference
+    vectors (Pt.__sub__) the predicates build."""
     count = [0]
-    for name in ("cross", "dot"):
+    for name in ("cross", "dot", "__sub__"):
         def counted(self, other, _original=getattr(Pt, name)):
             count[0] += 1
             return _original(self, other)
@@ -563,6 +617,14 @@ def _fell_back(count, call, *args):
     before = count[0]
     result = call(*args)
     return result, count[0] > before
+
+
+def _outcome(call, *args):
+    """call(*args), or ValueError when it raises that."""
+    try:
+        return call(*args)
+    except ValueError:
+        return ValueError
 
 
 def _disjoint_cases(radicands):
@@ -664,6 +726,49 @@ class TestFilterDifferential:
                 fallbacks += fell_back
                 decided += not fell_back
         assert fallbacks > 0 and decided > 0
+
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_interior_angles_match_between(self, radicands, exact_calls):
+        """``AngleVec.interior(prev, at, next)`` keeps the three points and
+        boxes them directly; it must answer as ``between(next - at,
+        prev - at)`` on generic, straight, zero and equal angles, and build
+        no exact vector when its box decides."""
+        cases = _FilterCases(radicands, seed=30 + len(radicands))
+        rng = cases.rng
+        decided = 0
+        for _ in range(6):
+            for kind in ("generic", "straight", "zero", "copy", "near_collinear"):
+                if kind == "near_collinear" and not cases.pell:
+                    continue
+                first = cases.generic()
+                if kind == "copy":
+                    # the same corner turned a quarter and scaled: cosines tie
+                    s = cases.value() or TowerReal.from_rational(2)
+                    second = tuple(Pt(-p.y * s, p.x * s) for p in first)
+                elif kind in ("straight", "zero"):
+                    a, b = cases.point(), cases.point()
+                    t = Fraction(rng.randint(1, 8), 9)
+                    mid = a + (b - a) * t
+                    second = (a, mid, b) if kind == "straight" else (mid, a, b)
+                else:
+                    second = getattr(cases, kind)()
+                for k in [0] + sorted(OUT_OF_RANGE):
+                    corners = [_scaled(first, k), _scaled(second, k)]
+                    eager = [AngleVec.between(n - at, p - at) for p, at, n in corners]
+                    # built inside the count, so an eager vector would show
+                    got, fell_back = _fell_back(exact_calls, lambda: _outcome(
+                        AngleVec.interior(*corners[0]).compare, AngleVec.interior(*corners[1])))
+                    assert got == _outcome(eager[0].compare, eager[1]), (kind, k)
+                    if kind == "generic" and k == 0:
+                        assert not fell_back
+                    if k in OUT_OF_RANGE:
+                        assert fell_back, (kind, k)
+                    decided += not fell_back
+                    lazy = [AngleVec.interior(*c) for c in corners]
+                    for name in ("is_reflex", "is_straight"):
+                        for x, y in zip(lazy, eager):
+                            assert _outcome(getattr(x, name)) == _outcome(getattr(y, name)), (kind, k)
+        assert decided > 0
 
     def test_nested_coordinates_filter(self, exact_calls):
         """Nested coordinates have float boxes too: generic cases are decided

@@ -726,6 +726,55 @@ class TestDeterminism:
         assert keys(a.dissections) == keys(b.dissections)
 
 
+class TestSharedPoints:
+    @pytest.mark.parametrize("m", [9, 12])
+    def test_each_point_is_one_object(self, m):
+        """A search keeps one ``Pt`` per distinct point, so the pieces of a
+        result share their vertices, and the verifier measures each shared
+        edge once: fewer than 3m edges, where unshared pieces need all 3m."""
+        out = search_dissections(
+            SearchSpec(region=THIRTY_SIXTY, tile=similar_tile(THIRTY_SIXTY, m), m=m)
+        )
+        assert out.complete and out.dissections
+        for d in out.dissections:
+            points = [v for t in (d.region, *d.pieces) for v in t.vertices]
+            assert len({id(v) for v in points}) == len({_point_key(v) for v in points})
+            assert verify_dissection(d).stats["edges_measured"] < 3 * m
+
+
+class TestEmitChecks:
+    """``_Searcher._emit`` re-verifies every result; pieces that share their
+    points must not let a bad covering through."""
+
+    def _searcher(self):
+        searcher = _Searcher(
+            SearchSpec(region=RIGHT_ISOCELES, tile=similar_tile(RIGHT_ISOCELES, 4), m=4)
+        )
+        searcher.results = []
+        return searcher
+
+    def test_a_true_dissection_is_kept(self):
+        searcher = self._searcher()
+        pieces = standard_from_region(searcher.region, 2).pieces
+        searcher._emit(list(pieces))
+        assert len(searcher.results) == 1
+
+    def test_one_piece_short_is_refused(self):
+        searcher = self._searcher()
+        pieces = standard_from_region(searcher.region, 2).pieces
+        with pytest.raises(RuntimeError, match="wrong piece count"):
+            searcher._emit(list(pieces[:-1]))
+        assert searcher.results == []
+
+    def test_overlapping_pieces_are_refused(self):
+        # four congruent pieces of the right total area, one of them twice
+        searcher = self._searcher()
+        pieces = standard_from_region(searcher.region, 2).pieces
+        with pytest.raises(RuntimeError, match="piece_pair_overlap"):
+            searcher._emit([pieces[0], pieces[1], pieces[2], pieces[2]])
+        assert searcher.results == []
+
+
 def _same_direction(d1, d2):
     return d1.cross(d2).is_zero() and d1.dot(d2).sign() > 0
 
