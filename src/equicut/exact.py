@@ -9,9 +9,11 @@ because no radicand is a square at its own level, so the coordinates are
 unique and the form is canonical.  In a *flat* tower, where every radicand
 is a rational integer, products multiply by masks; in a tower with a nested
 radicand, t_i**2 = r_i is a vector one level down and products reduce by
-halves, top level first.  Signs come from a 64-bit fixed-point enclosure of
-the basis products, or from an exact halving recursion when the enclosure
-cannot certify one.  Every value offers the nested-pair view as ``raw``.
+halves, top level first, down to the flat prefix of rational radicands,
+where they multiply by masks again.  Signs come from a 64-bit fixed-point
+enclosure of the basis products, or from an exact halving recursion when
+the enclosure cannot certify one.  Every value offers the nested-pair view
+as ``raw``.
 
 ``KElement`` is the squarefree-basis view of a flat vector: a rational
 combination of square roots of squarefree integers in canonical form, so
@@ -308,6 +310,10 @@ def _vraw(v, den: int):
 # Over a nested one t_i**2 = R_i/e_i is a vector one level down, and the
 # product reduces by these relations top level first (``_hmul``), as for
 # triangular sets (Li, Moreno Maza and Schost, J. Symb. Comput. 44, 2009).
+# It splits into halves only down to the context's flat prefix, the leading
+# levels whose radicands are rational integers, and multiplies the halves
+# there by masks.  Above the prefix each level takes three half products,
+# not four (Karatsuba and Ofman, 1962).
 
 
 def _vmul(x, y, prods) -> list:
@@ -322,27 +328,32 @@ def _vmul(x, y, prods) -> list:
     return out
 
 
-def _hmul(x, y, k: int, rads, scales) -> list:
+def _hmul(x, y, k: int, ctx) -> list:
     """S_k * x * y over a nested context, for x of 2**k coordinates and y of
     at most as many; S_k = S_{k-1}**2 * e_{k-1} keeps it in integers.
 
     By halves, with t = t_{k-1} and t**2 = r = R/e:
-    (p1 + q1*t)(p2 + q2*t) = p1*p2 + r*q1*q2 + (p1*q2 + q1*p2)*t."""
+    (p1 + q1*t)(p2 + q2*t) = p1*p2 + r*q1*q2 + (p1*q2 + q1*p2)*t.
+    At or below the context's flat prefix every S_k is 1 and the basis
+    multiplies by masks, so the halves end there in ``_vmul``."""
     if len(y) == 1:
-        c = y[0] * scales[k]
+        c = y[0] * ctx._scales[k]
         return [a * c for a in x]
+    if k <= ctx._flat_depth:
+        return _vmul(x, y, ctx._flat_prods)
     h = 1 << (k - 1)
-    R, e = rads[k - 1]
-    c = scales[k - 1] * e
+    R, e = ctx._rads[k - 1]
+    c = ctx._scales[k - 1] * e
     p1, q1, p2, q2 = x[:h], x[h:], y[:h], y[h:]
     # S_{k-1} times each product, then c = S_{k-1}*e brings S_k
-    low = [a * c for a in _hmul(p1, p2, k - 1, rads, scales)]
-    high = _hmul(q1, p2, k - 1, rads, scales)
-    if q2:
-        qq = _hmul(q1, q2, k - 1, rads, scales)
-        low = list(map(add, low, _hmul(qq, R, k - 1, rads, scales)))
-        high = list(map(add, high, _hmul(p1, q2, k - 1, rads, scales)))
-    return low + [a * c for a in high]
+    pp = _hmul(p1, p2, k - 1, ctx)
+    if not q2:
+        return [a * c for a in pp] + [a * c for a in _hmul(q1, p2, k - 1, ctx)]
+    qq = _hmul(q1, q2, k - 1, ctx)
+    # Karatsuba: p1*q2 + q1*p2 == (p1 + q1)(p2 + q2) - p1*p2 - q1*q2
+    ss = _hmul(list(map(add, p1, q1)), list(map(add, p2, q2)), k - 1, ctx)
+    low = [a * c + b for a, b in zip(pp, _hmul(qq, R, k - 1, ctx))]
+    return low + [(s - a - b) * c for s, a, b in zip(ss, pp, qq)]
 
 
 def _product(ctx, x, y) -> tuple[list, int]:
@@ -356,7 +367,7 @@ def _product(ctx, x, y) -> tuple[list, int]:
     if prods is not None:
         return _vmul(x, y, prods), 1
     k = (len(x) - 1).bit_length()
-    return _hmul(x, y, k, ctx._rads, ctx._scales), ctx._scales[k]
+    return _hmul(x, y, k, ctx), ctx._scales[k]
 
 
 def _vcombine(ctx, x, y, s: int) -> "TowerReal":
@@ -504,11 +515,15 @@ class TowerContext:
     mask m, and ``_roots[m] = isqrt(_prods[m] << 128)``, the square roots of
     those products in 64-bit fixed point.  A nested context keeps the
     per-level scales ``_scales`` of ``_hmul`` instead, and fills ``_roots``
-    on first use (``_roots``).
+    on first use (``_roots``).  It also keeps its flat prefix: the number
+    ``_flat_depth`` of leading radicands that are rational integers, and
+    that prefix's ``_prods`` as ``_flat_prods``.  ``_hmul`` splits products
+    into halves only down to that level, and multiplies by masks there.
     """
 
     __slots__ = (
-        "radicands", "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots"
+        "radicands", "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
+        "_flat_depth", "_flat_prods",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
@@ -522,7 +537,7 @@ class TowerContext:
         for i, rad in enumerate(radicands):
             r = _vector_value(self.prefix(i), *_vector(rad, i))
             rads.append((r._num, r._den))
-        self._prods = self._scales = self._roots = None
+        self._prods = self._scales = self._roots = self._flat_depth = self._flat_prods = None
         if all(len(R) == 1 and e == 1 for R, e in rads):
             prods = [1]
             for (r,), _ in rads:
@@ -534,6 +549,11 @@ class TowerContext:
             for _, e in rads:
                 scales.append(scales[-1] ** 2 * e)
             self._scales = scales
+            j = 0
+            while len(rads[j][0]) == 1 and rads[j][1] == 1:
+                j += 1
+            self._flat_depth = j
+            self._flat_prods = self.prefix(j)._prods
 
     @classmethod
     def get(cls, radicands: tuple) -> "TowerContext":

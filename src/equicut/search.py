@@ -349,15 +349,21 @@ class _TileData:
 
     Corner ``k`` is the one opposite side ``s[k]``.  For the reference
     (direct) handedness the side leaving corner ``k`` counterclockwise is
-    ``s[(k+2) % 3]`` and the side arriving is ``s[(k+1) % 3]``.
+    ``s[(k+2) % 3]`` and the side arriving is ``s[(k+1) % 3]``.  The sides
+    and Heron's value come first; ``add_corners`` builds the rest, once the
+    root has passed the length rule.
     """
 
     def __init__(self, builder: FieldBuilder, sides: Sequence[TowerReal]):
         self.s = [builder.embed(x) for x in sides]
-        sq = [x * x for x in self.s]
-        self.heron16 = _heron16(sq[0], sq[1], sq[2])
+        self.sq = [x * x for x in self.s]
+        self.heron16 = _heron16(*self.sq)
         if self.heron16.sign() <= 0:
             raise ValueError("tile sides violate the triangle inequality")
+
+    def add_corners(self, builder: FieldBuilder) -> None:
+        """The cosines, sines and angles of the corners, and the least angle."""
+        sq = self.sq
         sqrt_h = builder.sqrt(self.heron16)
         self.cos = []
         self.sin = []
@@ -385,7 +391,7 @@ class _Searcher:
         if region.is_degenerate():
             raise ValueError("degenerate region")
         self.spec = spec
-        builder = FieldBuilder()
+        self.builder = builder = FieldBuilder()
         verts = [
             Pt(builder.embed(p.x), builder.embed(p.y)) for p in region.vertices
         ]
@@ -442,6 +448,7 @@ class _Searcher:
             (self.side_lens[0], self.side_lens[1], self.side_lens[2]),
         )
         if self._lengths_fit([root]):
+            t.add_corners(self.builder)
             # depth first on an explicit stack of expansions, so the depth is
             # bounded by memory and the budgets, not by Python's recursion limit
             pieces: List[Triangle] = []

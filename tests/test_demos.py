@@ -1,6 +1,8 @@
 """Each script in demos/ runs to completion against the package in src/, and
-the verifier demo prints exactly its golden output (tests/golden/), which
-holds every failure detail the verifier reports to a user."""
+two demos print exactly their golden output (tests/golden/): the verifier
+demo, which holds every failure detail the verifier reports to a user, and
+the generic-triangle demo, which holds its certification, its sweep's node
+counts and the exact pieces of its standard result."""
 
 import os
 import subprocess
@@ -14,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
-    assert len(DEMOS) == 6
+    assert len(DEMOS) == 7
 
 
 def run_demo(script):
@@ -38,3 +40,9 @@ def test_verify_and_break_output_is_golden():
     proc = run_demo(ROOT / "demos" / "verify_and_break.py")
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (ROOT / "tests" / "golden" / "verify_and_break.out").read_bytes()
+
+
+def test_generic_triangle_output_is_golden():
+    proc = run_demo(ROOT / "demos" / "generic_triangle.py")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "generic_triangle.out").read_bytes()

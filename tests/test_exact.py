@@ -658,6 +658,146 @@ class TestNestedDifferential:
                 assert hi - lo <= 1e-12 * max(1.0, abs(lo))
 
 
+# ---------------------------------------------------------------------------
+# The nested product against the halves recursion it ran before it stopped
+# at the flat prefix: four half products per level, down to level 0.
+
+
+def _hmul_uncut(x, y, k, rads, scales):
+    """S_k * x * y over a nested context by halves all the way down."""
+    if len(y) == 1:
+        c = y[0] * scales[k]
+        return [a * c for a in x]
+    h = 1 << (k - 1)
+    R, e = rads[k - 1]
+    c = scales[k - 1] * e
+    p1, q1, p2, q2 = x[:h], x[h:], y[:h], y[h:]
+    low = [a * c for a in _hmul_uncut(p1, p2, k - 1, rads, scales)]
+    high = _hmul_uncut(q1, p2, k - 1, rads, scales)
+    if q2:
+        qq = _hmul_uncut(q1, q2, k - 1, rads, scales)
+        low = [a + b for a, b in zip(low, _hmul_uncut(qq, R, k - 1, rads, scales))]
+        high = [a + b for a, b in zip(high, _hmul_uncut(p1, q2, k - 1, rads, scales))]
+    return low + [a * c for a in high]
+
+
+def _product_uncut(ctx, x, y):
+    if len(x) < len(y):
+        x, y = y, x
+    if len(y) == 1:
+        return [a * y[0] for a in x], 1
+    k = (len(x) - 1).bit_length()
+    return _hmul_uncut(x, y, k, ctx._rads, ctx._scales), ctx._scales[k]
+
+
+def _cut_contexts():
+    """Nested contexts by the length j of their flat prefix: j = 0 with a
+    first radicand 1/2 (e = 2) and a rational radicand above a nested one,
+    j = 1 with e = 3 on the nested level, j = 2 as in the paper's generic
+    sides, and j = 3 under two nested levels."""
+    one = Fraction(1)
+    three = exact._rconst(Fraction(3), 2)
+    out = {0: exact.TowerContext.get((Fraction(1, 2), (one, one), three))}
+    for j, build in (
+        (1, lambda b: [b.sqrt(2), b.sqrt(Fraction(1, 3) + b.sqrt(2)) + 5]),
+        (2, lambda b: [b.sqrt(2), b.sqrt(3), b.sqrt(1 + b.sqrt(2)), b.sqrt(1 + b.sqrt(3))]),
+        (3, lambda b: [b.sqrt(2), b.sqrt(3), b.sqrt(5), b.sqrt(7 + b.sqrt(6) * b.sqrt(5))]),
+    ):
+        builder = FieldBuilder()
+        values = build(builder)
+        builder.sqrt(values[-1] * values[-1] + values[0])
+        out[j] = builder.ctx
+    return out
+
+
+def _random_vector(rng, n):
+    """n integer coordinates: small and large, negative, with zeros and
+    sometimes a whole zero half."""
+    v = [rng.choice((0, rng.randint(-9, 9), rng.randint(-(1 << 70), 1 << 70))) for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        h = n >> 1
+        lo, hi = (0, h) if rng.random() < 0.5 else (h, n)
+        v[lo:hi] = [0] * (hi - lo)
+    return v
+
+
+class TestProductCutoff:
+    """``_product`` over nested contexts, which halves only down to the flat
+    prefix and there multiplies by masks, against the uncut recursion."""
+
+    def test_flat_prefix_of_each_context(self):
+        contexts = _cut_contexts()
+        for j, ctx in contexts.items():
+            assert ctx._prods is None and ctx._flat_depth == j, j
+            assert ctx.depth >= j + 2
+            assert ctx._flat_prods is ctx.prefix(j)._prods
+        assert contexts[0]._flat_prods == [1] and contexts[0]._rads[0] == ((1,), 2)
+        assert contexts[1]._rads[1][1] == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_match_the_uncut_recursion(self, seed):
+        rng = random.Random(seed)
+        for j, ctx in _cut_contexts().items():
+            k = ctx.depth
+            for _ in range(40):
+                kx = rng.randint(1, k)
+                ky = rng.randint(0, kx)  # y as long as x, or shorter
+                x, y = _random_vector(rng, 1 << kx), _random_vector(rng, 1 << ky)
+                want = _product_uncut(ctx, x, y)
+                assert exact._product(ctx, x, y) == want, (j, kx, ky)
+                assert exact._product(ctx, y, x) == want, (j, kx, ky)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_values_and_intervals_match(self, seed):
+        """``*`` and ``/`` on values give what the uncut products give, to
+        the same ``interval(bits)`` endpoints."""
+        rng = random.Random(seed + 10)
+        for ctx in _cut_contexts().values():
+            k = ctx.depth
+            for _ in range(6):
+                x = exact._vector_value(ctx, _random_vector(rng, 1 << k), rng.randint(1, 50))
+                y = exact._vector_value(ctx, _random_vector(rng, 1 << rng.randint(0, k)), 7)
+                z, s = _product_uncut(ctx, list(x._num), list(y._num))
+                want = exact._vector_value(ctx, z, s * x._den * y._den)
+                got = x * y
+                assert (got.ctx, got._num, got._den) == (want.ctx, want._num, want._den)
+                for bits in (32, 64, 128):
+                    assert (got.interval(bits).lo, got.interval(bits).hi) == (
+                        want.interval(bits).lo,
+                        want.interval(bits).hi,
+                    )
+                if not y.is_zero():
+                    assert (x / y) * y == x
+                    assert got.sign() == exact._vsign(want._num, want.ctx)
+
+    def test_the_cutoff_runs_and_flat_contexts_keep_their_path(self, monkeypatch):
+        ctx, flat = _cut_contexts()[2], _flat_ctx((2, 3, 5))
+        calls = []
+        vmul = exact._vmul
+
+        def counting_vmul(x, y, prods):
+            calls.append(prods)
+            return vmul(x, y, prods)
+
+        monkeypatch.setattr(exact, "_vmul", counting_vmul)
+        x = list(range(1, 1 + (1 << ctx.depth)))
+        exact._product(ctx, x, x)
+        assert calls and all(p is ctx._flat_prods for p in calls)
+        # the halves recursion stops at level j: no product below it
+        assert len(calls) < 4 ** (ctx.depth - 2) + 1
+
+        def no_hmul(*args):
+            raise AssertionError("a flat context reached _hmul")
+
+        monkeypatch.setattr(exact, "_hmul", no_hmul)
+        calls.clear()
+        assert exact._product(flat, [1, 2, 3, 4, 5, 6, 7, 8], [1, -1]) == (
+            vmul([1, 2, 3, 4, 5, 6, 7, 8], [1, -1], flat._prods),
+            1,
+        )
+        assert calls == [flat._prods]
+
+
 class TestSqrtAdjoin:
     def test_perfect_square_rational(self):
         v = sqrt_adjoin(4)

@@ -21,6 +21,7 @@ independent oracles:
   and its four-piece midpoint dissection finishes the five.
 """
 
+import json
 import random
 import sys
 import time
@@ -39,6 +40,8 @@ from equicut.dissect import (
     verify_dissection,
 )
 from equicut import search as search_module
+from equicut.cli import _parse_region as cli_parse_region
+from equicut.cli import main as cli_main
 from equicut.dissect import _point_key
 from equicut.exact import TowerReal, _value_key, exactify, sqrt_adjoin
 from equicut.geom import (
@@ -481,6 +484,54 @@ class TestRepTileOracle:
         assert elapsed < 15.0
 
 
+class TestGenericTriangleOracle:
+    """The paper's theorem: a triangle with no linear relation over Q among
+    its angles and pi, and none among its sides and the square roots of
+    small integers, cuts into m congruent triangles only for m = n^2, and
+    then only into the standard n x n dissection.
+
+    What this shows, and no more: for each of three triangles with nested
+    sides, ``equicut analyze`` certifies that no such relation exists *up to
+    a height* (12 for the angles, 8 for the sides); relations of larger
+    height are not ruled out.  Then only the *similar* tile is searched,
+    at m = 2..16: every run is complete, and it finds exactly one
+    dissection, the standard one, at m = 4, 9 and 16, and none at any other
+    m.  Tiles of other shapes are not searched.  The triangles avoid the
+    exceptional angle conditions of Laczkovich (Discrete Math. 140, 1995):
+    their angles are independent of pi up to the certified height."""
+
+    REGIONS = (
+        "1/2*sqrt(1 + sqrt(2)),1/2*sqrt(1 + sqrt(3))",
+        "1/2*sqrt(1 + sqrt(5)),1/2*sqrt(2 + sqrt(2))",
+        "1/3*sqrt(2 + sqrt(7)),1/2*sqrt(1 + sqrt(6))",
+    )
+
+    @pytest.mark.parametrize("text", REGIONS)
+    def test_no_relation_up_to_the_default_heights(self, capsys, text):
+        assert cli_main(["analyze", "--region", text, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["sigma1"]["status"] == report["sigma2"]["status"] == "none_up_to_height"
+        assert (report["sigma1"]["height"], report["sigma2"]["height"]) == (12, 8)
+
+    @pytest.mark.parametrize("text", REGIONS)
+    def test_only_square_counts_and_only_the_standard_dissection(self, text):
+        region = cli_parse_region(text)[0]
+        t0 = time.monotonic()
+        found = {}
+        for m in range(2, 17):
+            out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
+            assert out.complete, m
+            if out.dissections:
+                found[m] = out.dissections
+        elapsed = time.monotonic() - t0
+        assert sorted(found) == [4, 9, 16]
+        for m, dissections in found.items():
+            assert len(dissections) == 1 and is_standard(dissections[0]), m
+        # measured 0.4-0.7 s on a shared 2-CPU machine (2.6-3.2 s before the
+        # nested product stopped halving at the flat prefix)
+        assert elapsed < 4.0
+
+
 class TestLimits:
     def test_max_nodes_truncates_and_reports_incomplete(self):
         out = search_dissections(
@@ -740,6 +791,56 @@ class TestSharedPoints:
             points = [v for t in (d.region, *d.pieces) for v in t.vertices]
             assert len({id(v) for v in points}) == len({_point_key(v) for v in points})
             assert verify_dissection(d).stats["edges_measured"] < 3 * m
+
+
+class TestRootCut:
+    """A search that the length rule cuts at the root builds no corner data
+    for its tile: no square root of Heron's value, no cosines, sines or
+    angles.  A search that passes the root builds it once."""
+
+    @pytest.fixture
+    def corner_builds(self, monkeypatch):
+        calls = []
+        add_corners = search_module._TileData.add_corners
+
+        def counting(tile, builder):
+            calls.append(tile)
+            return add_corners(tile, builder)
+
+        monkeypatch.setattr(search_module._TileData, "add_corners", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "region, m",
+        [
+            (EQUILATERAL, 3),
+            (SCALENE, 2),
+            (SCALENE, 7),
+            (cli_parse_region(TestGenericTriangleOracle.REGIONS[0])[0], 5),
+        ],
+    )
+    def test_cut_at_the_root(self, corner_builds, region, m):
+        out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
+        assert out.complete and out.nodes == 0 and out.stats["cuts"]["lengths"] == 1
+        assert corner_builds == []
+
+    @pytest.mark.parametrize("prune_lengths", [True, False])
+    def test_a_root_that_passes_builds_once(self, corner_builds, prune_lengths):
+        out = search_dissections(
+            SearchSpec(
+                region=THIRTY_SIXTY,
+                tile=similar_tile(THIRTY_SIXTY, 3),
+                m=3,
+                prune_lengths=prune_lengths,
+            )
+        )
+        assert len(out.dissections) == 1 and len(corner_builds) == 1
+
+    def test_without_the_length_rule_every_root_builds_them(self, corner_builds):
+        out = search_dissections(
+            SearchSpec(region=EQUILATERAL, tile=similar_tile(EQUILATERAL, 3), m=3, prune_lengths=False)
+        )
+        assert out.nodes == 2 and len(corner_builds) == 1
 
 
 class TestEmitChecks:
