@@ -12,8 +12,9 @@ radicand, t_i**2 = r_i is a vector one level down and products reduce by
 halves, top level first, down to the flat prefix of rational radicands,
 where they multiply by masks again.  Signs come from a 64-bit fixed-point
 enclosure of the basis products, or from an exact halving recursion when
-the enclosure cannot certify one.  Every value offers the nested-pair view
-as ``raw``.
+the enclosure cannot certify one.  A merge takes one root per source level,
+by lookup where the destination chain holds the radicand, and maps vectors
+by halves.  Every value offers the nested-pair view as ``raw``.
 
 ``KElement`` is the squarefree-basis view of a flat vector: a rational
 combination of square roots of squarefree integers in canonical form, so
@@ -508,7 +509,8 @@ class TowerContext:
     ``radicands[i]`` is a raw level-i value, the interning key; stored
     radicands are certified nonnegative and are never perfect squares at
     their own level.  ``_rads[i] = (R, e)`` is the same radicand as a
-    canonical integer vector R over the positive denominator e.
+    canonical integer vector R over the positive denominator e, and
+    ``_levels[(R, e)] == i``: a repeated radicand would be a square.
 
     A context is *flat* when every radicand is a rational integer.  It then
     keeps ``_prods[m]``, the product of the radicands picked by the bits of
@@ -523,7 +525,7 @@ class TowerContext:
 
     __slots__ = (
         "radicands", "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
-        "_flat_depth", "_flat_prods",
+        "_flat_depth", "_flat_prods", "_levels",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
@@ -537,6 +539,7 @@ class TowerContext:
         for i, rad in enumerate(radicands):
             r = _vector_value(self.prefix(i), *_vector(rad, i))
             rads.append((r._num, r._den))
+        self._levels = {rad: i for i, rad in enumerate(rads)}
         self._prods = self._scales = self._roots = self._flat_depth = self._flat_prods = None
         if all(len(R) == 1 and e == 1 for R, e in rads):
             prods = [1]
@@ -629,7 +632,7 @@ class TowerReal:
         return self._raw
 
     def as_fraction(self) -> Optional[Fraction]:
-        return self.raw if len(self._num) == 1 else None
+        return Fraction(self._num[0], self._den) if len(self._num) == 1 else None
 
     # -- coercion -----------------------------------------------------------
 
@@ -847,7 +850,8 @@ def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:
 
 
 # ---------------------------------------------------------------------------
-# Square roots inside a tower: denesting on values over prefix contexts.
+# Square roots inside a tower: a lookup for a radicand of the chain, else
+# denesting on values over prefix contexts.  A merge takes one per level.
 
 
 def _join(ctx: TowerContext, p: TowerReal, q: TowerReal) -> TowerReal:
@@ -916,24 +920,30 @@ class FieldBuilder:
         return TowerReal.from_rational(value)
 
     def embed(self, value: Union[TowerReal, Rationalish]) -> TowerReal:
+        """``value`` in this tower: each source radicand R_i/e_i is mapped, lowest
+        level first, and its root t_i taken once; vectors map as low + high*t_top."""
         value = exactify(value)
         if value.depth <= self.ctx.depth and self.ctx.prefix(value.depth) is value.ctx:
             return value
+        roots = []
 
-        def go(raw, k: int, src_rads) -> TowerReal:
-            if k == 0:
-                return self.const(raw)
-            p, q = raw
-            pv = go(p, k - 1, src_rads)
-            qv = go(q, k - 1, src_rads)
-            rv = go(src_rads[k - 1], k - 1, src_rads)
-            sv = self.sqrt(rv)
-            return self.embed(pv + qv * sv)
+        def image(v):
+            h = len(v) >> 1
+            if h == 0:
+                return v[0]
+            low, high = image(v[:h]), v[h:]
+            return low + image(high) * roots[h.bit_length() - 1] if any(high) else low
 
-        return go(value.raw, value.depth, value.ctx.radicands)
+        for R, e in value.ctx._rads:
+            roots.append(self.sqrt(image(R) * Fraction(1, e)))
+        return image(value._num) * Fraction(1, value._den)
 
     def sqrt(self, value: Union[TowerReal, Rationalish]) -> TowerReal:
+        """The root >= 0; a radicand already in the chain gives its t_j at once."""
         value = self.embed(value)
+        j = self.ctx._levels.get((value._num, value._den))
+        if j is not None:
+            return _value(self.ctx.prefix(j + 1), (0,) * (1 << j) + (1,) + (0,) * ((1 << j) - 1), 1)
         sg = value.sign()
         if sg < 0:
             raise NegativeSqrtError("sqrt of a negative tower value")

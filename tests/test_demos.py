@@ -1,8 +1,10 @@
 """Each script in demos/ runs to completion against the package in src/, and
-two demos print exactly their golden output (tests/golden/): the verifier
-demo, which holds every failure detail the verifier reports to a user, and
-the generic-triangle demo, which holds its certification, its sweep's node
-counts and the exact pieces of its standard result."""
+three demos print exactly their golden output (tests/golden/): the verifier
+demo, which holds every failure detail the verifier reports to a user, the
+generic-triangle demo, which holds its certification, its sweep's node
+counts and the exact pieces of its standard result, and the exact-number
+demo, which holds merges across unrelated towers, a denesting and the
+literal round trips."""
 
 import os
 import subprocess
@@ -46,3 +48,9 @@ def test_generic_triangle_output_is_golden():
     proc = run_demo(ROOT / "demos" / "generic_triangle.py")
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (ROOT / "tests" / "golden" / "generic_triangle.out").read_bytes()
+
+
+def test_exact_numbers_output_is_golden():
+    proc = run_demo(ROOT / "demos" / "exact_numbers.py")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "exact_numbers.out").read_bytes()

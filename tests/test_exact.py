@@ -488,11 +488,89 @@ def _nested_pairs(seed: int) -> list:
     return pairs
 
 
+def _embed_shapes() -> dict:
+    """(x, y) pairs whose merge embeds y into x's chain, by the shape of the
+    merge: flat chains in reversed orders, a nested tower into a reversed
+    flat chain, nested towers whose top radicands differ, a denested
+    radicand, a source radicand that denests only in the destination, and
+    vectors with zero halves."""
+
+    def chain(*radicands):
+        builder = FieldBuilder()
+        return [builder.sqrt(r) for r in radicands]
+
+    s2, s3 = chain(2, 3)
+    t3, t2 = chain(3, 2)
+    u2, u3, u5 = chain(2, 3, 5)
+    v5, v3, v2 = chain(5, 3, 2)
+    builder = FieldBuilder()
+    w2, w3 = builder.sqrt(2), builder.sqrt(3)
+    w = builder.sqrt(1 + w2 + w3)  # nested over (2, 3)
+    n2, n3 = parse_number("sqrt(1 + sqrt(2))"), parse_number("sqrt(3 + sqrt(2))")
+    return {
+        "flat 23 into 32": (t3 - t2 / 7 + t2 * t3, 1 + s2 / 3 - 2 * s3 + 5 * s2 * s3),
+        "flat 235 into 532": (v5 + v3 * v2, u2 - 3 * u3 * u5 + u2 * u3 * u5 / 4),
+        "nested into reversed flat": (t3 + t2, w * w2 - 3 * w + w3),
+        "nested tops differ": (n2 + 1, 2 * n3 - 5),
+        "denested sqrt(3 + 2*sqrt(2))": (t3 - 1, 3 + 2 * s2),
+        "radicand denests in destination": (s2 + s3, parse_number("sqrt(5 + 2*sqrt(6))") + 1),
+        "zero low half": (t3 + t2, 2 * w3 * w),
+        "zero inner halves": (t3, 5 + w),
+    }
+
+
 def _reference_embed(x, y):
     """(radicands, raw of y, depth of y) for y embedded in x's chain."""
     builder = ref.ReferenceBuilder(x.ctx.radicands)
     raw, k = builder.embed((y.raw, y.depth), y.ctx.radicands)
     return builder.rads, raw, k
+
+
+def _check_embed(x, y):
+    """y embedded into x's chain against the recursion: the same radicands,
+    compared as tuples and so in adjoin order, and the same vector.
+    Returns the destination context and y there."""
+    builder = FieldBuilder(x.ctx)
+    y_in = builder.embed(y)
+    want_rads, want_raw, want_k = _reference_embed(x, y)
+    assert builder.ctx.radicands == want_rads
+    assert y_in.ctx.radicands == want_rads[:want_k] and y_in.raw == want_raw
+    assert (list(y_in._num), y_in._den) == exact._vector(want_raw, want_k)
+    assert y_in == y
+    return builder.ctx, y_in
+
+
+def _check_sqrt(ctx, arg):
+    """``FieldBuilder(ctx).sqrt(arg)`` against the recursion's."""
+    builder = FieldBuilder(ctx)
+    got = builder.sqrt(arg)
+    reference = ref.ReferenceBuilder(ctx.radicands)
+    raw, k = reference.sqrt((arg.raw, arg.depth), arg.ctx.radicands)
+    assert builder.ctx.radicands == reference.rads
+    assert (got.raw, got.depth) == (raw, k)
+    assert got.sign() >= 0 and got * got == builder.embed(arg)
+
+
+def _check_pair(x, y):
+    """x op y for each operation against the recursion, over the deeper of
+    one chain, else x's chain with y embedded in it."""
+    if x.depth < y.depth and y.ctx.prefix(x.depth) is x.ctx:
+        ctx, y_in = y.ctx, y
+    else:
+        ctx, y_in = _check_embed(x, y)
+    k, rads = ctx.depth, ctx.radicands
+    xr = ref.lift(x.raw, x.depth, k)
+    yr = ref.lift(y_in.raw, y_in.depth, k)
+    assert TowerReal(x.ctx, x.raw)._num == x._num
+    _check_nested_result(x + y, ctx, ref.radd(xr, yr, k))
+    _check_nested_result(x - y, ctx, ref.rsub(xr, yr, k))
+    _check_nested_result(x * y, ctx, ref.rmul(xr, yr, k, rads), (32, 64, 128))
+    assert (x == y) == ref.riszero(ref.rsub(xr, yr, k), k)
+    if ref.riszero(yr, k):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        _check_nested_result(x / y, ctx, ref.rmul(xr, ref.rinv(yr, k, rads), k, rads))
 
 
 def _reference_terms(rads, raw, k):
@@ -558,31 +636,13 @@ class TestNestedDifferential:
     @pytest.mark.parametrize("seed", range(3))
     def test_arithmetic_matches_recursion(self, seed):
         for x, y in _nested_pairs(seed):
-            # the context the operations use: the deeper of one chain, else
-            # x's chain with y embedded in it
-            if x.depth < y.depth and y.ctx.prefix(x.depth) is x.ctx:
-                ctx, y_in = y.ctx, y
-            else:
-                builder = FieldBuilder(x.ctx)
-                y_in = builder.embed(y)
-                ctx = builder.ctx
-                want_rads, want_raw, want_k = _reference_embed(x, y)
-                assert ctx.radicands[: len(want_rads)] == want_rads
-                assert y_in.ctx.radicands == want_rads[:want_k] and y_in.raw == want_raw
-                assert y_in == y
-            k, rads = ctx.depth, ctx.radicands
-            xr = ref.lift(x.raw, x.depth, k)
-            yr = ref.lift(y_in.raw, y_in.depth, k)
-            assert TowerReal(x.ctx, x.raw)._num == x._num
-            _check_nested_result(x + y, ctx, ref.radd(xr, yr, k))
-            _check_nested_result(x - y, ctx, ref.rsub(xr, yr, k))
-            _check_nested_result(x * y, ctx, ref.rmul(xr, yr, k, rads), (32, 64, 128))
-            assert (x == y) == ref.riszero(ref.rsub(xr, yr, k), k)
-            if ref.riszero(yr, k):
-                with pytest.raises(ZeroDivisionError):
-                    x / y
-            else:
-                _check_nested_result(x / y, ctx, ref.rmul(xr, ref.rinv(yr, k, rads), k, rads))
+            _check_pair(x, y)
+
+    @pytest.mark.parametrize("shape", list(_embed_shapes()))
+    def test_embed_shapes_match_recursion(self, shape):
+        x, y = _embed_shapes()[shape]
+        _check_pair(x, y)
+        _check_sqrt(x.ctx, y if y.sign() > 0 else -y)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sqrt_adjoins_what_the_recursion_adjoins(self, seed):
@@ -594,13 +654,7 @@ class TestNestedDifferential:
             if v.depth <= 4:  # the reference recursion is slow above
                 args += [v * v + 1, w * w, w * w * 3]
             for arg in args:
-                builder = FieldBuilder(v.ctx)
-                got = builder.sqrt(arg)
-                reference = ref.ReferenceBuilder(v.ctx.radicands)
-                raw, k = reference.sqrt((arg.raw, arg.depth), arg.ctx.radicands)
-                assert builder.ctx.radicands == reference.rads
-                assert (got.raw, got.depth) == (raw, k)
-                assert got.sign() >= 0 and got * got == builder.embed(arg)
+                _check_sqrt(v.ctx, arg)
 
     def test_near_zero_signs_take_the_exact_fallback(self, monkeypatch):
         """Values too close to zero for the 64-bit roots, so the nested
@@ -850,6 +904,81 @@ class TestCrossTowerMerge:
         a = sqrt_adjoin(3) + sqrt_adjoin(2)
         b = sqrt_adjoin(6)
         assert a * a - 5 == 2 * b
+
+
+def _count_roots(monkeypatch) -> dict:
+    """From here on, the number of ``FieldBuilder.sqrt`` calls and the
+    arguments, as (numerators, denominator), of every ``_sqrt_try`` call,
+    its own recursive calls included."""
+    calls = {"sqrt": 0, "sqrt_try": []}
+    sqrt, sqrt_try = FieldBuilder.sqrt, exact._sqrt_try
+
+    def counting_sqrt(self, value):
+        calls["sqrt"] += 1
+        return sqrt(self, value)
+
+    def counting_sqrt_try(x, ctx):
+        calls["sqrt_try"].append((x._num, x._den))
+        return sqrt_try(x, ctx)
+
+    monkeypatch.setattr(FieldBuilder, "sqrt", counting_sqrt)
+    monkeypatch.setattr(exact, "_sqrt_try", counting_sqrt_try)
+    return calls
+
+
+def _counted_embed(monkeypatch, builder, value) -> dict:
+    """``builder.embed(value)`` against the recursion, the same radicands
+    and raw value; returns its ``_count_roots`` counts."""
+    reference = ref.ReferenceBuilder(builder.ctx.radicands)
+    want = reference.embed((value.raw, value.depth), value.ctx.radicands)
+    calls = _count_roots(monkeypatch)
+    got = builder.embed(value)
+    assert builder.ctx.radicands == reference.rads
+    assert (got.raw, got.depth) == want
+    return calls
+
+
+class TestEmbedRoots:
+    """``FieldBuilder.embed`` takes one root per source level, and a source
+    radicand already in the destination chain never reaches the denesting
+    search."""
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_flat_value_takes_one_root_per_level(self, monkeypatch, k):
+        primes = (2, 3, 5, 7, 11)[:k]
+        src, dst = FieldBuilder(), FieldBuilder()
+        roots = [src.sqrt(p) for p in primes]
+        for p in reversed(primes):
+            dst.sqrt(p)
+        value = sum((i + 1) * t for i, t in enumerate(roots)) + roots[0] * roots[-1] / 3
+        calls = _counted_embed(monkeypatch, dst, value)
+        assert value.depth == k and calls == {"sqrt": k, "sqrt_try": []}
+        assert dst.ctx.depth == k
+
+    def test_nested_value_takes_one_root_per_level(self, monkeypatch):
+        src, dst = FieldBuilder(), FieldBuilder()
+        t2, t3 = src.sqrt(2), src.sqrt(3)
+        w = src.sqrt(1 + t2 + t3)
+        u3, u2 = dst.sqrt(3), dst.sqrt(2)
+        dst.sqrt(1 + u2 + u3)
+        value = w * t2 * t3 - 5 * w + t3
+        calls = _counted_embed(monkeypatch, dst, value)
+        assert value.depth == 3 and calls == {"sqrt": 3, "sqrt_try": []}
+        assert dst.ctx.depth == 3
+
+    def test_missing_radicands_adjoin_as_before(self, monkeypatch):
+        """(2, 3, 1 + sqrt(2)) into (3,): 3 is found by lookup, and 2 and
+        1 + sqrt(2) are adjoined after it, as the recursion adjoins them."""
+        src, dst = FieldBuilder(), FieldBuilder()
+        t2, t3 = src.sqrt(2), src.sqrt(3)
+        w = src.sqrt(1 + t2)
+        dst.sqrt(3)
+        value = 4 * w + t3 + 1
+        calls = _counted_embed(monkeypatch, dst, value)
+        assert value.depth == 3 and calls["sqrt"] == 3
+        assert calls["sqrt_try"] and ((3,), 1) not in calls["sqrt_try"]
+        assert dst.ctx.radicands[:2] == (Fraction(3), exact._rconst(Fraction(2), 1))
+        assert dst.ctx.depth == 3
 
 
 class TestKElement:
