@@ -161,6 +161,9 @@ def _cmd_analyze(args) -> int:
             print(line)
         for line in _relation_lines("Sigma2 (sides)", sigma2):
             print(line)
+    if args.stats:
+        for name, result in (("sigma1", sigma1), ("sigma2", sigma2)):
+            print(json.dumps({"relation": name, **result.stats}))
     return 0
 
 
@@ -418,6 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision", type=int, default=None, help="starting interval bits"
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p.add_argument("--stats", action="store_true", help="print each relation call's counters as JSON")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("standard", help="generate the n^2-piece lattice dissection")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, isqrt, lcm, nextafter
 from operator import add, sub
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "Fraction",
@@ -841,6 +841,15 @@ def _value_key(x: TowerReal) -> tuple:
     are) each value has one canonical form over its least prefix, so equal
     values have equal keys; across chains, such as (2, 3) and (3, 2), not."""
     return (x.ctx, x._num, x._den)
+
+
+def _coordinate_rows(ctx: TowerContext, values: Sequence[TowerReal]) -> list[list[int]]:
+    """The integer coordinates of ``values``, each over a prefix of ``ctx`` as
+    one ``FieldBuilder``'s values are, over one common denominator and padded
+    with zeros to ``ctx``'s 2**depth basis products: a rational combination
+    of the values is zero exactly when that combination of the rows is."""
+    size, d = 1 << ctx.depth, lcm(*(v._den for v in values))
+    return [[c * (d // v._den) for c in v._num] + [0] * (size - len(v._num)) for v in values]
 
 
 def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:

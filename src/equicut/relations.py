@@ -18,14 +18,15 @@ split in two halves, the float sums of every coefficient choice on each half
 are tabulated, one table is sorted, and each sum of the other is matched by
 binary search against the sums that cancel it to within a threshold.  The
 rounding error is bounded statically, so only combinations smaller than the
-threshold survive to the exact or adaptive-interval stage and the sweep
-never discards a true relation.  Time and memory grow with (2H+1)**(n/2)
-rather than (2H+1)**n.  Two guards raise ``SearchSpaceError`` (a
-``ValueError``) instead of searching: a half-table of more than about 4 M
-sums, and more than 65 536 near-zero pairs to certify.  The refinement
-ladder starts at 256 bits and doubles up to 4096; ``EQUICUT_PRECISION_BITS``
-overrides the start with an integer from 1 to ``MAX_WORK_BITS``, and any
-other value of it raises ``ValueError``.
+threshold survive to certification and the sweep never discards a true
+relation.  Time and memory grow with (2H+1)**(n/2) rather than (2H+1)**n.
+Two guards raise ``SearchSpaceError`` (a ``ValueError``) instead of
+searching: a half-table of more than about 4 M sums, and more than 65 536
+near-zero pairs to certify.  Certification runs on integers over a common
+denominator and decides as summing the values or their enclosures would:
+exact survivors by the columns' coordinate rows in one ``FieldBuilder``
+chain, numeric ones by enclosure endpoints on a ladder from 256 to 4096 bits.  ``EQUICUT_PRECISION_BITS`` overrides the start with an integer
+from 1 to ``MAX_WORK_BITS``, and any other value of it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import enum
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite, lcm
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +46,7 @@ from .exact import (
     FieldBuilder,
     KElement,
     TowerReal,
+    _coordinate_rows,
     k_membership,
     sqrt_adjoin,
     squarefree_decompose,
@@ -96,6 +100,9 @@ class RelationResult:
     unresolved: list[tuple[int, ...]] = field(default_factory=list)
     memberships: dict[str, KElement] = field(default_factory=dict)
     precision_bits: int = 0
+    # half-table sizes, matched pairs, survivors of the sweep and the mask,
+    # and vectors pending after each rung by its bits; not in to_dict()
+    stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         from .literals import format_k_element
@@ -129,6 +136,8 @@ class _Column:
             self.value = value
             self.exact, self.refinable = False, True
         elif isinstance(value, float):
+            if not isfinite(value):
+                raise ValueError(f"float value {value!r} is not finite")
             # a bare float is an approximation of unknown provenance: give it
             # a generous fixed uncertainty and mark it unrefinable
             center = Fraction(value)
@@ -175,10 +184,10 @@ def _half_sums(floats: Sequence[float], height: int) -> np.ndarray:
     return acc
 
 
-def _sweep(columns: Sequence[_Column], height: int) -> tuple[list[tuple[int, ...]], Fraction]:
+def _sweep(columns: Sequence[_Column], height: int, stats: Optional[dict] = None):
     """Exhaustive meet-in-the-middle pass.  Returns the surviving coefficient
     vectors (every true relation is guaranteed among them) and the threshold
-    used."""
+    used, and counts the half-tables and matched pairs in ``stats``."""
     n = len(columns)
     split = n // 2
     if (2 * height + 1) ** (n - split) > _MAX_HALF_TABLE:
@@ -216,6 +225,8 @@ def _sweep(columns: Sequence[_Column], height: int) -> tuple[list[tuple[int, ...
     hi = np.searchsorted(ordered, -left + t, side="right")
     counts = hi - lo
     matched = int(counts.sum())
+    if stats is not None:
+        stats.update(left_table=left.size, right_table=right.size, matched_pairs=matched)
     if matched > _MAX_MATCHED_PAIRS:
         raise SearchSpaceError(
             f"too many near-zero combinations to certify ({matched} found)"
@@ -268,20 +279,25 @@ def find_integer_relation(
         raise ValueError("labels must match values")
 
     start = _start_bits(start_bits)
-    survivors, _ = _sweep(columns, height)
-    if mask is not None:
-        survivors = [s for s in survivors if mask(s)]
-
     result = RelationResult(
         status=RelationStatus.NONE_UP_TO_HEIGHT, height=height, columns=names
     )
+    stats = result.stats
+    survivors, _ = _sweep(columns, height, stats)
+    stats["swept_survivors"] = len(survivors)
+    if mask is not None:
+        survivors = [s for s in survivors if mask(s)]
+    stats["masked_survivors"] = len(survivors)
+    stats["pending"] = {}
 
     if all(col.exact for col in columns):
         builder = FieldBuilder()
         embedded = [builder.embed(col.value) for col in columns]
-        for coeffs in survivors:
-            if sum(c * v for c, v in zip(coeffs, embedded)).is_zero():
-                result.witnesses.append(coeffs)
+        # coordinate j of sum(c_i * v_i) is c . (row_i[j] for each i)
+        coords = [col for col in zip(*_coordinate_rows(builder.ctx, embedded)) if any(col)]
+        result.witnesses = [
+            c for c in survivors if not any(sum(map(mul, c, col)) for col in coords)
+        ]
         if result.witnesses:
             result.status = RelationStatus.FOUND_CERTIFIED
         return result
@@ -300,16 +316,15 @@ def find_integer_relation(
         if not pending:
             break
         result.precision_bits = bits
+        # endpoints L, H as integers over one denominator; the sum of the
+        # c_i * [L_i, H_i] holds 0 exactly when |c . (L + H)| <= |c| . (H - L)
         ivs = [col.enclosure(bits) for col in columns]
-        still = []
-        for coeffs in pending:
-            total = RatInterval(0)
-            for c, iv in zip(coeffs, ivs):
-                if c:
-                    total = total + iv * c
-            if total.contains_zero():
-                still.append(coeffs)
-        pending = still
+        d = lcm(*(e.denominator for iv in ivs for e in iv))
+        ends = [[e.numerator * (d // e.denominator) for e in iv] for iv in ivs]
+        mids, widths = [lo + hi for lo, hi in ends], [hi - lo for lo, hi in ends]
+        pending = [c for c in pending
+                   if abs(sum(map(mul, c, mids))) <= sum(map(mul, map(abs, c), widths))]
+        stats["pending"][bits] = len(pending)
 
     if pending:
         refinable = all(col.refinable for col in columns)

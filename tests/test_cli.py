@@ -157,6 +157,31 @@ class TestAnalyze:
         assert sigma2["memberships"] == {"a": "1/4*sqrt(2) + 1/4*sqrt(3)", "b": "3/4"}
         assert len(sigma2["witnesses"]) == 12
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_stats_lines(self, capsys, fmt):
+        argv = ["analyze", "--region", "1,1", "--height", "2", *fmt]
+        _, plain, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--stats")
+        assert code == 0
+        assert out.startswith(plain)
+        lines = out[len(plain):].splitlines()
+        assert [json.loads(line)["relation"] for line in lines] == ["sigma1", "sigma2"]
+        angles, sides = map(json.loads, lines)
+        assert set(angles) == {
+            "relation", "left_table", "right_table", "matched_pairs",
+            "swept_survivors", "masked_survivors", "pending",
+        }
+        assert (angles["left_table"], angles["right_table"]) == (5, 25)
+        # the equilateral's angle relations stay pending up to the last rung
+        assert list(angles["pending"]) == ["256", "512", "1024", "2048", "4096"]
+        assert sides["pending"] == {}  # exact sides: no precision ladder
+
+    def test_stats_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--region", "1,1", "--height", "0", "--stats")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --height must be at least 1\n"
+
 
 class TestStandard:
     def test_writes_json_and_svg(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Each script in demos/ runs to completion against the package in src/, and
-three demos print exactly their golden output (tests/golden/): the verifier
+four demos print exactly their golden output (tests/golden/): the verifier
 demo, which holds every failure detail the verifier reports to a user, the
 generic-triangle demo, which holds its certification, its sweep's node
-counts and the exact pieces of its standard result, and the exact-number
-demo, which holds merges across unrelated towers, a denesting and the
-literal round trips."""
+counts and the exact pieces of its standard result, the exact-number demo,
+which holds merges across unrelated towers, a denesting and the literal
+round trips, and the relations demo, which holds the named triangles'
+first angle and side relations and the sampled triangles' certification."""
 
 import os
 import subprocess
@@ -54,3 +55,9 @@ def test_exact_numbers_output_is_golden():
     proc = run_demo(ROOT / "demos" / "exact_numbers.py")
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (ROOT / "tests" / "golden" / "exact_numbers.out").read_bytes()
+
+
+def test_angle_side_relations_output_is_golden():
+    proc = run_demo(ROOT / "demos" / "angle_side_relations.py")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "angle_side_relations.out").read_bytes()

@@ -4,14 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equicut.exact import KElement, sqrt_adjoin
-from equicut.intervals import NumericReal
+from equicut import relations
+from equicut.exact import FieldBuilder, KElement, sqrt_adjoin
+from equicut.intervals import NumericReal, RatInterval
 from equicut.relations import (
+    MAX_LADDER_BITS,
+    RelationResult,
     RelationStatus,
     SearchSpaceError,
     _canonical,
     _Column,
     _decode,
+    _start_bits,
     _sweep,
     find_angle_relation,
     find_angle_relation_pi_fractions,
@@ -92,10 +96,14 @@ def _outer_product_sweep(columns, height):
 
 
 def _random_columns(rng, numeric):
-    """One to five columns of small rationals, some times a square root and
-    some a small multiple of the column before, so that random columns
-    often share exact relations; numeric columns may also be square roots
-    of small rationals."""
+    return [_Column(v) for v in _random_values(rng, numeric)]
+
+
+def _random_values(rng, numeric):
+    """One to five values: small rationals, some times a square root and
+    some a small multiple of the value before, so that random values often
+    share exact relations; numeric values may also be square roots of small
+    rationals."""
     values = []
     for _ in range(rng.randint(1, 5)):
         if values and rng.random() < 0.3:
@@ -111,7 +119,7 @@ def _random_columns(rng, numeric):
             if numeric:
                 value = NumericReal.from_exact(value)
         values.append(value)
-    return [_Column(v) for v in values]
+    return values
 
 
 class TestSweepMatchesOuterProduct:
@@ -122,6 +130,196 @@ class TestSweepMatchesOuterProduct:
         columns = _random_columns(rng, numeric)
         height = rng.randint(1, 6)
         assert _sweep(columns, height) == _outer_product_sweep(columns, height)
+
+
+def _reference_relation(values, height, *, labels=None, mask=None, start_bits=None):
+    """``find_integer_relation`` with the certification stage it had before
+    integer dot products, kept as the reference for the differential test:
+    a ``TowerReal`` sum per exact survivor, and a ``RatInterval`` sum per
+    pending vector at each precision rung."""
+    columns = [_Column(v) for v in values]
+    names = list(labels) if labels else [f"v{i}" for i in range(len(columns))]
+    start = _start_bits(start_bits)
+    survivors, _ = _sweep(columns, height)
+    if mask is not None:
+        survivors = [s for s in survivors if mask(s)]
+    result = RelationResult(
+        status=RelationStatus.NONE_UP_TO_HEIGHT, height=height, columns=names
+    )
+    if all(col.exact for col in columns):
+        builder = FieldBuilder()
+        embedded = [builder.embed(col.value) for col in columns]
+        for coeffs in survivors:
+            if sum(c * v for c, v in zip(coeffs, embedded)).is_zero():
+                result.witnesses.append(coeffs)
+        if result.witnesses:
+            result.status = RelationStatus.FOUND_CERTIFIED
+        return result
+    cap = max(start, MAX_LADDER_BITS)
+    rungs = []
+    b = start
+    while b < cap:
+        rungs.append(b)
+        b *= 2
+    rungs.append(cap)
+    result.precision_bits = start
+    pending = list(survivors)
+    for bits in rungs:
+        if not pending:
+            break
+        result.precision_bits = bits
+        ivs = [col.enclosure(bits) for col in columns]
+        still = []
+        for coeffs in pending:
+            total = RatInterval(0)
+            for c, iv in zip(coeffs, ivs):
+                if c:
+                    total = total + iv * c
+            if total.contains_zero():
+                still.append(coeffs)
+        pending = still
+    if pending:
+        if all(col.refinable for col in columns):
+            result.candidates = pending
+            result.status = RelationStatus.FOUND_CANDIDATE
+        else:
+            result.unresolved = pending
+            result.status = RelationStatus.UNDECIDED
+    return result
+
+
+_RESULT_FIELDS = (
+    "status", "height", "columns", "witnesses", "candidates", "unresolved",
+    "memberships", "precision_bits",
+)
+
+
+def _assert_same_result(new, ref):
+    for name in _RESULT_FIELDS:
+        assert getattr(new, name) == getattr(ref, name), name
+
+
+def _both(call, monkeypatch):
+    """``call()`` on the integer certification and on the reference."""
+    new = call()
+    with monkeypatch.context() as m:
+        m.setattr(relations, "find_integer_relation", _reference_relation)
+        ref = call()
+    return new, ref
+
+
+_R2, _R3 = sqrt_adjoin(2), sqrt_adjoin(3)
+_THIRD = NumericReal.from_exact(Fraction(1, 3))
+_TINY = Fraction(1, 1 << 300)
+
+# (values, height): inputs chosen for the cases random columns rarely hit
+DIFFERENTIAL_CASES = {
+    # exact values over different prefixes of one chain: Q, Q(sqrt 2) and
+    # Q(sqrt 2, sqrt 3)
+    "prefixes": ([Fraction(1, 2), _R2, _R2 * _R3, sqrt_adjoin(6), 3 * _R2 / 4], 2),
+    "prefixes-reversed": ([_R2 * _R3, _R3, Fraction(-2, 3), _R2, sqrt_adjoin(6) / 2], 2),
+    # a sweep survivor that is no relation: equal in coordinate 0 only
+    "exact-near-miss": ([1 + _R2 / 10**12, Fraction(1)], 1),
+    # rational enclosures are single points with denominators 3 and 6, so a
+    # relation's interval sum is exactly [0, 0]
+    "non-dyadic": ([_THIRD, NumericReal.from_exact(Fraction(5, 6)), Fraction(1, 2)], 4),
+    "non-dyadic-roots": ([_THIRD.sqrt(), NumericReal.from_exact(_R3) / 3, _THIRD], 3),
+    # separated only at the 512-bit rung
+    "numeric-near-miss": ([NumericReal.from_exact(_R2 + _TINY), NumericReal.from_exact(_R2)], 2),
+    "bare-floats": ([0.5, 1.0, NumericReal.from_exact(_R2) / 2, 2**-0.5], 2),
+}
+
+# squared sides of the five named triangles: equilateral, right isoceles,
+# 30-60-90, the scalene (1, 7/8, 3/4) and the right triangle with legs 1:2
+NAMED_TRIANGLES = [
+    (Fraction(1), Fraction(1)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(3, 4), Fraction(1, 4)),
+    (Fraction(49, 64), Fraction(9, 16)),
+    (Fraction(4, 5), Fraction(1, 5)),
+]
+
+
+class TestCertificationMatchesReference:
+    """The integer dot-product certification decides exactly as the
+    ``RatInterval`` ladder and the ``TowerReal`` sums did."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("kind", ["exact", "numeric", "float"])
+    def test_random_columns(self, seed, kind):
+        rng = random.Random(seed)
+        values = _random_values(rng, kind != "exact")
+        if kind == "float":
+            values = [float(v) if rng.random() < 0.4 else v for v in values]
+        height = rng.randint(1, 6)
+        start = rng.choice((None, 64, 300))
+        new = find_integer_relation(values, height, start_bits=start)
+        ref = _reference_relation(values, height, start_bits=start)
+        _assert_same_result(new, ref)
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_chosen_columns(self, case):
+        values, height = DIFFERENTIAL_CASES[case]
+        new = find_integer_relation(values, height)
+        _assert_same_result(new, _reference_relation(values, height))
+        assert new.stats["masked_survivors"] > 0  # certification ran
+
+    @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
+    def test_named_triangle_angles(self, sides, monkeypatch):
+        alpha, beta, _ = angles_from_sides(*map(sqrt_adjoin, sides))
+        new, ref = _both(lambda: find_angle_relation(alpha, beta), monkeypatch)
+        _assert_same_result(new, ref)
+        assert new.status == RelationStatus.FOUND_CANDIDATE
+
+    @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
+    def test_named_triangle_sides(self, sides, monkeypatch):
+        a, b = map(sqrt_adjoin, sides)
+        new, ref = _both(lambda: find_side_relation(a, b), monkeypatch)
+        _assert_same_result(new, ref)
+        assert new.status == RelationStatus.FOUND_CERTIFIED
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejected(self, value):
+        with pytest.raises(ValueError, match="is not finite"):
+            find_integer_relation([value, 1.0], 2)
+
+
+class TestRelationStats:
+    def test_exact_counts(self):
+        res = find_integer_relation([1 + _R2 / 10**12, Fraction(1)], 1)
+        assert res.status == RelationStatus.NONE_UP_TO_HEIGHT
+        assert res.stats == {
+            "left_table": 3,
+            "right_table": 3,
+            # the zero vector, (1, -1) and its negated twin
+            "matched_pairs": 3,
+            "swept_survivors": 1,
+            "masked_survivors": 1,
+            "pending": {},
+        }
+
+    def test_pending_per_rung(self):
+        values, height = DIFFERENTIAL_CASES["numeric-near-miss"]
+        res = find_integer_relation(values, height)
+        assert res.stats["pending"] == {256: 2, 512: 0}  # (1, -1) and (2, -2)
+        assert res.precision_bits == 512
+
+    def test_mask_and_full_ladder(self):
+        a, b = NumericReal.from_exact(_R3 / 2), NumericReal.from_exact(Fraction(1, 2))
+        res = find_integer_relation([a, b, Fraction(1), _R3], 2, mask=lambda c: c[0] != 0)
+        stats = res.stats
+        assert (stats["left_table"], stats["right_table"]) == (25, 25)
+        # the mask drops (0, 2, -1, 0); true relations reach the last rung
+        assert (stats["swept_survivors"], stats["masked_survivors"]) == (4, 3)
+        assert stats["pending"] == {bits: 3 for bits in (256, 512, 1024, 2048, 4096)}
+        assert res.candidates == [(2, -2, 1, -1), (2, 0, 0, -1), (2, 2, -1, -1)]
+
+    def test_not_serialized(self):
+        res = find_integer_relation([Fraction(1), Fraction(1)], 1)
+        assert res.stats
+        assert "stats" not in res.to_dict()
 
 
 # hand-derived: 7*q1 + 6*q2 + 8*n = 0 with all |coefficients| <= 8,
