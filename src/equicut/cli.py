@@ -18,6 +18,7 @@ relation searches; any other value is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -134,33 +135,20 @@ def _cmd_analyze(args) -> int:
     basis = tuple(args.basis) if args.basis else (1, 2, 3, 5)
 
     try:
-        sigma1 = find_angle_relation(
-            alpha, beta, angle_height, start_bits=args.precision
-        )
-        sigma2 = find_side_relation(
-            a, b, side_height, basis, start_bits=args.precision
-        )
+        sigma1 = find_angle_relation(alpha, beta, angle_height, start_bits=args.precision)
+        sigma2 = find_side_relation(a, b, side_height, basis, start_bits=args.precision)
     except (ValueError, RefinementLimitError) as exc:
         # ValueError: SearchSpaceError, SquarefreeBoundError, or a malformed
         # EQUICUT_PRECISION_BITS
         raise _UsageError(str(exc)) from exc
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "region": [format_number(a), format_number(b), "1"],
-                    "sigma1": sigma1.to_dict(),
-                    "sigma2": sigma2.to_dict(),
-                },
-                indent=2,
-            )
-        )
+        sides = [format_number(a), format_number(b), "1"]
+        report = {"region": sides, "sigma1": sigma1.to_dict(), "sigma2": sigma2.to_dict()}
+        print(json.dumps(report, indent=2))
     else:
         print(f"region sides: ({format_number(a)}, {format_number(b)}, 1)")
-        for line in _relation_lines("Sigma1 (angles)", sigma1):
-            print(line)
-        for line in _relation_lines("Sigma2 (sides)", sigma2):
-            print(line)
+        for tag, result in (("Sigma1 (angles)", sigma1), ("Sigma2 (sides)", sigma2)):
+            print("\n".join(_relation_lines(tag, result)))
     if args.stats:
         for name, result in (("sigma1", sigma1), ("sigma2", sigma2)):
             print(json.dumps({"relation": name, **result.stats}))
@@ -231,23 +219,18 @@ _BUDGET_FLAG = {"nodes": "--max-nodes", "results": "--max-results", "time": "--t
 
 def _cmd_search(args) -> int:
     region, _, _ = _parse_region(args.region)
-    if args.pieces < 1:
-        raise _UsageError("--pieces must be at least 1")
-    if args.max_nodes is not None and args.max_nodes < 1:
-        raise _UsageError("--max-nodes must be at least 1")
-    if args.max_results is not None and args.max_results < 1:
-        raise _UsageError("--max-results must be at least 1")
+    for flag, value in (("--pieces", args.pieces), ("--max-nodes", args.max_nodes),
+                        ("--max-results", args.max_results)):
+        if value is not None and value < 1:
+            raise _UsageError(f"{flag} must be at least 1")
     if args.time_budget is not None and not args.time_budget > 0:
         raise _UsageError("--time-budget must be positive")
     extra = [_parse_tile(t) for t in args.tile or []]
-    kwargs = {
-        "allow_reflections": not args.no_reflections,
-        "symmetry_quotient": args.quotient_symmetry,
-        "max_nodes": args.max_nodes,
-        "max_results": args.max_results,
-        "time_budget": args.time_budget,
-    }
-    report = search_for_count(region, args.pieces, extra_tiles=extra, **kwargs)
+    report = search_for_count(
+        region, args.pieces, extra_tiles=extra, allow_reflections=not args.no_reflections,
+        symmetry_quotient=args.quotient_symmetry, max_nodes=args.max_nodes,
+        max_results=args.max_results, time_budget=args.time_budget,
+    )
 
     total = 0
     out_dir: Optional[Path] = None
@@ -284,9 +267,7 @@ def _cmd_search(args) -> int:
             if out_dir is not None:
                 stem = f"result_{t_idx}_{d_idx}"
                 try:
-                    (out_dir / f"{stem}.json").write_text(
-                        dissection_to_json_str(dissection)
-                    )
+                    (out_dir / f"{stem}.json").write_text(dissection_to_json_str(dissection))
                     (out_dir / f"{stem}.svg").write_text(dissection_svg(dissection))
                 except OSError as exc:
                     raise _UsageError(f"cannot write output: {exc}") from exc
@@ -306,9 +287,7 @@ def _parse_region_file(text: str) -> List[Cell]:
             continue
         parts = line.split()
         if len(parts) != 3 or parts[2] not in ("up", "down"):
-            raise _UsageError(
-                f"line {line_no}: expected 'row col up|down', got {raw!r}"
-            )
+            raise _UsageError(f"line {line_no}: expected 'row col up|down', got {raw!r}")
         try:
             row, col = int(parts[0]), int(parts[1])
         except ValueError as exc:
@@ -378,18 +357,13 @@ def _cmd_sample(args) -> int:
         except (ValueError, RefinementLimitError) as exc:
             # a malformed EQUICUT_PRECISION_BITS, or one too large to refine to
             raise _UsageError(str(exc)) from exc
-        if result.status in (
-            RelationStatus.FOUND_CERTIFIED,
-            RelationStatus.FOUND_CANDIDATE,
-        ):
+        if result.status in (RelationStatus.FOUND_CERTIFIED, RelationStatus.FOUND_CANDIDATE):
             hits += 1
         elif result.status is RelationStatus.UNDECIDED:
             undecided += 1
     label = "Sigma2" if args.mode == "sides" else "Sigma1"
-    print(
-        f"{label} hit rate: {hits}/{args.count} "
-        f"({hits / args.count:.3f}), undecided: {undecided}"
-    )
+    rate = f"{hits}/{args.count} ({hits / args.count:.3f})"
+    print(f"{label} hit rate: {rate}, undecided: {undecided}")
     return 0
 
 
@@ -397,6 +371,7 @@ def _cmd_sample(args) -> int:
 # wiring
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equicut",
@@ -404,12 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "analyze", help="angle/side commensurability report for a triangle"
-    )
-    p.add_argument(
-        "--region", required=True, help="sides a,b as number literals (third side 1)"
-    )
+    p = sub.add_parser("analyze", help="angle/side commensurability report for a triangle")
+    p.add_argument("--region", required=True, help="sides a,b as number literals (third side 1)")
     p.add_argument("--height", type=int, default=None, help="relation height bound")
     p.add_argument(
         "--basis",
@@ -417,9 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated radicands for the side field (default 1,2,3,5)",
     )
-    p.add_argument(
-        "--precision", type=int, default=None, help="starting interval bits"
-    )
+    p.add_argument("--precision", type=int, default=None, help="starting interval bits")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--stats", action="store_true", help="print each relation call's counters as JSON")
     p.set_defaults(func=_cmd_analyze)
@@ -442,11 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for dissections into congruent tiles")
     p.add_argument("--region", required=True, help="sides a,b as number literals")
     p.add_argument("--pieces", type=int, required=True, help="piece count m")
-    p.add_argument(
-        "--tile",
-        action="append",
-        help="extra tile side triple s1,s2,s3 (repeatable)",
-    )
+    p.add_argument("--tile", action="append", help="extra tile side triple s1,s2,s3 (repeatable)")
     p.add_argument(
         "--no-reflections",
         action="store_true",
@@ -481,9 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="SVG output path")
     p.set_defaults(func=_cmd_boundary)
 
-    p = sub.add_parser(
-        "sample", help="empirical relation hit rate over sampled triangles"
-    )
+    p = sub.add_parser("sample", help="empirical relation hit rate over sampled triangles")
     p.add_argument("--count", type=int, default=100, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument(
@@ -497,8 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

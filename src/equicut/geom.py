@@ -4,17 +4,18 @@ Every predicate returns a certified answer with no epsilons anywhere:
 orientation, segment classification, point location, interior-disjointness
 of triangles, congruence, and sqrt-free comparison of angles.
 
-The sign-deciding predicates (``orientation``, which also decides
-``triangles_interior_disjoint``, ``point_on_segment`` and ``AngleVec``'s
-comparisons) first run the interval filter of Broennimann, Burnikel and
-Pion (2001).  Each point caches float intervals around its coordinates
-(``exact._float_bounds``), and the predicate's polynomial is evaluated on
-them with every ``+ - *`` rounded outward by one float step.  An interval
-decides a sign only when it excludes 0.  When it contains 0, or when an end
-leaves the float range, the exact expression decides.  The same boxes order
-two coordinates (``point_in_polygon``'s half-open test) when their intervals
-are apart, rule a point off a segment whose ends' boxes it lies past, and
-give ``AngleVec.interior`` its box straight from the three corner points.
+``orientation`` (which also decides ``triangles_interior_disjoint``) and
+``point_on_segment``'s dot test evaluate their 2x2 determinant once in floats
+from cached midpoints and radii (``Pt._centre``), and ``_fsign`` certifies
+its sign with one error bound (Shewchuk 1997; Meyer and Pion 2008).
+``AngleVec``'s comparisons run the interval filter of Broennimann, Burnikel
+and Pion (2001) on each point's cached float box (``exact._float_bounds``),
+rounding every ``+ - *`` outward by one float step.  When a filter cannot
+decide, or a value leaves the float range, the exact expression decides.
+The boxes also order two coordinates (``point_in_polygon``'s half-open
+test) when their intervals are apart, rule a point off a segment whose ends'
+boxes it lies past, and give ``AngleVec.interior`` its box straight from the
+three corner points.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ Coord = Union[TowerReal, Fraction, int]
 
 
 # ---------------------------------------------------------------------------
-# The interval filter.  An interval is a pair (lo, hi) of finite floats
+# The float filters.  An interval is a pair (lo, hi) of finite floats
 # enclosing an exact value; a box is a tuple of intervals.
 
 
@@ -104,22 +105,67 @@ def _certified(f, *boxes) -> int:
     return 0 if iv is None else 1 if iv[0] > 0 else -1 if iv[1] < 0 else 0
 
 
+_EPS = 2.0**-53  # the unit roundoff of round-to-nearest
+
+
+def _fsign(o, a, b, dot=False) -> int:
+    """Sign of (a - o) x (b - o), or of (a - o) . (b - o) with ``dot``, for
+    points given by their ``Pt._centre``; 0 when one is None or the bound
+    cannot tell.  The rounded u = a - o and v = b - o are off from the exact
+    U and V by at most eps times themselves (nothing when subnormal) plus
+    ru = ra + ro, rv = rb + ro.  Expanding, |Ux*Vy - ux*vy| <= (2*eps +
+    eps**2)*|ux*vy| + (1 + eps)*(|ux|*rv + |vy|*ru) + ru*rv, and likewise for
+    Uy*Vx; p = fl(ux*vy), q = fl(uy*vx) and d = fl(p - q) are off by eps
+    times themselves, plus 2**-1075 for a subnormal product.  So d is within
+    eps*|d| + 4*eps*(|p| + |q|) + (1 + eps)*(rv*(|ux| + |uy|) + ru*(|vx| +
+    |vy|)) + 2*ru*rv + 4 * 2**-1075 of the exact value.  E is that sum in
+    round-to-nearest without the factor 1 + eps, times 1 + 2**-40 plus
+    2**-1000: that covers the factor and at most 8 roundings per term, each a
+    relative eps or a product's 2**-1075 never multiplied again.  So |d| > E
+    certifies sign(d).  Radii are positive, so an overflow makes E infinite
+    or NaN (inf * 0), and |d| > E fails."""
+    if not (o and a and b):
+        return 0
+    x, y, r = o
+    ux, uy, ru, vx, vy, rv = a[0] - x, a[1] - y, a[2] + r, b[0] - x, b[1] - y, b[2] + r
+    if dot:
+        vx, vy = -vy, vx  # u . v is u x (v turned a quarter), exactly
+    p, q = ux * vy, uy * vx
+    d = p - q
+    m = abs(d)
+    e = (
+        _EPS * (m + 4 * (abs(p) + abs(q)))
+        + rv * (abs(ux) + abs(uy)) + ru * (abs(vx) + abs(vy)) + 2 * ru * rv
+    ) * (1 + 2.0**-40) + 2.0**-1000
+    return (1 if d > 0 else -1) if m > e else 0
+
+
 class Pt:
     """A point (or vector) with exact coordinates."""
 
-    __slots__ = ("x", "y", "_box")
+    __slots__ = ("x", "y", "_box", "_mid")
 
     def __init__(self, x: Coord, y: Coord):
         self.x = exactify(x)
         self.y = exactify(y)
-        self._box = False
+        self._box = self._mid = False
 
     def _floats(self):
-        """The box (x interval, y interval), built on first use, or None."""
+        """The box (x interval, y interval), built with ``_mid`` on first use, or None."""
         if self._box is False:
             bx, by = _float_bounds(self.x), _float_bounds(self.y)
-            self._box = bx and by and (bx, by)
+            self._box = self._mid = bx and by and (bx, by)
+            if self._box:
+                x, y = bx[0] / 2 + bx[1] / 2, by[0] / 2 + by[1] / 2
+                self._mid = x, y, nextafter(max(bx[1] - x, x - bx[0], by[1] - y, y - by[0]), inf)
         return self._box
+
+    def _centre(self):
+        """Floats (x, y, r) with |self.x - x| <= r and |self.y - y| <= r, the
+        box's midpoints and a radius rounded up, or None without a box."""
+        if self._box is False:
+            self._floats()
+        return self._mid
 
     def __add__(self, other: "Pt") -> "Pt":
         return Pt(self.x + other.x, self.y + other.y)
@@ -161,19 +207,11 @@ class Pt:
         return f"Pt({format_number(self.x)}, {format_number(self.y)})"
 
 
-def _forientation(a, b, c):
-    return _fcross(_fvec(a, b), _fvec(a, c))
-
-
-def _fdot_from(p, a, b):
-    return _fdot(_fvec(a, p), _fvec(b, p))
-
-
 def orientation(a: Pt, b: Pt, c: Pt) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear."""
     if a is b or b is c or a is c:
         return 0  # a repeated point object: collinear without arithmetic
-    s = _certified(_forientation, a._floats(), b._floats(), c._floats())
+    s = _fsign(a._centre(), b._centre(), c._centre())
     return s or (b - a).cross(c - a).sign()
 
 
@@ -205,7 +243,7 @@ def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
         return False
     if orientation(a, b, p) != 0:
         return False
-    s = _certified(_fdot_from, fp, fa, fb)
+    s = _fsign(p._centre(), a._centre(), b._centre(), dot=True)
     return (s or (p - a).dot(p - b).sign()) <= 0
 
 

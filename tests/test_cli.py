@@ -689,6 +689,33 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        """Each call parses into a fresh namespace: a flag, an appended
+        option or a usage error in one call leaves no trace in the next."""
+        path = TestVerify().make_file(tmp_path, capsys)
+        valid = (0, "valid: 4 pieces (standard)\n", "")
+        code, out, _ = run(capsys, "verify", path, "--stats")
+        assert code == 0 and out.startswith(valid[1]) and out.count("\n") == 2
+        assert run(capsys, "verify", path) == valid
+        errors = []
+        for parse in (main, cli._build_parser.__wrapped__().parse_args):  # reused, fresh
+            with pytest.raises(SystemExit) as exc:
+                parse(["verify", "--stats"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("usage: equicut verify")
+        assert run(capsys, "verify", path) == valid
+        assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 2
+        assert run(capsys, "verify", path) == valid
+        search = ("search", "--region", "1,1", "--pieces", "2")
+        code, plain, _ = run(capsys, *search)
+        assert code == 0 and plain.count("tile[") == 1
+        assert run(capsys, *search, "--tile", "1,1,1")[1].count("tile[") == 2
+        assert run(capsys, *search) == (0, plain, "")
+
 
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self):

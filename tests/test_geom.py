@@ -533,6 +533,20 @@ def _exact_angle_compare(u1, w1, u2, w2):
     return -cc if r1 == 0 else cc
 
 
+def _chain_sign(f, *pts):
+    """The interval chain that certified orientation and on-segment signs
+    before ``geom._fsign``: f on the points' boxes, rounded outward."""
+    return geom._certified(f, *(p._floats() for p in pts))
+
+
+def _chain_orientation(a, b, c):
+    return geom._fcross(geom._fvec(a, b), geom._fvec(a, c))
+
+
+def _chain_dot(o, a, b):
+    return geom._fdot(geom._fvec(o, a), geom._fvec(o, b))
+
+
 def _pell(d, count):
     """Solutions of x**2 - d*y**2 = 1 past 2**40: x - y*sqrt(d) is below any
     float box around x and y*sqrt(d)."""
@@ -785,6 +799,33 @@ class TestFilterDifferential:
         assert got == _exact_angle_compare(b - a, Pt(1, 2), Pt(1, 0), Pt(1, 1))
         assert not fell_back
 
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_straight_line_bound_against_interval_chain(self, radicands):
+        """``_fsign`` never certifies a wrong orientation or dot sign, and it
+        decides every one that the interval chain decides, except at 10**-160:
+        there the products are subnormal, below the bound's 2**-1000 floor."""
+        cases = _FilterCases(radicands, seed=40 + len(radicands))
+        decided = 0
+        for kind in ("generic", "collinear", "near_collinear"):
+            if kind == "near_collinear" and not cases.pell:
+                continue
+            for _ in range(4):
+                base = getattr(cases, kind)()
+                for k in FILTER_SCALES:
+                    pts = _scaled(base, k)
+                    for o, a, b in (pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+                        mids = o._centre(), a._centre(), b._centre()
+                        for dot, chain, exact in (
+                            (False, _chain_orientation, (a - o).cross(b - o)),
+                            (True, _chain_dot, (a - o).dot(b - o)),
+                        ):
+                            got = geom._fsign(*mids, dot=dot)
+                            assert got in (0, exact.sign()), (kind, k, dot)
+                            if k != -160:
+                                assert got or not _chain_sign(chain, o, a, b), (kind, k, dot)
+                            decided += got != 0
+        assert decided > 0
+
     def test_no_infinity_or_nan_decides(self):
         inf, nan = float("inf"), float("nan")
         for lo, hi in ((nan, 1.0), (1.0, nan), (nan, nan), (1.0, inf), (-inf, -1.0)):
@@ -796,3 +837,19 @@ class TestFilterDifferential:
         assert geom._certified(geom._imul, big, big) == 0
         assert geom._certified(geom._imul, big, None) == 0
         assert geom._certified(geom._imul, (2.0, 3.0), (1.0, 2.0)) == 1
+        # the straight-line bound: overflowing products, subnormal coordinates,
+        # no box, and a NaN or infinite midpoint or radius never certify a sign
+        r = parse_number("sqrt(1 + sqrt(2))")
+        for scale in (Fraction(10) ** 300, Fraction(1, 10**310), r * 10**400):
+            a, b, c = (Pt(x * scale, y * scale) for x, y in ((0, 1), (r, 3), (2, r)))
+            mids = a._centre(), b._centre(), c._centre()
+            assert geom._fsign(*mids) == 0 and geom._fsign(*mids, dot=True) == 0
+            assert orientation(a, b, c) == _exact_orientation(a, b, c) != 0
+        assert Pt(r * 10**400, 1)._centre() is None
+        good = ((1.0, 0.0, 1e-16), (3.0, 1.0, 1e-16), (2.0, 5.0, 1e-16))
+        assert geom._fsign(*good) == 1 and geom._fsign(*good, dot=True) == 1
+        for k in range(3):
+            for j, bad in ((0, nan), (1, nan), (0, inf), (1, -inf), (2, nan), (2, inf)):
+                mids = [list(m) for m in good]
+                mids[k][j] = bad
+                assert geom._fsign(*mids) == 0 and geom._fsign(*mids, dot=True) == 0, (k, j)
