@@ -511,6 +511,9 @@ class TowerContext:
     their own level.  ``_rads[i] = (R, e)`` is the same radicand as a
     canonical integer vector R over the positive denominator e, and
     ``_levels[(R, e)] == i``: a repeated radicand would be a square.
+    ``_children[(R, e)]`` is the interned context one level up whose top
+    radicand is (R, e); a context is interned only once its radicand is
+    certified a non-square, so a child is that certificate.
 
     A context is *flat* when every radicand is a rational integer.  It then
     keeps ``_prods[m]``, the product of the radicands picked by the bits of
@@ -525,7 +528,7 @@ class TowerContext:
 
     __slots__ = (
         "radicands", "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
-        "_flat_depth", "_flat_prods", "_levels",
+        "_flat_depth", "_flat_prods", "_levels", "_children",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
@@ -540,6 +543,9 @@ class TowerContext:
             r = _vector_value(self.prefix(i), *_vector(rad, i))
             rads.append((r._num, r._den))
         self._levels = {rad: i for i, rad in enumerate(rads)}
+        self._children: dict[tuple, TowerContext] = {}
+        if rads:
+            self.prefix(self.depth - 1)._children[rads[-1]] = self
         self._prods = self._scales = self._roots = self._flat_depth = self._flat_prods = None
         if all(len(R) == 1 and e == 1 for R, e in rads):
             prods = [1]
@@ -859,8 +865,9 @@ def exactify(value: Union[TowerReal, Rationalish]) -> TowerReal:
 
 
 # ---------------------------------------------------------------------------
-# Square roots inside a tower: a lookup for a radicand of the chain, else
-# denesting on values over prefix contexts.  A merge takes one per level.
+# Square roots inside a tower: a lookup for a radicand of the chain, else for
+# a child of its context, else denesting on values over prefix contexts.  A
+# merge takes one per level.
 
 
 def _join(ctx: TowerContext, p: TowerReal, q: TowerReal) -> TowerReal:
@@ -948,7 +955,8 @@ class FieldBuilder:
         return image(value._num) * Fraction(1, value._den)
 
     def sqrt(self, value: Union[TowerReal, Rationalish]) -> TowerReal:
-        """The root >= 0; a radicand already in the chain gives its t_j at once."""
+        """The root >= 0; a radicand already in the chain gives its t_j at once,
+        and one adjoined to this context before gives its interned child's."""
         value = self.embed(value)
         j = self.ctx._levels.get((value._num, value._den))
         if j is not None:
@@ -958,21 +966,23 @@ class FieldBuilder:
             raise NegativeSqrtError("sqrt of a negative tower value")
         if sg == 0:
             return self.const(0)
-        found = _sqrt_try(value, self.ctx)
-        if found is not None:
-            return found
-        k = self.ctx.depth
-        fr = value.as_fraction()
+        k, fr, v = self.ctx.depth, value.as_fraction(), value._num
+        d = 1 if fr is None else fr.denominator
         top = [0] * (2 << k)
-        if fr is not None:
-            s, d = squarefree_decompose(fr.numerator * fr.denominator)
-            self.ctx = self.ctx.extended(_rconst(Fraction(d), k))
-            top[1 << k] = s
-            return _vector_value(self.ctx, top, fr.denominator)
-        v = value._num
-        self.ctx = self.ctx.extended(_vraw(v + (0,) * ((1 << k) - len(v)), value._den))
         top[1 << k] = 1
-        return _vector_value(self.ctx, top, 1)
+        # a rational n/d would be stored as n*d, its root taken as sqrt(n*d)/d
+        child = self.ctx._children.get((v, value._den) if fr is None else ((fr.numerator * d,), 1))
+        if child is None:
+            found = _sqrt_try(value, self.ctx)
+            if found is not None:
+                return found
+            if fr is not None:
+                top[1 << k], sf = squarefree_decompose(fr.numerator * d)
+                child = self.ctx.extended(_rconst(Fraction(sf), k))
+            else:
+                child = self.ctx.extended(_vraw(v + (0,) * ((1 << k) - len(v)), value._den))
+        self.ctx = child
+        return _vector_value(child, top, d)
 
 
 def sqrt_adjoin(value: Union[TowerReal, Rationalish]) -> TowerReal:

@@ -56,7 +56,7 @@ def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
         if exp != 0:
             raise ValueError("cannot convert non-finite mpf")
         return _ZERO
-    value = Fraction(man) * (Fraction(2) ** exp)
+    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -value if sign else value
 
 

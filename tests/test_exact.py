@@ -967,18 +967,131 @@ class TestEmbedRoots:
         assert dst.ctx.depth == 3
 
     def test_missing_radicands_adjoin_as_before(self, monkeypatch):
-        """(2, 3, 1 + sqrt(2)) into (3,): 3 is found by lookup, and 2 and
-        1 + sqrt(2) are adjoined after it, as the recursion adjoins them."""
-        src, dst = FieldBuilder(), FieldBuilder()
-        t2, t3 = src.sqrt(2), src.sqrt(3)
-        w = src.sqrt(1 + t2)
-        dst.sqrt(3)
-        value = 4 * w + t3 + 1
+        """(101, 103, 1 + sqrt(101)) into (103,): 103 is found by lookup, and
+        101 and 1 + sqrt(101) are adjoined after it, as the recursion adjoins
+        them.  The first merge proves both non-squares by denesting; an
+        identical second merge finds the contexts the first interned and
+        searches nothing.  No other test adjoins these radicands, and no
+        prime context lists 103 before 101, so the first merge is the first."""
+        src = FieldBuilder()
+        t101, t103 = src.sqrt(101), src.sqrt(103)
+        value = 4 * src.sqrt(1 + t101) + t103 + 1
+        dst = FieldBuilder()
+        dst.sqrt(103)
         calls = _counted_embed(monkeypatch, dst, value)
         assert value.depth == 3 and calls["sqrt"] == 3
-        assert calls["sqrt_try"] and ((3,), 1) not in calls["sqrt_try"]
-        assert dst.ctx.radicands[:2] == (Fraction(3), exact._rconst(Fraction(2), 1))
+        assert calls["sqrt_try"] and ((103,), 1) not in calls["sqrt_try"]
+        assert dst.ctx.radicands[:2] == (Fraction(103), exact._rconst(Fraction(101), 1))
         assert dst.ctx.depth == 3
+        again = FieldBuilder()
+        again.sqrt(103)
+        calls = _counted_embed(monkeypatch, again, value)
+        assert calls == {"sqrt": 3, "sqrt_try": []}
+        assert again.ctx is dst.ctx
+        first, second = dst.embed(value), again.embed(value)
+        assert second.ctx is first.ctx and (second._num, second._den) == (first._num, first._den)
+
+
+# The merging tower shapes of the benchmark's kernel workload (bench/workloads.py,
+# KERNEL_TRIPLES): for x, y and z, the radicands in adjoin order and whether the
+# tower ends with a nested sqrt(v*v + 1).  Radicand i stands for the shape's
+# i-th prime, so each shape adjoins radicands that nothing else in the suite does.
+_KERNEL_MERGE_SHAPES = [
+    (((0, 1), 0), ((1, 0), 0), ((0, 1), 0)),
+    (((0, 1, 2), 0), ((2, 1, 0), 0), ((1, 2, 0), 0)),
+    (((0,), 1), ((1,), 0), ((0, 1), 0)),
+    (((0, 1), 1), ((1, 0), 0), ((0,), 0)),
+    (((0, 1), 1), ((1, 0), 1), ((0, 1), 0)),
+    (((0,), 1), ((0,), 1), ((1,), 0)),
+]
+_SHAPE_PRIMES = [(151, 157, 163), (167, 173, 179), (181, 191, 193), (197, 199, 211),
+                 (223, 227, 229), (233, 239, 241)]
+
+
+def _kernel_tower(rng, primes, radicands, nested):
+    """A tower as the kernel workload builds one apart: c0 + sum c_i*sqrt(p_i),
+    then + sqrt(v*v + 1) if nested."""
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 9))
+
+    v = R(coeff())
+    for i in radicands:
+        v = v + coeff() * sqrt_adjoin(primes[i])
+    return v + sqrt_adjoin(v * v + 1) if nested else v
+
+
+class TestChildLookup:
+    """A radicand that the destination chain lacks but that some earlier
+    ``FieldBuilder.sqrt`` adjoined to the same context is taken from that
+    context's interned child without the denesting search, with the same
+    result and context as the search gives, and with no other change."""
+
+    def test_square_times_a_big_prime_square(self):
+        """6*q*q over (2, 3) is the square q*sqrt(6), with or without children
+        of (2, 3); factoring it before the search would raise."""
+        q = 2**127 - 1
+        for adjoin_children in (False, True):
+            builder = FieldBuilder()
+            t2, t3 = builder.sqrt(2), builder.sqrt(3)
+            if adjoin_children:
+                for other in (sqrt_adjoin(5), sqrt_adjoin(Fraction(2, 11)),
+                              parse_number("sqrt(1 + sqrt(2))")):
+                    FieldBuilder(builder.ctx).embed(other)
+                assert len(builder.ctx._children) >= 3
+            v = builder.sqrt(6 * q * q)
+            assert v == q * t2 * t3 and v.depth == 2 and builder.ctx.depth == 2
+        with pytest.raises(SquarefreeBoundError):
+            sqrt_adjoin(q)
+        with pytest.raises(SquarefreeBoundError):
+            FieldBuilder(builder.ctx).sqrt(q)
+
+    @pytest.mark.parametrize("chain", [(2,), (3,), (2, 3), (3, 2), (5, 2), (5, 3)])
+    def test_rational_radicands_with_square_factors(self, monkeypatch, chain):
+        """sqrt(8), sqrt(12) and sqrt(2/3) as the recursion takes them, twice;
+        then a root the chain lacks is found as a child, with no search."""
+        builder = FieldBuilder()
+        for p in chain:
+            builder.sqrt(p)
+        ctx = builder.ctx
+        for _ in range(2):
+            for arg in (8, 12, Fraction(2, 3), 2, 3, 6):
+                _check_sqrt(ctx, R(arg))
+        for arg in (2, 3, 6, Fraction(2, 3)):
+            calls = _count_roots(monkeypatch)
+            root_builder = FieldBuilder(ctx)
+            root = root_builder.sqrt(arg)
+            if root_builder.ctx is not ctx:
+                assert calls["sqrt_try"] == [] and root.ctx is root_builder.ctx
+        assert FieldBuilder(ctx).sqrt(8) == 2 * FieldBuilder(ctx).sqrt(2)
+
+    def test_one_child_entry_per_interned_context(self):
+        """Every context above the base is its parent's child under its top
+        radicand, and the children are all the state the lookup keeps."""
+        builder = FieldBuilder()
+        builder.embed(parse_number("sqrt(1 + sqrt(2))") + sqrt_adjoin(3))
+        builder.sqrt(Fraction(5, 7))
+        interned = exact.TowerContext._interned
+        for ctx in interned.values():
+            if ctx.depth:
+                assert ctx.prefix(ctx.depth - 1)._children[ctx._rads[-1]] is ctx
+        assert sum(len(ctx._children) for ctx in interned.values()) == len(interned) - 1
+
+    @pytest.mark.parametrize("index", range(len(_KERNEL_MERGE_SHAPES)))
+    def test_kernel_shapes_miss_then_hit(self, monkeypatch, index):
+        """Each pairwise merge of a kernel triple and each root of one tower's
+        value in another's chain, twice, against the recursion: the first run
+        adjoins through the denesting search, the second through children."""
+        rng, primes = random.Random(index), _SHAPE_PRIMES[index]
+        towers = [_kernel_tower(rng, primes, r, n) for r, n in _KERNEL_MERGE_SHAPES[index]]
+        pairs = [(a, b) for a in towers for b in towers if a is not b]
+        searched = []
+        for _ in range(2):
+            calls = _count_roots(monkeypatch)
+            for a, b in pairs:
+                _counted_embed(monkeypatch, FieldBuilder(a.ctx), b)
+                _check_sqrt(a.ctx, b if b.sign() > 0 else -b)
+            searched.append(calls["sqrt_try"])
+        assert searched[0] and searched[1] == []
 
 
 class TestKElement:

@@ -77,8 +77,29 @@ class TestMpfConversion:
         assert mpf_to_fraction(mpmath.mpf(-3)) == -3
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            mpf_to_fraction(mpmath.inf)
+        for x in (mpmath.inf, -mpmath.inf, mpmath.nan):
+            with pytest.raises(ValueError):
+                mpf_to_fraction(x)
+
+    def test_matches_the_power_of_two_product(self):
+        """Built from mantissa and exponent directly, the value is the
+        old Fraction(man) * 2**exp, on both exponent signs and at every
+        precision the angle ladder uses."""
+        def product(x):
+            sign, man, exp, _ = mpmath.mpf(x)._mpf_
+            value = Fraction(man) * (Fraction(2) ** exp)
+            return -value if sign else value
+
+        exps = set()
+        for bits in (64, 256, 1024, 4096):
+            with mpmath.workprec(bits):
+                values = [mpmath.mpf(0), mpmath.mpf(-3), mpmath.mpf(3) * 2**70,
+                          mpmath.mpf(-5) / 2**90, mpmath.mpf("-0.1")]
+                values += [mpmath.acos(mpmath.mpf(c) / 7) for c in (-6, -1, 2, 5)]
+                for x in values:
+                    exps.add((x._mpf_[2] > 0) - (x._mpf_[2] < 0))
+                    assert mpf_to_fraction(x) == product(x)
+        assert exps == {-1, 0, 1}
 
 
 class TestTranscendentalEnclosures:
