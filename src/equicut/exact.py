@@ -12,9 +12,18 @@ radicand, t_i**2 = r_i is a vector one level down and products reduce by
 halves, top level first, down to the flat prefix of rational radicands,
 where they multiply by masks again.  Signs come from a 64-bit fixed-point
 enclosure of the basis products, or from an exact halving recursion when
-the enclosure cannot certify one.  A merge takes one root per source level,
-by lookup where the destination chain holds the radicand, and maps vectors
-by halves.  Every value offers the nested-pair view as ``raw``.
+the enclosure cannot certify one.
+
+A binary ``+ - * /`` is routed by its operands.  Two rationals (ints,
+Fractions or values over the base context) combine as four integers with
+one gcd.  A rational and a vector move the vector's coordinate 0 (``+ -``)
+or scale every coordinate (``*``, and ``/`` by the rational), over the
+vector's context.  Two vectors over one context have one length and
+combine or multiply directly.  Only values over different contexts merge:
+one over a prefix of the other's context is padded with zeros, and
+otherwise the merge takes one root per source level, by lookup where the
+destination chain holds the radicand, and maps vectors by halves.  Every
+value offers the nested-pair view as ``raw``.
 
 ``KElement`` is the squarefree-basis view of a flat vector: a rational
 combination of square roots of squarefree integers in canonical form, so
@@ -371,18 +380,12 @@ def _product(ctx, x, y) -> tuple[list, int]:
     return _hmul(x, y, k, ctx), ctx._scales[k]
 
 
-def _vcombine(ctx, x, y, s: int) -> "TowerReal":
-    """x + s*y over ``ctx`` for s = +-1, where x and y are (numerators,
-    denominator) pairs."""
-    (xn, xd), (yn, yd) = x, y
+def _vcombine(ctx, xn, xd: int, yn, yd: int, s: int) -> "TowerReal":
+    """xn/xd + s*yn/yd over ``ctx`` for s = +-1 and vectors of one length."""
     if xd != yd:
         xn = [c * yd for c in xn]
         yn = [c * xd for c in yn]
         xd *= yd
-    if len(xn) < len(yn):
-        xn = [*xn, *[0] * (len(yn) - len(xn))]
-    elif len(yn) < len(xn):
-        yn = [*yn, *[0] * (len(xn) - len(yn))]
     return _vector_value(ctx, list(map(add if s > 0 else sub, xn, yn)), xd)
 
 
@@ -607,6 +610,20 @@ class TowerReal:
     is tuple equality.  ``raw``, the nested-pair view, is built on first
     use.  Signs come from the context's 64-bit fixed-point roots, or from the
     exact halving recursion ``_vsign`` when those cannot certify one.
+
+    A binary ``+ - * /`` takes one of four routes.  An int or Fraction
+    operand counts as a rational, as does a value over the base context.
+    Two rationals give one numerator and one denominator, reduced by one
+    gcd.  With one rational, ``+ -`` move only coordinate 0 of the other
+    operand, and ``*``, and ``/`` by the rational, scale every coordinate,
+    so the result stays over that operand's context, its least prefix,
+    unless it is zero; the rational over the operand multiplies by the
+    operand's inverse there.  Over one context the vectors have one length
+    and combine or multiply with no merge.  Only values over different
+    contexts go through ``_merge``, which embeds one through
+    ``FieldBuilder`` unless one context is a prefix of the other.  Every
+    route ends in the canonical form, so each gives the value, tuple for
+    tuple, that the general route would.
     """
 
     __slots__ = ("ctx", "_raw", "_num", "_den", "_sign", "_ivs")
@@ -640,14 +657,18 @@ class TowerReal:
     def as_fraction(self) -> Optional[Fraction]:
         return Fraction(self._num[0], self._den) if len(self._num) == 1 else None
 
-    # -- coercion -----------------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
+    # ``_sum``, ``_times`` and ``_quotient`` route each binary operation by
+    # its operands, as the class docstring describes; an int or Fraction
+    # operand goes straight to the rational route.
 
     @staticmethod
     def _merge(a: "TowerReal", b: "TowerReal"):
+        """(ctx, x, y): a and b over one context, as (numerators,
+        denominator) pairs, embedding b when neither context is a prefix of
+        the other."""
         ca, cb = a.ctx, b.ctx
-        if ca is cb:
-            ctx = ca
-        elif ca.depth <= cb.depth and cb.prefix(ca.depth) is ca:
+        if ca.depth <= cb.depth and cb.prefix(ca.depth) is ca:
             ctx = cb
         elif cb.depth < ca.depth and ca.prefix(cb.depth) is cb:
             ctx = ca
@@ -657,64 +678,47 @@ class TowerReal:
             ctx = builder.ctx
         return ctx, (a._num, a._den), (b._num, b._den)
 
-    def _coerce(self, other) -> Optional[tuple]:
-        """(ctx, x, y): both operands over one context, as (numerators,
-        denominator) pairs."""
-        if isinstance(other, TowerReal):
-            return TowerReal._merge(self, other)
-        if isinstance(other, int):
-            return self.ctx, (self._num, self._den), ((other,), 1)
-        if isinstance(other, Fraction):
-            return self.ctx, (self._num, self._den), ((other.numerator,), other.denominator)
-        return None
-
-    # -- arithmetic ---------------------------------------------------------
-
     def __add__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        ctx, x, y = co
-        return _vcombine(ctx, x, y, 1)
+        if other.__class__ is TowerReal:
+            return _sum(self, other, 1)
+        if isinstance(other, (int, Fraction)):
+            return _shift(self, 1, other.numerator, other.denominator)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        ctx, x, y = co
-        return _vcombine(ctx, x, y, -1)
+        if other.__class__ is TowerReal:
+            return _sum(self, other, -1)
+        if isinstance(other, (int, Fraction)):
+            return _shift(self, 1, -other.numerator, other.denominator)
+        return NotImplemented
 
     def __rsub__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        ctx, x, y = co
-        return _vcombine(ctx, y, x, -1)
+        if isinstance(other, (int, Fraction)):
+            return _shift(self, -1, other.numerator, other.denominator)
+        return NotImplemented
 
     def __mul__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        ctx, (xn, xd), (yn, yd) = co
-        z, s = _product(ctx, xn, yn)
-        return _vector_value(ctx, z, s * xd * yd)
+        if other.__class__ is TowerReal:
+            return _times(self, other)
+        if isinstance(other, (int, Fraction)):
+            return _scale(self, other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        return TowerReal._divide(*co)
+        if other.__class__ is TowerReal:
+            return _quotient(self, other)
+        if isinstance(other, (int, Fraction)):
+            return _divided(self, other.numerator, other.denominator)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        ctx, x, y = co
-        return TowerReal._divide(ctx, y, x)
+        if isinstance(other, (int, Fraction)):
+            return _quotient(_value(_BASE_CTX, (other.numerator,), other.denominator), self)
+        return NotImplemented
 
     @staticmethod
     def _divide(ctx: TowerContext, x, y) -> "TowerReal":
@@ -773,10 +777,15 @@ class TowerReal:
         return float(self.interval(64).mid)
 
     def __eq__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        if other.__class__ is not TowerReal:
+            if isinstance(other, (int, Fraction)):
+                return self._num == (other.numerator,) and self._den == other.denominator
             return NotImplemented
-        ctx, x, y = co
+        ca, cb = self.ctx, other.ctx
+        if ca is cb or ca is _BASE_CTX or cb is _BASE_CTX:
+            # canonical forms: values over different prefixes differ
+            return self._num == other._num and self._den == other._den
+        _, x, y = TowerReal._merge(self, other)
         return x == y
 
     def __lt__(self, other):
@@ -839,6 +848,85 @@ def _vector_value(ctx: TowerContext, num: list, den: int) -> TowerReal:
         num = [c // g for c in num]
         den //= g
     return _value(ctx if k == ctx.depth else ctx.prefix(k), tuple(num), den)
+
+
+def _rational(n: int, d: int) -> TowerReal:
+    """n/d over the base context, in lowest terms, for d != 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    return _value(_BASE_CTX, (n,), d)
+
+
+def _shift(x: TowerReal, c: int, n: int, d: int) -> TowerReal:
+    """c*x + n/d for c = +-1: only coordinate 0 of x moves, so a vector
+    keeps its context, and a rational x gives four integers and one gcd."""
+    xn, xd = x._num, x._den
+    if x.ctx is _BASE_CTX:
+        return _rational(c * d * xn[0] + n * xd, xd * d)
+    m = c * d
+    num = [m * v for v in xn]
+    num[0] += n * xd
+    return _vector_value(x.ctx, num, xd * d)
+
+
+def _scale(x: TowerReal, n: int, d: int) -> TowerReal:
+    """x * n/d for d != 0: every coordinate scales."""
+    if x.ctx is _BASE_CTX:
+        return _rational(x._num[0] * n, x._den * d)
+    return _vector_value(x.ctx, [n * v for v in x._num], x._den * d)
+
+
+def _divided(x: TowerReal, n: int, d: int) -> TowerReal:
+    """x / (n/d) for d > 0."""
+    if not n:
+        raise ZeroDivisionError("division by zero in tower field")
+    return _scale(x, d, n)
+
+
+def _sum(a: TowerReal, b: TowerReal, s: int) -> TowerReal:
+    """a + s*b for s = +-1."""
+    ca, cb = a.ctx, b.ctx
+    if cb is _BASE_CTX:
+        return _shift(a, 1, s * b._num[0], b._den)
+    if ca is _BASE_CTX:
+        return _shift(b, s, a._num[0], a._den)
+    if ca is cb:
+        return _vcombine(ca, a._num, a._den, b._num, b._den, s)
+    ctx, (xn, xd), (yn, yd) = TowerReal._merge(a, b)
+    if len(xn) < len(yn):
+        xn = [*xn, *[0] * (len(yn) - len(xn))]
+    elif len(yn) < len(xn):
+        yn = [*yn, *[0] * (len(xn) - len(yn))]
+    return _vcombine(ctx, xn, xd, yn, yd, s)
+
+
+def _times(a: TowerReal, b: TowerReal) -> TowerReal:
+    """a * b."""
+    ca, cb = a.ctx, b.ctx
+    if cb is _BASE_CTX:
+        return _scale(a, b._num[0], b._den)
+    if ca is _BASE_CTX:
+        return _scale(b, a._num[0], a._den)
+    if ca is cb:
+        ctx, xn, xd, yn, yd = ca, a._num, a._den, b._num, b._den
+    else:
+        ctx, (xn, xd), (yn, yd) = TowerReal._merge(a, b)
+    z, s = _product(ctx, xn, yn)
+    return _vector_value(ctx, z, s * xd * yd)
+
+
+def _quotient(a: TowerReal, b: TowerReal) -> TowerReal:
+    """a / b; ZeroDivisionError when b is zero."""
+    ca, cb = a.ctx, b.ctx
+    if cb is _BASE_CTX:
+        return _divided(a, b._num[0], b._den)
+    if ca is cb or ca is _BASE_CTX:
+        return TowerReal._divide(cb, (a._num, a._den), (b._num, b._den))
+    return TowerReal._divide(*TowerReal._merge(a, b))
 
 
 def _value_key(x: TowerReal) -> tuple:
@@ -1097,8 +1185,8 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx, (x, y) = _k_vectors(self, o)
-        return _k_from(_vcombine(ctx, x, y, s))
+        ctx, ((xn, xd), (yn, yd)) = _k_vectors(self, o)
+        return _k_from(_vcombine(ctx, xn, xd, yn, yd, s))
 
     def __add__(self, other):
         return self._combine(other, 1)

@@ -168,21 +168,21 @@ class Pt:
         return self._mid
 
     def __add__(self, other: "Pt") -> "Pt":
-        return Pt(self.x + other.x, self.y + other.y)
+        return _pt(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Pt") -> "Pt":
-        return Pt(self.x - other.x, self.y - other.y)
+        return _pt(self.x - other.x, self.y - other.y)
 
     def __mul__(self, scalar: Coord) -> "Pt":
-        return Pt(self.x * scalar, self.y * scalar)
+        return _pt(self.x * scalar, self.y * scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Coord) -> "Pt":
-        return Pt(self.x / scalar, self.y / scalar)
+        return _pt(self.x / scalar, self.y / scalar)
 
     def __neg__(self) -> "Pt":
-        return Pt(-self.x, -self.y)
+        return _pt(-self.x, -self.y)
 
     def dot(self, other: "Pt") -> TowerReal:
         return self.x * other.x + self.y * other.y
@@ -205,6 +205,19 @@ class Pt:
         from .literals import format_number
 
         return f"Pt({format_number(self.x)}, {format_number(self.y)})"
+
+
+_new_pt = object.__new__
+
+
+def _pt(x: TowerReal, y: TowerReal) -> Pt:
+    """Unchecked constructor for coordinates that are already ``TowerReal``;
+    ``Pt``'s arithmetic builds its results through it."""
+    out = _new_pt(Pt)
+    out.x = x
+    out.y = y
+    out._box = out._mid = False
+    return out
 
 
 def orientation(a: Pt, b: Pt, c: Pt) -> int:

@@ -304,8 +304,15 @@ def _mp_value(raw, k, rads):
 
 def _flat_pairs(seed):
     """(x, y) pairs of flat values: one context, a context and its prefix,
-    and two contexts over the same radicands adjoined in different orders."""
+    two contexts over the same radicands adjoined in different orders,
+    rationals on either side of a vector, int and Fraction operands on
+    either side, and pairs whose sum or difference cancels to a prefix or to
+    zero.  An operand may be a plain int or Fraction, never both."""
     rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
     pairs = []
     for rads in FLAT_RADICANDS:
         ctx = _flat_ctx(rads)
@@ -314,12 +321,22 @@ def _flat_pairs(seed):
             x = TowerReal(ctx, _random_raw(rng, ctx.depth))
             y = TowerReal(ctx, _random_raw(rng, ctx.depth))
             z = TowerReal(ctx.prefix(j), _random_raw(rng, j))
+            r = R(rational())
             pairs += [(x, y), (x, z), (z, x), (x, TowerReal.from_rational(rng.randint(-5, 5)))]
+            pairs += [(r, x), (r, r - x), (x, rng.randint(-5, 5)), (rng.randint(-5, 5), x)]
+            pairs += [(x, rational()), (rational(), x), (x, x), (x, -x), (x, z - x), (x, x - z)]
         if len(rads) > 1:
             other = _flat_ctx(rads[::-1])
             x = TowerReal(ctx, _random_raw(rng, ctx.depth))
             y = TowerReal(other, _random_raw(rng, other.depth))
             pairs += [(x, y), (y, x)]
+    for _ in range(4):
+        d = rng.randint(1, 6)
+        pairs += [(R(rational()), R(rational())), (R(Fraction(rng.randint(-9, 9), d)), R(Fraction(rng.randint(-9, 9), d)))]
+        pairs += [(R(rational()), rational()), (rational(), R(rational())), (R(rational()), rng.randint(-3, 3))]
+    # sums and differences that reduce: equal denominators, unequal ones, zero
+    pairs += [(R(Fraction(3, 7)), R(Fraction(4, 7))), (R(Fraction(1, 6)), R(Fraction(1, 3)))]
+    pairs += [(R(Fraction(5, 12)), R(Fraction(-5, 12))), (R(Fraction(5, 12)), Fraction(5, 12)), (2, R(0))]
     return pairs
 
 
@@ -327,6 +344,7 @@ def _check_result(z, ctx, want):
     """z, computed on integer vectors, against the raw result ``want``."""
     k = ctx.depth
     assert ref.lift(z.raw, z.depth, k) == want
+    assert z.ctx is ctx.prefix(ref.strip(want, k)[1])
     assert TowerReal(ctx, want) == z
     assert z.sign() == ref.rsign(want, k, ctx.radicands)
     assert z.is_zero() == ref.riszero(want, k)
@@ -351,16 +369,17 @@ class TestFlatDifferential:
     @pytest.mark.parametrize("seed", range(6))
     def test_arithmetic_matches_recursion(self, seed):
         pairs = _flat_pairs(seed)
-        assert {max(x.depth, y.depth) for x, y in pairs} >= {1, 2, 3}
-        for x, y in pairs:
-            builder = FieldBuilder(x.ctx)
-            y_in = builder.embed(y)
+        values = [(exact.exactify(x), exact.exactify(y)) for x, y in pairs]
+        assert {max(x.depth, y.depth) for x, y in values} >= {0, 1, 2, 3}
+        for (x, y), (tx, ty) in zip(pairs, values):
+            builder = FieldBuilder(tx.ctx)
+            y_in = builder.embed(ty)
             ctx = builder.ctx
             k, rads = ctx.depth, ctx.radicands
             assert y_in == y
-            xr = ref.lift(x.raw, x.depth, k)
+            xr = ref.lift(tx.raw, tx.depth, k)
             yr = ref.lift(y_in.raw, y_in.depth, k)
-            assert TowerReal(x.ctx, x.raw)._num == x._num
+            assert TowerReal(tx.ctx, tx.raw)._num == tx._num
             _check_result(x + y, ctx, ref.radd(xr, yr, k))
             _check_result(x - y, ctx, ref.rsub(xr, yr, k))
             _check_result(x * y, ctx, ref.rmul(xr, yr, k, rads))
@@ -904,6 +923,94 @@ class TestCrossTowerMerge:
         a = sqrt_adjoin(3) + sqrt_adjoin(2)
         b = sqrt_adjoin(6)
         assert a * a - 5 == 2 * b
+
+
+def _routed_operands(seed: int) -> list:
+    """(ctx, x, y) with x and y over the one context ``ctx`` or rational,
+    where a rational may be a plain int or Fraction; never both plain."""
+    rng = random.Random(seed)
+    contexts = [_flat_ctx(rads) for rads in FLAT_RADICANDS]
+    contexts += [v.ctx for v in _nested_values(seed) if v.depth <= 4]
+    cases = []
+    for ctx in contexts:
+        x, y = [v for v in (TowerReal(ctx, _random_raw(rng, ctx.depth)) for _ in range(8)) if v.ctx is ctx][:2]
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, R(q)), (R(q), x), (x, 3), (-2, x), (x, q), (q, x), (x, 0)):
+            cases.append((ctx, a, b))
+    q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    rationals = ((R(q), R(Fraction(5, 6))), (R(Fraction(1, 6)), R(Fraction(1, 3))), (R(q), 4), (Fraction(-3, 4), R(q)), (R(q), R(0)))
+    cases += [(_flat_ctx(()), a, b) for a, b in rationals]
+    return cases
+
+
+def _raising(*args):
+    raise AssertionError("merged or embedded")
+
+
+def _check_routed(z, ctx, want):
+    """``_check_nested_result``, and z's integers are the canonical ones."""
+    _check_nested_result(z, ctx, want)
+    w = TowerReal(ctx, want)
+    assert (z.ctx, z._num, z._den) == (w.ctx, w._num, w._den)
+
+
+class TestOperandRoutes:
+    """Operands over one context, or with a rational among them, combine
+    without a merge; operands over different contexts still merge."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_context_and_rational_operands_need_no_merge(self, monkeypatch, seed):
+        cases = _routed_operands(seed)
+        results = []
+        with monkeypatch.context() as patched:
+            patched.setattr(TowerReal, "_merge", staticmethod(_raising))
+            patched.setattr(FieldBuilder, "embed", _raising)
+            for ctx, x, y in cases:
+                out = [x + y, x - y, x * y]
+                try:
+                    out.append(x / y)
+                except ZeroDivisionError:
+                    out.append(None)
+                out.append(x == y)
+                results.append(out)
+        for (ctx, x, y), (total, diff, prod, quot, equal) in zip(cases, results):
+            k, rads = ctx.depth, ctx.radicands
+            tx, ty = exact.exactify(x), exact.exactify(y)
+            xr, yr = ref.lift(tx.raw, tx.depth, k), ref.lift(ty.raw, ty.depth, k)
+            _check_routed(total, ctx, ref.radd(xr, yr, k))
+            _check_routed(diff, ctx, ref.rsub(xr, yr, k))
+            _check_routed(prod, ctx, ref.rmul(xr, yr, k, rads))
+            assert equal == ref.riszero(ref.rsub(xr, yr, k), k)
+            if ref.riszero(yr, k):
+                assert quot is None
+            else:
+                _check_routed(quot, ctx, ref.rmul(xr, ref.rinv(yr, k, rads), k, rads))
+
+    def test_different_chains_still_merge(self, monkeypatch):
+        merges = []
+        merge = TowerReal._merge
+
+        def counting_merge(a, b):
+            merges.append((a.ctx, b.ctx))
+            return merge(a, b)
+
+        s2, s3 = _flat_ctx((2, 3)), _flat_ctx((3, 2))
+        x = TowerReal(s2, ((Fraction(1), Fraction(2, 3)), (Fraction(-5), Fraction(1, 4))))
+        y = TowerReal(s3, ((Fraction(7, 2), Fraction(0)), (Fraction(-1, 3), Fraction(2))))
+        assert x.ctx is s2 and y.ctx is s3
+        with monkeypatch.context() as patched:
+            patched.setattr(TowerReal, "_merge", staticmethod(counting_merge))
+            total, diff, prod, quot, equal = x + y, x - y, x * y, x / y, x == y
+        # + - * / and == each merge once; the embedding inside merges prefixes
+        assert merges.count((s2, s3)) == 5
+        ctx, y_in = _check_embed(x, y)
+        k, rads = ctx.depth, ctx.radicands
+        xr, yr = ref.lift(x.raw, x.depth, k), ref.lift(y_in.raw, y_in.depth, k)
+        _check_nested_result(total, ctx, ref.radd(xr, yr, k))
+        _check_nested_result(diff, ctx, ref.rsub(xr, yr, k))
+        _check_nested_result(prod, ctx, ref.rmul(xr, yr, k, rads))
+        _check_nested_result(quot, ctx, ref.rmul(xr, ref.rinv(yr, k, rads), k, rads))
+        assert not equal
 
 
 def _count_roots(monkeypatch) -> dict:

@@ -36,6 +36,42 @@ def P(x, y) -> Pt:
 UNIT_RIGHT = Triangle(P(0, 0), P(1, 0), P(0, 1))
 
 
+class TestPtArithmetic:
+    """``Pt``'s + - * / and negation build their results from the
+    coordinates' values directly; each equals the point built from the same
+    coordinates, float box and centre included."""
+
+    @staticmethod
+    def _same(got, want):
+        assert type(got.x) is TowerReal and type(got.y) is TowerReal
+        assert got._box is False and got._mid is False
+        assert (got.x, got.y) == (want.x, want.y) and got == want
+        assert got._floats() == want._floats()
+        assert got._centre() == want._centre()
+
+    def test_results_equal_the_points_of_their_coordinates(self):
+        builder = FieldBuilder()
+        r2, r3 = builder.sqrt(2), builder.sqrt(3)
+        nested = parse_number("sqrt(1 + sqrt(2))")
+        points = [
+            P(1, 2),
+            P(Fraction(-3, 7), Fraction(5, 4)),
+            Pt(r2, 1 - r3),
+            Pt(r2 * r3 / 5, Fraction(1, 3)),
+            Pt(nested, 2 - nested),
+        ]
+        scalars = [3, Fraction(-2, 5), TowerReal.from_rational(Fraction(7, 3)), r2, 1 + r3, nested]
+        for p in points:
+            self._same(-p, Pt(-p.x, -p.y))
+            for q in points:
+                self._same(p + q, Pt(p.x + q.x, p.y + q.y))
+                self._same(p - q, Pt(p.x - q.x, p.y - q.y))
+            for s in scalars:
+                self._same(p * s, Pt(p.x * s, p.y * s))
+                self._same(s * p, Pt(s * p.x, s * p.y))
+                self._same(p / s, Pt(p.x / s, p.y / s))
+
+
 class TestOrientation:
     def test_repeated_point_object_needs_no_arithmetic(self, exact_calls):
         a, b = P(0, 0), P(1, 1)
