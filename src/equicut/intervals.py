@@ -12,12 +12,16 @@ The interval type ``RatInterval`` and the bounded refinement loop
 Transcendental values (pi, acos, sin) come from mpmath evaluated at elevated
 working precision and are then padded outward by a full 2**-bits, several
 orders of magnitude beyond mpmath's documented few-ulp error, so the returned
-intervals are trustworthy enclosures.
+intervals are trustworthy enclosures.  An enclosure of acos or sin over an
+interval takes one evaluation, at an end rounded outward onto the 2**-(bits+16)
+grid, and reaches the other end by the mean value theorem: the grid width
+times a bound on the derivative, rounded up through ``isqrt``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Optional, Union
 
 import mpmath
@@ -67,57 +71,60 @@ def pi_interval(bits: int) -> RatInterval:
     return RatInterval(approx - eps, approx + eps)
 
 
-def _dyadic_out(x: Fraction, p: int, up: bool) -> Fraction:
-    """Round outward onto the 2**-p dyadic grid (exactly mpf-representable),
-    so transcendental functions are evaluated at exact machine inputs."""
-    scaled = x * (1 << p)
-    n = scaled.numerator // scaled.denominator
-    if up and n * scaled.denominator != scaled.numerator:
-        n += 1
-    return Fraction(n, 1 << p)
+def _grid(x: RatInterval, p: int) -> tuple[int, int]:
+    """The ends of ``x`` rounded outward onto the 2**-p grid, as the integers
+    n of n / 2**p, so functions are evaluated at exact machine inputs."""
+    lo, hi = x
+    return (lo.numerator << p) // lo.denominator, -((-hi.numerator << p) // hi.denominator)
 
 
-def _exact_mpf(x: Fraction) -> mpmath.mpf:
-    # valid only for dyadic x whose mantissa fits the working precision
-    return mpmath.ldexp(x.numerator, -(x.denominator.bit_length() - 1))
-
-
-def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    return min(max(x, lo), hi)
+def _at(f: Callable, n: int, p: int) -> Fraction:
+    """``f`` at the grid point n / 2**p, evaluated at p + 8 working bits."""
+    with mpmath.workprec(p + 8):
+        return mpf_to_fraction(f(mpmath.ldexp(n, -p)))
 
 
 def acos_interval(x: RatInterval, bits: int) -> RatInterval:
-    """Enclosure of acos over ``x`` (clamped into [-1, 1]); acos is
-    decreasing, so the image endpoints swap."""
+    """Enclosure of acos over ``x`` (clamped into [-1, 1]).  acos is
+    decreasing, so its value at the lower end is the upper end, and the
+    lower end lies below it by at most the width times sup |acos'| =
+    1 / sqrt(1 - xi**2), xi the end nearer +-1.  Only when xi reaches +-1,
+    where acos' has no bound, is the upper end evaluated as well."""
     p = bits + _GUARD_BITS
-    lo_in = _clamp(_dyadic_out(x.lo, p, up=False), -_ONE, _ONE)
-    hi_in = _clamp(_dyadic_out(x.hi, p, up=True), -_ONE, _ONE)
+    one = 1 << p
+    lo_n, hi_n = (min(max(n, -one), one) for n in _grid(x, p))
     eps = Fraction(1, 1 << bits)
-    with mpmath.workprec(p + 8):
-        out_lo = mpf_to_fraction(mpmath.acos(_exact_mpf(hi_in)))
-        out_hi = mpf_to_fraction(mpmath.acos(_exact_mpf(lo_in)))
-    lo = max(_ZERO, out_lo - eps)
-    hi = out_hi + eps
-    return RatInterval(lo, max(lo, hi))
+    top = _at(mpmath.acos, lo_n, p)
+    root = isqrt(one * one - max(lo_n * lo_n, hi_n * hi_n))  # 2**p / root >= sup |acos'|
+    if root:
+        bottom = top - Fraction(-((lo_n - hi_n) << (p + 8)) // root, 1 << (p + 8))
+    else:
+        bottom = _at(mpmath.acos, hi_n, p)
+    lo = max(_ZERO, bottom - eps)
+    return RatInterval(lo, max(lo, top + eps))
 
 
 def sin_interval(x: RatInterval, bits: int) -> RatInterval:
     """Enclosure of sin over ``x``, assuming 0 <= x <= pi (the only range the
-    package needs); accounts for the maximum at pi/2."""
+    package needs).  sin is evaluated once, at the end farther from pi/2.
+    Unless ``x`` meets pi/2, sin is least there and rises by at most the
+    width times |cos| there, sqrt(1 - sin**2).  If it meets pi/2, the upper
+    end is 1, and |cos| <= |x - pi/2| bounds the fall from the evaluated end."""
     p = bits + _GUARD_BITS
-    lo_in = _dyadic_out(x.lo, p, up=False)
-    hi_in = _dyadic_out(x.hi, p, up=True)
+    lo_n, hi_n = _grid(x, p)
     eps = Fraction(1, 1 << bits)
-    with mpmath.workprec(p + 8):
-        s_lo = mpf_to_fraction(mpmath.sin(_exact_mpf(lo_in)))
-        s_hi = mpf_to_fraction(mpmath.sin(_exact_mpf(hi_in)))
     half_pi = pi_interval(bits + 2) * Fraction(1, 2)
-    lo = max(-_ONE, min(s_lo, s_hi) - eps)
+    width = Fraction(hi_n - lo_n, 1 << p)
+    s = _at(mpmath.sin, lo_n if x.lo + x.hi <= half_pi.lo + half_pi.hi else hi_n, p)
     if x.lo <= half_pi.hi and x.hi >= half_pi.lo:
-        hi = _ONE
+        lo, hi = s - width * (width + half_pi.width), _ONE
     else:
-        hi = min(_ONE, max(s_lo, s_hi) + eps)
-    return RatInterval(lo, max(lo, hi))
+        # s - eps on the grid, rounded down and kept >= 0, is below |sin| there
+        one = 1 << p
+        s_n = max(0, (s.numerator << p) // s.denominator - (1 << _GUARD_BITS))
+        lo, hi = s, s + width * (isqrt(one * one - s_n * s_n) + 1) / one
+    lo = max(-_ONE, lo - eps)
+    return RatInterval(lo, max(lo, min(_ONE, hi + eps)))
 
 
 ExactLike = Union[TowerReal, Fraction, int]

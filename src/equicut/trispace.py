@@ -45,10 +45,12 @@ __all__ = [
 ExactValue = Union[TowerReal, Fraction, int]
 
 _SAMPLE_BITS = 53
+_PI = NumericReal(pi_interval)
 
 
 def pi_numeric() -> NumericReal:
-    return NumericReal(lambda bits: pi_interval(bits))
+    """pi, one value for every caller, so its enclosures are cached across calls."""
+    return _PI
 
 
 def is_valid_side_pair(a: ExactValue, b: ExactValue) -> bool:
@@ -129,12 +131,10 @@ def angles_from_sides(
     a: ExactValue, b: ExactValue
 ) -> tuple[NumericReal, NumericReal, NumericReal]:
     """Angles opposite a, b, 1 as rigorously refinable numeric reals."""
-    cos_a, cos_b, cos_c = cosines_from_sides(a, b)
-    return (
-        acos_numeric(NumericReal.from_exact(cos_a)),
-        acos_numeric(NumericReal.from_exact(cos_b)),
-        acos_numeric(NumericReal.from_exact(cos_c)),
-    )
+    cosines = cosines_from_sides(a, b)
+    angles = [acos_numeric(NumericReal.from_exact(c)) for c in cosines]
+    # equal angles share one value, so each precision is enclosed once
+    return tuple(angles[cosines.index(c)] for c in cosines)
 
 
 def sides_from_angles(

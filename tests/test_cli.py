@@ -126,6 +126,21 @@ class TestAnalyze:
         assert out == ""
         assert err == f"error: --precision must be between 1 and {MAX_WORK_BITS}\n"
 
+    @pytest.mark.parametrize("bits", [MAX_WORK_BITS - 1, MAX_WORK_BITS])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_precision_at_the_limit_fails_on_angles(self, capsys, monkeypatch, source, bits):
+        """Accepted, but an angle refines its cosine 2 bits past the target,
+        beyond MAX_WORK_BITS, so the analysis exits 2 with the refinement error."""
+        argv = ["analyze", "--region", "3/4,1/2"]
+        if source == "flag":
+            argv += ["--precision", str(bits)]
+        else:
+            monkeypatch.setenv("EQUICUT_PRECISION_BITS", str(bits))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a width of 2**-{bits + 2} needs over {MAX_WORK_BITS} bits\n"
+
     def test_precision_environment_past_the_limit_is_usage_error(
         self, capsys, monkeypatch
     ):

@@ -18,6 +18,7 @@ from equicut.intervals import (
     sin_interval,
     sin_numeric,
 )
+from interval_reference import reference_acos_interval, reference_sin_interval
 
 
 def high_precision(fn, *args):
@@ -142,6 +143,137 @@ class TestTranscendentalEnclosures:
         assert iv.hi == 1
         ref = high_precision(mpmath.sin, Fraction(3, 2))
         assert iv.lo <= ref
+
+
+def _point(x):
+    return lambda bits: RatInterval(x)
+
+
+def _tower(value):
+    return value.enclosure
+
+
+def _pi_times(q, shift=0):
+    return lambda bits: pi_interval(bits) * q + RatInterval(shift)
+
+
+_TINY_COS = 1 - Fraction(1, 3 << 40)  # acos of it is about 2**-20, acos' about 2**20
+
+# inputs by name, each a function of the precision; the narrow ones are the
+# kind ``acos_numeric`` passes, an enclosure of width at most 2**-bits
+ACOS_NARROW = {
+    "dyadic-1/2": _point(Fraction(1, 2)),
+    "dyadic-17/32": _point(Fraction(17, 32)),
+    "dyadic-negative": _point(Fraction(-11, 16)),
+    "zero": _point(Fraction(0)),
+    "point-1/3": _point(Fraction(1, 3)),
+    "point--5/7": _point(Fraction(-5, 7)),
+    "tower-sqrt3/2": _tower(sqrt_adjoin(3) / 2),
+    "tower-sqrt2/2": _tower(sqrt_adjoin(2) / 2),
+    "tower-golden": _tower((sqrt_adjoin(5) - 1) / 4),
+    "tower-negative": _tower(-sqrt_adjoin(7) / 3),
+    "tiny-angle-point": _point(_TINY_COS),
+    "tiny-angle-dyadic": _point(1 - Fraction(1, 1 << 41)),
+    "tiny-angle-tower": _tower(sqrt_adjoin(_TINY_COS)),
+    "near-minus-one": _tower(sqrt_adjoin(_TINY_COS) * -1),
+}
+# an end at or beyond +-1: both ends are evaluated, as in the reference
+ACOS_AT_ONE = {
+    "one": _point(Fraction(1)),
+    "minus-one": _point(Fraction(-1)),
+    "up-to-one": lambda bits: RatInterval(Fraction(1, 2), 1),
+    "from-minus-one": lambda bits: RatInterval(-1, Fraction(-1, 3)),
+    "all": lambda bits: RatInterval(-1, 1),
+    "past-one": lambda bits: RatInterval(Fraction(9, 10), Fraction(3, 2)),
+    "past-minus-one": lambda bits: RatInterval(-2, Fraction(-1, 2)),
+    "past-both": lambda bits: RatInterval(-3, 3),
+    "beyond-one": lambda bits: RatInterval(Fraction(3, 2), 2),
+    "beyond-minus-one": lambda bits: RatInterval(-3, -2),
+}
+SIN_NARROW = {
+    "dyadic-1": _point(Fraction(1)),
+    "dyadic-3/2": _point(Fraction(3, 2)),
+    "dyadic-3": _point(Fraction(3)),
+    "zero": _point(Fraction(0)),
+    "point-1/3": _point(Fraction(1, 3)),
+    "point-311/100": _point(Fraction(311, 100)),
+    "tiny-angle": _point(Fraction(1, 3 << 20)),
+    "pi/3": _pi_times(Fraction(1, 3)),
+    "pi/2": _pi_times(Fraction(1, 2)),
+    "near-pi/2": _pi_times(Fraction(1, 2), Fraction(-1, 1 << 20)),
+    "just-past-pi/2": _pi_times(Fraction(1, 2), Fraction(1, 1 << 60)),
+    "near-pi": _pi_times(1, Fraction(-1, 3 << 20)),
+    "pi": pi_interval,
+    "acos-tower": _tower(acos_numeric(NumericReal.from_exact(sqrt_adjoin(3) / 2))),
+}
+# wide inputs, where a mean-value radius is not that tight: containment only
+WIDE = {
+    "acos-spanning-zero": (mpmath.acos, RatInterval(Fraction(-9, 10), Fraction(7, 10))),
+    "acos-near-one": (mpmath.acos, RatInterval(Fraction(9, 10), Fraction(99, 100))),
+    "sin-rising": (mpmath.sin, RatInterval(Fraction(1, 10), Fraction(1, 5))),
+    "sin-falling": (mpmath.sin, RatInterval(2, 3)),
+    "sin-spanning-maximum": (mpmath.sin, RatInterval(Fraction(3, 2), Fraction(8, 5))),
+    "sin-all": (mpmath.sin, RatInterval(0, Fraction(22, 7))),
+}
+_BITS = (96, 256, 1024)
+
+
+def _image_samples(fn, x, bits):
+    """``fn`` at 2*bits working precision at the ends of ``x`` (clamped into
+    [-1, 1] for acos) and at interior points."""
+    lo, hi = x
+    if fn is mpmath.acos:
+        lo, hi = min(max(lo, -1), 1), min(max(hi, -1), 1)
+    points = {lo, hi} | {lo + (hi - lo) * Fraction(k, 7) for k in range(1, 7)}
+    with mpmath.workprec(2 * bits):
+        return [
+            mpf_to_fraction(fn(mpmath.mpf(t.numerator) / t.denominator)) for t in points
+        ]
+
+
+class TestMeanValueEnclosures:
+    """One evaluation and a mean-value radius enclose what the two-ended
+    reference encloses, and are wider by at most 2**-(bits+12) on inputs as
+    narrow as the refinement loop passes."""
+
+    @pytest.mark.parametrize("bits", _BITS)
+    @pytest.mark.parametrize("name", sorted(ACOS_NARROW) + sorted(ACOS_AT_ONE))
+    def test_acos(self, name, bits):
+        x = {**ACOS_NARROW, **ACOS_AT_ONE}[name](bits)
+        iv = acos_interval(x, bits)
+        assert all(iv.contains(v) for v in _image_samples(mpmath.acos, x, bits))
+        ref = reference_acos_interval(x, bits)
+        assert iv.width <= ref.width + Fraction(1, 1 << (bits + 12))
+        if name in ACOS_AT_ONE:
+            assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
+
+    @pytest.mark.parametrize("bits", _BITS)
+    @pytest.mark.parametrize("name", sorted(SIN_NARROW))
+    def test_sin(self, name, bits):
+        x = SIN_NARROW[name](bits)
+        iv = sin_interval(x, bits)
+        assert all(iv.contains(v) for v in _image_samples(mpmath.sin, x, bits))
+        ref = reference_sin_interval(x, bits)
+        assert iv.width <= ref.width + Fraction(1, 1 << (bits + 12))
+
+    @pytest.mark.parametrize("bits", (64, 256))
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_wide(self, name, bits):
+        fn, x = WIDE[name]
+        iv = (acos_interval if fn is mpmath.acos else sin_interval)(x, bits)
+        assert all(iv.contains(v) for v in _image_samples(fn, x, bits))
+
+    def test_one_evaluation_away_from_one(self, monkeypatch):
+        calls = []
+        for fn in ("acos", "sin"):
+            real = getattr(mpmath, fn)
+            monkeypatch.setattr(mpmath, fn, lambda t, real=real: calls.append(t) or real(t))
+        acos_interval(RatInterval(Fraction(1, 3), Fraction(1, 2)), 64)
+        sin_interval(RatInterval(Fraction(1, 3), Fraction(1, 2)), 64)
+        sin_interval(RatInterval(Fraction(3, 2), Fraction(8, 5)), 64)
+        assert len(calls) == 3
+        acos_interval(RatInterval(Fraction(1, 3), 1), 64)
+        assert len(calls) == 5
 
 
 class TestNumericReal:

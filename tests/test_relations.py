@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from interval_reference import reference_acos_interval, reference_sin_interval
 
-from equicut import relations
+from equicut import intervals, relations
 from equicut.exact import FieldBuilder, KElement, sqrt_adjoin
 from equicut.intervals import NumericReal, RatInterval
 from equicut.relations import (
@@ -22,7 +24,13 @@ from equicut.relations import (
     find_integer_relation,
     find_side_relation,
 )
-from equicut.trispace import angles_from_sides, sample_side_fractions
+from equicut.trispace import (
+    angle_pair_from_fractions,
+    angles_from_sides,
+    sample_angle_fractions,
+    sample_side_fractions,
+    sides_from_angles,
+)
 
 
 class TestIntegerRelationExact:
@@ -277,6 +285,76 @@ class TestCertificationMatchesReference:
         new, ref = _both(lambda: find_side_relation(a, b), monkeypatch)
         _assert_same_result(new, ref)
         assert new.status == RelationStatus.FOUND_CERTIFIED
+
+
+def _with_reference_enclosures(call, monkeypatch):
+    """``call()`` on one-evaluation enclosures and on the two-ended reference
+    ones; ``call`` builds its own angles or sides, so no cache is shared."""
+    new = call()
+    with monkeypatch.context() as m:
+        m.setattr(intervals, "acos_interval", reference_acos_interval)
+        m.setattr(intervals, "sin_interval", reference_sin_interval)
+        ref = call()
+    _assert_same_result(new, ref)
+    assert new.stats["pending"] == ref.stats["pending"]
+    return new
+
+
+def _angle_call(a, b):
+    return lambda: find_angle_relation(*angles_from_sides(a, b)[:2])
+
+
+def _side_call(u, v):
+    return lambda: find_side_relation(*sides_from_angles(*angle_pair_from_fractions(u, v)))
+
+
+# angles of the named triangles, as fractions of pi
+NAMED_ANGLES = [
+    (Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(2, 5), Fraction(1, 5)),
+]
+
+
+class TestOneEvaluationMatchesReference:
+    """Angles and sides enclosed by one transcendental evaluation and a
+    mean-value radius decide every relation as the two-ended enclosures did."""
+
+    @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
+    def test_named_triangle_angles(self, sides, monkeypatch):
+        call = _angle_call(*map(sqrt_adjoin, sides))
+        assert _with_reference_enclosures(call, monkeypatch).stats["pending"]
+
+    def test_sampled_triangle_angles(self, monkeypatch):
+        rng = random.Random(2026)
+        for _ in range(200):
+            _with_reference_enclosures(_angle_call(*sample_side_fractions(rng)), monkeypatch)
+
+    @pytest.mark.parametrize("angles", NAMED_ANGLES, ids=str)
+    def test_named_triangle_sides(self, angles, monkeypatch):
+        result = _with_reference_enclosures(_side_call(*angles), monkeypatch)
+        assert result.status == RelationStatus.FOUND_CANDIDATE
+
+    def test_sampled_triangle_sides(self, monkeypatch):
+        rng = random.Random(2026)
+        for _ in range(200):
+            _with_reference_enclosures(_side_call(*sample_angle_fractions(rng)), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "sides, evaluations",
+        [(NAMED_TRIANGLES[0], 6), (NAMED_TRIANGLES[1], 6), (NAMED_TRIANGLES[2], 12)],
+        ids=["equilateral", "right-isoceles", "30-60-90"],
+    )
+    def test_one_acos_per_angle_and_rung(self, sides, evaluations, monkeypatch):
+        """Each distinct angle is enclosed once for the sweep and once per
+        rung of the 256..4096 ladder, by one acos each; equal angles share."""
+        calls = []
+        acos = mpmath.acos
+        monkeypatch.setattr(mpmath, "acos", lambda t: calls.append(t) or acos(t))
+        result = _angle_call(*map(sqrt_adjoin, sides))()
+        assert list(result.stats["pending"]) == [256, 512, 1024, 2048, 4096]
+        assert len(calls) == evaluations
 
 
 class TestNonFiniteFloats:
