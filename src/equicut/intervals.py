@@ -12,10 +12,10 @@ The interval type ``RatInterval`` and the bounded refinement loop
 Transcendental values (pi, acos, sin) come from mpmath evaluated at elevated
 working precision and are then padded outward by a full 2**-bits, several
 orders of magnitude beyond mpmath's documented few-ulp error, so the returned
-intervals are trustworthy enclosures.  An enclosure of acos or sin over an
-interval takes one evaluation, at an end rounded outward onto the 2**-(bits+16)
-grid, and reaches the other end by the mean value theorem: the grid width
-times a bound on the derivative, rounded up through ``isqrt``.
+intervals are trustworthy enclosures.  An enclosure of acos over an interval
+takes one evaluation, at an end rounded outward onto the 2**-(bits+16) grid,
+and reaches the other end by the mean value theorem: the grid width times a
+bound on the derivative, rounded up through ``isqrt``.
 """
 
 from __future__ import annotations
@@ -106,25 +106,18 @@ def acos_interval(x: RatInterval, bits: int) -> RatInterval:
 
 def sin_interval(x: RatInterval, bits: int) -> RatInterval:
     """Enclosure of sin over ``x``, assuming 0 <= x <= pi (the only range the
-    package needs).  sin is evaluated once, at the end farther from pi/2.
-    Unless ``x`` meets pi/2, sin is least there and rises by at most the
-    width times |cos| there, sqrt(1 - sin**2).  If it meets pi/2, the upper
-    end is 1, and |cos| <= |x - pi/2| bounds the fall from the evaluated end."""
+    package needs); accounts for the maximum at pi/2."""
     p = bits + _GUARD_BITS
     lo_n, hi_n = _grid(x, p)
+    s_lo, s_hi = _at(mpmath.sin, lo_n, p), _at(mpmath.sin, hi_n, p)
     eps = Fraction(1, 1 << bits)
     half_pi = pi_interval(bits + 2) * Fraction(1, 2)
-    width = Fraction(hi_n - lo_n, 1 << p)
-    s = _at(mpmath.sin, lo_n if x.lo + x.hi <= half_pi.lo + half_pi.hi else hi_n, p)
+    lo = max(-_ONE, min(s_lo, s_hi) - eps)
     if x.lo <= half_pi.hi and x.hi >= half_pi.lo:
-        lo, hi = s - width * (width + half_pi.width), _ONE
+        hi = _ONE
     else:
-        # s - eps on the grid, rounded down and kept >= 0, is below |sin| there
-        one = 1 << p
-        s_n = max(0, (s.numerator << p) // s.denominator - (1 << _GUARD_BITS))
-        lo, hi = s, s + width * (isqrt(one * one - s_n * s_n) + 1) / one
-    lo = max(-_ONE, lo - eps)
-    return RatInterval(lo, max(lo, min(_ONE, hi + eps)))
+        hi = min(_ONE, max(s_lo, s_hi) + eps)
+    return RatInterval(lo, max(lo, hi))
 
 
 ExactLike = Union[TowerReal, Fraction, int]

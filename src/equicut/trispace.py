@@ -45,12 +45,10 @@ __all__ = [
 ExactValue = Union[TowerReal, Fraction, int]
 
 _SAMPLE_BITS = 53
-_PI = NumericReal(pi_interval)
 
 
 def pi_numeric() -> NumericReal:
-    """pi, one value for every caller, so its enclosures are cached across calls."""
-    return _PI
+    return NumericReal(lambda bits: pi_interval(bits))
 
 
 def is_valid_side_pair(a: ExactValue, b: ExactValue) -> bool:

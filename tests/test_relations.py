@@ -318,8 +318,9 @@ NAMED_ANGLES = [
 
 
 class TestOneEvaluationMatchesReference:
-    """Angles and sides enclosed by one transcendental evaluation and a
-    mean-value radius decide every relation as the two-ended enclosures did."""
+    """Angles enclosed by one acos evaluation and a mean-value radius, and
+    sides enclosed by sin on the integer grid, decide every relation as the
+    two-ended reference enclosures did."""
 
     @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
     def test_named_triangle_angles(self, sides, monkeypatch):
