@@ -22,8 +22,9 @@ vector's context.  Two vectors over one context have one length and
 combine or multiply directly.  Only values over different contexts merge:
 one over a prefix of the other's context is padded with zeros, and
 otherwise the merge takes one root per source level, by lookup where the
-destination chain holds the radicand, and maps vectors by halves.  Every
-value offers the nested-pair view as ``raw``.
+destination chain holds the radicand, and maps vectors by halves.
+Contexts are interned by their radicands' integer vectors; the nested-pair
+views ``raw`` and ``radicands`` are built on each call, for output only.
 
 ``KElement`` is the squarefree-basis view of a flat vector: a rational
 combination of square roots of squarefree integers in canonical form, so
@@ -261,50 +262,18 @@ def _refine_to(bits: int, attempt: Callable[[int], Optional[RatInterval]]) -> Ra
 
 
 # ---------------------------------------------------------------------------
-# The raw nested-pair view.  A value at level 0 is a Fraction; at level k it
-# is a pair (p, q) of level-(k-1) values meaning p + q*sqrt(radicands[k-1]).
-# Contexts are keyed by their radicands in this form, and ``interval(bits)``
-# evaluates it.
+# The nested-pair view, for output only.  A value at level 0 is a Fraction;
+# at level k it is a pair (p, q) of level-(k-1) values meaning
+# p + q*sqrt(radicands[k-1]).
 
 
-def _rconst(c: Fraction, k: int):
+def _vraw(v, den: int, k: int):
+    """The level-k nested-pair form of the vector v over den; coordinates
+    past the end of v are zero."""
     if k == 0:
-        return c
-    lower = _rconst(c, k - 1)
-    zero = _rconst(_ZERO, k - 1)
-    return (lower, zero)
-
-
-def _rflatten(x, k: int, out: list[Fraction]) -> None:
-    if k == 0:
-        out.append(x)
-        return
-    _rflatten(x[0], k - 1, out)
-    _rflatten(x[1], k - 1, out)
-
-
-def _rinterval(x, k: int, sqrt_ivs) -> RatInterval:
-    if k == 0:
-        return _interval(x, x)
-    p, q = x
-    return _rinterval(p, k - 1, sqrt_ivs) + _rinterval(q, k - 1, sqrt_ivs) * sqrt_ivs[k - 1]
-
-
-def _vector(raw, k: int) -> tuple[list[int], int]:
-    """(num, den) with the level-k raw value equal to num/den coordinatewise;
-    gcd(den, *num) == 1."""
-    coords: list[Fraction] = []
-    _rflatten(raw, k, coords)
-    den = lcm(*[c.denominator for c in coords])
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
-def _vraw(v, den: int):
-    """The raw nested-pair value of the vector v over den."""
-    h = len(v) >> 1
-    if h == 0:
         return Fraction(v[0], den)
-    return (_vraw(v[:h], den), _vraw(v[h:], den))
+    h = 1 << (k - 1)
+    return (_vraw(v[:h], den, k - 1), _vraw(v[h:] or (0,), den, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +429,16 @@ def _vfilter(v, roots) -> int:
     return 0
 
 
+def _vinterval(v, sqrt_ivs) -> RatInterval:
+    """Enclosure of the integer vector v by halves, low + high * t_top, from
+    enclosures ``sqrt_ivs`` of the t_i.  Scaling it by 1/den > 0 gives the
+    endpoints that Fraction coordinates over den would."""
+    h = len(v) >> 1
+    if h == 0:
+        return _interval(v[0], v[0])
+    return _vinterval(v[:h], sqrt_ivs) + _vinterval(v[h:], sqrt_ivs) * sqrt_ivs[h.bit_length() - 1]
+
+
 def _roots(ctx) -> list[int]:
     """The context's fixed-point roots (see ``_vfilter``).  A flat context
     holds them from the start; a nested one computes them on first use."""
@@ -509,14 +488,15 @@ def _float_bounds(x: "TowerReal") -> Optional[tuple[float, float]]:
 class TowerContext:
     """An interned, immutable list of adjoined radicands.
 
-    ``radicands[i]`` is a raw level-i value, the interning key; stored
-    radicands are certified nonnegative and are never perfect squares at
-    their own level.  ``_rads[i] = (R, e)`` is the same radicand as a
-    canonical integer vector R over the positive denominator e, and
+    ``_rads[i] = (R, e)`` is radicand i as a canonical integer vector R, a
+    value of the level-i prefix, over the positive denominator e; the tuple
+    ``_rads`` is the interning key.  Stored radicands are certified
+    nonnegative and are never perfect squares at their own level, and
     ``_levels[(R, e)] == i``: a repeated radicand would be a square.
     ``_children[(R, e)]`` is the interned context one level up whose top
     radicand is (R, e); a context is interned only once its radicand is
-    certified a non-square, so a child is that certificate.
+    certified a non-square, so a child is that certificate.  ``radicands``
+    is the nested-pair view of ``_rads``, built on each call for output.
 
     A context is *flat* when every radicand is a rational integer.  It then
     keeps ``_prods[m]``, the product of the radicands picked by the bits of
@@ -530,21 +510,17 @@ class TowerContext:
     """
 
     __slots__ = (
-        "radicands", "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
+        "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
         "_flat_depth", "_flat_prods", "_levels", "_children",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
 
-    def __init__(self, radicands: tuple):
-        self.radicands = radicands
-        self.depth = len(radicands)
+    def __init__(self, rads: tuple):
+        self._rads = rads
+        self.depth = len(rads)
         self._sqrt_cache: dict[int, list[RatInterval]] = {}
         self._prefixes: dict[int, TowerContext] = {}
-        self._rads = rads = []
-        for i, rad in enumerate(radicands):
-            r = _vector_value(self.prefix(i), *_vector(rad, i))
-            rads.append((r._num, r._den))
         self._levels = {rad: i for i, rad in enumerate(rads)}
         self._children: dict[tuple, TowerContext] = {}
         if rads:
@@ -568,11 +544,14 @@ class TowerContext:
             self._flat_prods = self.prefix(j)._prods
 
     @classmethod
-    def get(cls, radicands: tuple) -> "TowerContext":
-        ctx = cls._interned.get(radicands)
+    def get(cls, rads: tuple) -> "TowerContext":
+        """The interned context over ``rads``, canonical (R, e) pairs as in
+        ``_rads``.  Each radicand must already be certified positive and
+        not a square at its own level; ``get`` checks neither."""
+        ctx = cls._interned.get(rads)
         if ctx is None:
-            ctx = cls(radicands)
-            cls._interned[radicands] = ctx
+            ctx = cls(rads)
+            cls._interned[rads] = ctx
         return ctx
 
     def prefix(self, k: int) -> "TowerContext":
@@ -580,20 +559,22 @@ class TowerContext:
             return self
         ctx = self._prefixes.get(k)
         if ctx is None:
-            ctx = TowerContext.get(self.radicands[:k])
+            ctx = TowerContext.get(self._rads[:k])
             self._prefixes[k] = ctx
         return ctx
 
-    def extended(self, radicand_raw) -> "TowerContext":
-        return TowerContext.get(self.radicands + (radicand_raw,))
+    @property
+    def radicands(self) -> tuple:
+        """The nested-pair view: radicand i as a level-i value."""
+        return tuple(_vraw(R, e, i) for i, (R, e) in enumerate(self._rads))
 
     def sqrt_enclosures(self, bits: int) -> list[RatInterval]:
         cached = self._sqrt_cache.get(bits)
         if cached is not None:
             return cached
         out: list[RatInterval] = []
-        for i, rad in enumerate(self.radicands):
-            out.append(_rinterval(rad, i, out).sqrt(bits))
+        for R, e in self._rads:
+            out.append((_vinterval(R, out) * Fraction(1, e)).sqrt(bits))
         self._sqrt_cache[bits] = out
         return out
 
@@ -607,9 +588,10 @@ class TowerReal:
     The value is an integer vector ``_num`` over one positive denominator
     ``_den``, in canonical form over the least prefix of the context that
     holds it: gcd(den, *num) == 1 and zero top halves stripped, so equality
-    is tuple equality.  ``raw``, the nested-pair view, is built on first
-    use.  Signs come from the context's 64-bit fixed-point roots, or from the
-    exact halving recursion ``_vsign`` when those cannot certify one.
+    is tuple equality.  ``raw``, the nested-pair view, is built on each
+    call, for output.  Signs come from the context's 64-bit fixed-point
+    roots, or from the exact halving recursion ``_vsign`` when those cannot
+    certify one.
 
     A binary ``+ - * /`` takes one of four routes.  An int or Fraction
     operand counts as a rational, as does a value over the base context.
@@ -626,14 +608,7 @@ class TowerReal:
     tuple, that the general route would.
     """
 
-    __slots__ = ("ctx", "_raw", "_num", "_den", "_sign", "_ivs")
-
-    def __init__(self, ctx: TowerContext, raw):
-        v = _vector_value(ctx, *_vector(raw, ctx.depth))
-        self.ctx, self._num, self._den = v.ctx, v._num, v._den
-        self._raw = None
-        self._sign: Optional[int] = None
-        self._ivs: Optional[dict[int, RatInterval]] = None
+    __slots__ = ("ctx", "_num", "_den", "_sign", "_ivs")
 
     # -- constructors -------------------------------------------------------
 
@@ -650,9 +625,7 @@ class TowerReal:
     def raw(self):
         """The nested-pair form: a Fraction at depth 0, else a pair (p, q)
         of values one level down meaning p + q*sqrt(top radicand)."""
-        if self._raw is None:
-            self._raw = _vraw(self._num, self._den)
-        return self._raw
+        return _vraw(self._num, self._den, self.ctx.depth)
 
     def as_fraction(self) -> Optional[Fraction]:
         return Fraction(self._num[0], self._den) if len(self._num) == 1 else None
@@ -748,12 +721,12 @@ class TowerReal:
     # -- decisions ----------------------------------------------------------
 
     def interval(self, bits: int) -> RatInterval:
-        """Enclosure from the radicands' square roots taken to ``bits``."""
+        """Enclosure from the radicands' square roots taken to ``bits``, by halves."""
         if self._ivs is None:
             self._ivs = {}
         cached = self._ivs.get(bits)
         if cached is None:
-            cached = _rinterval(self.raw, self.depth, self.ctx.sqrt_enclosures(bits))
+            cached = _vinterval(self._num, self.ctx.sqrt_enclosures(bits)) * Fraction(1, self._den)
             self._ivs[bits] = cached
         return cached
 
@@ -774,7 +747,18 @@ class TowerReal:
         return not self.is_zero()
 
     def __float__(self) -> float:
-        return float(self.interval(64).mid)
+        """Within one ulp: the midpoint of an enclosure, refined by
+        ``_refine_to``, whose width is at most 2**-60 of its magnitude, so
+        that it excludes 0."""
+        if self.is_zero():
+            return 0.0
+
+        def attempt(work: int) -> Optional[RatInterval]:
+            iv = self.interval(work)
+            return iv if iv.width * (1 << 60) <= min(abs(iv.lo), abs(iv.hi)) else None
+
+        # 62 + 2: the first attempt is the 64-bit enclosure
+        return float(_refine_to(62, attempt).mid)
 
     def __eq__(self, other):
         if other.__class__ is not TowerReal:
@@ -826,7 +810,6 @@ def _value(ctx: TowerContext, num: tuple, den: int) -> TowerReal:
     over ``ctx``."""
     out = _new_value(TowerReal)
     out.ctx = ctx
-    out._raw = None
     out._num = num
     out._den = den
     out._sign = None
@@ -969,6 +952,16 @@ def _join(ctx: TowerContext, p: TowerReal, q: TowerReal) -> TowerReal:
     return _vector_value(ctx, num, d)
 
 
+def _split(x: TowerReal, ctx: TowerContext) -> tuple[TowerReal, TowerReal, TowerReal]:
+    """(p, q, r) one level below ``ctx`` with x == p + q*sqrt(r), r the top
+    radicand of ``ctx``, for x over a prefix of ``ctx``."""
+    lower, h = ctx.prefix(ctx.depth - 1), 1 << (ctx.depth - 1)
+    R, e = ctx._rads[-1]
+    p = _vector_value(lower, list(x._num[:h]), x._den)
+    q = _vector_value(lower, list(x._num[h:]) or [0], x._den)
+    return p, q, _vector_value(lower, list(R), e)
+
+
 def _sqrt_try(x: TowerReal, ctx: TowerContext) -> Optional[TowerReal]:
     """The y >= 0 of ``ctx``'s field with y*y == x, for x over a prefix of
     ``ctx``, or None if x is not a square there."""
@@ -982,12 +975,8 @@ def _sqrt_try(x: TowerReal, ctx: TowerContext) -> Optional[TowerReal]:
         if rn * rn == n and rd * rd == d:
             return TowerReal.from_rational(Fraction(rn, rd))
         return None
-    # x = p + q*sqrt(r) over the level below
-    lower, h = ctx.prefix(k - 1), 1 << (k - 1)
-    R, e = ctx._rads[-1]
-    p = _vector_value(lower, list(x._num[:h]), x._den)
-    q = _vector_value(lower, list(x._num[h:]) or [0], x._den)
-    r = _vector_value(lower, list(R), e)
+    lower = ctx.prefix(k - 1)
+    p, q, r = _split(x, ctx)
     if q.is_zero():
         s = _sqrt_try(p, lower)
         if s is not None:
@@ -1059,16 +1048,16 @@ class FieldBuilder:
         top = [0] * (2 << k)
         top[1 << k] = 1
         # a rational n/d would be stored as n*d, its root taken as sqrt(n*d)/d
-        child = self.ctx._children.get((v, value._den) if fr is None else ((fr.numerator * d,), 1))
+        rad = (v, value._den) if fr is None else ((fr.numerator * d,), 1)
+        child = self.ctx._children.get(rad)
         if child is None:
             found = _sqrt_try(value, self.ctx)
             if found is not None:
                 return found
             if fr is not None:
                 top[1 << k], sf = squarefree_decompose(fr.numerator * d)
-                child = self.ctx.extended(_rconst(Fraction(sf), k))
-            else:
-                child = self.ctx.extended(_vraw(v + (0,) * ((1 << k) - len(v)), value._den))
+                rad = ((sf,), 1)
+            child = TowerContext.get(self.ctx._rads + (rad,))
         self.ctx = child
         return _vector_value(child, top, d)
 
@@ -1104,7 +1093,7 @@ def _k_vectors(*elements: "KElement") -> tuple[TowerContext, list[tuple[list[int
     any of their radicands.  Term d sits at the mask of its primes, the
     coordinate where the context's ``_prods`` holds d."""
     primes = tuple(sorted({p for e in elements for d, _ in e._terms for p in _primes(d)}))
-    ctx = TowerContext.get(tuple(_rconst(Fraction(p), i) for i, p in enumerate(primes)))
+    ctx = TowerContext.get(tuple(((p,), 1) for p in primes))
     vectors = []
     for e in elements:
         den = lcm(*[c.denominator for _, c in e._terms])

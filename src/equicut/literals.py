@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .exact import FieldBuilder, KElement, TowerReal, tower_to_k
+from .exact import FieldBuilder, KElement, TowerReal, _split, tower_to_k
 
 __all__ = ["ParseError", "format_k_element", "format_number", "parse_number"]
 
@@ -191,39 +191,30 @@ def _join_terms(terms: list[tuple[int, str]]) -> str:
     return out
 
 
+def _term(c: Fraction, root: str) -> tuple[int, str]:
+    """The term c*root as (sign, text), with no "1*" coefficient."""
+    return (1 if c > 0 else -1), (root if abs(c) == 1 else f"{_frac_str(abs(c))}*{root}")
+
+
 def _tower_terms(value: TowerReal) -> list[tuple[int, str]]:
     flat = tower_to_k(value)
     if flat is not None:
         return _k_terms(flat)
     # Genuinely nested field: format structurally as p + q*sqrt(r).
-    k = value.depth
-    ctx = value.ctx
-    p, q = value.raw
-    lower = ctx.prefix(k - 1)
-    terms = _tower_terms(TowerReal(lower, p))
-    q_val = TowerReal(lower, q)
-    if not q_val.is_zero():
-        root = f"sqrt({format_number(TowerReal(lower, ctx.radicands[k - 1]))})"
-        qf = q_val.as_fraction()
-        if qf is None:
-            terms.append((1, f"({format_number(q_val)})*{root}"))
-        elif abs(qf) == 1:
-            terms.append((1 if qf > 0 else -1, root))
-        else:
-            terms.append((1 if qf > 0 else -1, f"{_frac_str(abs(qf))}*{root}"))
+    p, q, r = _split(value, value.ctx)
+    terms = _tower_terms(p)
+    if not q.is_zero():
+        root = f"sqrt({format_number(r)})"
+        qf = q.as_fraction()
+        terms.append((1, f"({format_number(q)})*{root}") if qf is None else _term(qf, root))
     return terms
 
 
 def _k_terms(value: KElement) -> list[tuple[int, str]]:
-    terms: list[tuple[int, str]] = []
-    for d, c in value.terms:
-        if d == 1:
-            terms.append((1 if c > 0 else -1, _frac_str(abs(c))))
-        elif abs(c) == 1:
-            terms.append((1 if c > 0 else -1, f"sqrt({d})"))
-        else:
-            terms.append((1 if c > 0 else -1, f"{_frac_str(abs(c))}*sqrt({d})"))
-    return terms
+    return [
+        (1 if c > 0 else -1, _frac_str(abs(c))) if d == 1 else _term(c, f"sqrt({d})")
+        for d, c in value.terms
+    ]
 
 
 def format_number(value: Union[TowerReal, KElement, Fraction, int]) -> str:

@@ -157,7 +157,23 @@ class TestSign:
         assert p * p - 2 * q * q == 1
         x = sqrt_adjoin(2) - Fraction(p, q)
         assert x.sign() == -1
-        assert abs(float(x)) < 1e-11
+        with mpmath.workprec(256):
+            want = float(mpmath.sqrt(2) - mpmath.mpf(p) / q)
+        assert abs(float(x) - want) <= math.ulp(want)
+
+    def test_float_of_a_tiny_value_with_large_coefficients(self):
+        # a 77-bit Pell convergent, p^2 - 2 q^2 = -1: q*sqrt(2) - p is about
+        # 4.47e-24, far below the width of a 64-bit enclosure of q*sqrt(2)
+        p, q = 111760107268250945908601, 79026329715516201199301
+        assert p * p - 2 * q * q == -1
+        x = q * sqrt_adjoin(2) - p
+        with mpmath.workprec(512):
+            want = float(q * mpmath.sqrt(2) - p)
+        assert 4.47e-24 < want < 4.48e-24
+        assert abs(float(x) - want) <= math.ulp(want)
+        assert abs(float(-x) + want) <= math.ulp(want)
+        assert abs(float(KElement([(1, -p), (2, q)])) - want) <= math.ulp(want)
+        assert float(x - x) == 0.0
 
     def test_nested_zero(self):
         r2, r3 = sqrt_adjoin(2), sqrt_adjoin(3)
@@ -236,11 +252,26 @@ class TestIntervalDifferential:
         values = _seeded_towers(seed)
         assert {v.depth for v in values} == {0, 1, 2, 3}
         assert any(tower_to_k(v) is None for v in values)  # a nested radicand
-        for v in values:
+        # depth 2 to 6, the paper's generic sides among them, with stored
+        # radicand vectors shorter than their level
+        deep = _nested_values(seed)
+        assert any(len(R) < 1 << i for v in deep for i, (R, _) in enumerate(v.ctx._rads))
+        for v in values + deep:
             for bits in (32, 64, 128):
                 iv = v.interval(bits)
                 assert isinstance(iv, RatInterval)
                 assert (iv.lo, iv.hi) == _reference_interval(v, bits)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_views_round_trip(self, seed):
+        """The nested-pair views, which the benchmark's fingerprints hash, give
+        back every interned context and every value."""
+        values = _seeded_towers(seed) + _nested_values(seed)
+        for ctx in list(exact.TowerContext._interned.values()):
+            assert ref.context(ctx.radicands) is ctx
+        for v in values:
+            w = ref.value(v.ctx, v.raw)
+            assert w == v and (w.ctx, w._num, w._den) == (v.ctx, v._num, v._den)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_enclosure_width(self, seed):
@@ -273,7 +304,7 @@ def _random_raw(rng, k):
             return Fraction(0)
         return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
     if rng.random() < 0.15:  # a zero top half, which the value strips
-        return (_random_raw(rng, k - 1), exact._rconst(Fraction(0), k - 1))
+        return (_random_raw(rng, k - 1), ref.rconst(Fraction(0), k - 1))
     return (_random_raw(rng, k - 1), _random_raw(rng, k - 1))
 
 
@@ -281,7 +312,7 @@ def _reference_format(ctx, raw):
     """``format_number`` as it read the coordinates off the raw form."""
     ds = [ref.rasfrac(rad, i).numerator for i, rad in enumerate(ctx.radicands)]
     coords = []
-    exact._rflatten(raw, ctx.depth, coords)
+    ref.rflatten(raw, ctx.depth, coords)
     terms = []
     for mask, c in enumerate(coords):
         if c:
@@ -318,17 +349,17 @@ def _flat_pairs(seed):
         ctx = _flat_ctx(rads)
         for _ in range(3):
             j = rng.randrange(ctx.depth + 1)
-            x = TowerReal(ctx, _random_raw(rng, ctx.depth))
-            y = TowerReal(ctx, _random_raw(rng, ctx.depth))
-            z = TowerReal(ctx.prefix(j), _random_raw(rng, j))
+            x = ref.value(ctx, _random_raw(rng, ctx.depth))
+            y = ref.value(ctx, _random_raw(rng, ctx.depth))
+            z = ref.value(ctx.prefix(j), _random_raw(rng, j))
             r = R(rational())
             pairs += [(x, y), (x, z), (z, x), (x, TowerReal.from_rational(rng.randint(-5, 5)))]
             pairs += [(r, x), (r, r - x), (x, rng.randint(-5, 5)), (rng.randint(-5, 5), x)]
             pairs += [(x, rational()), (rational(), x), (x, x), (x, -x), (x, z - x), (x, x - z)]
         if len(rads) > 1:
             other = _flat_ctx(rads[::-1])
-            x = TowerReal(ctx, _random_raw(rng, ctx.depth))
-            y = TowerReal(other, _random_raw(rng, other.depth))
+            x = ref.value(ctx, _random_raw(rng, ctx.depth))
+            y = ref.value(other, _random_raw(rng, other.depth))
             pairs += [(x, y), (y, x)]
     for _ in range(4):
         d = rng.randint(1, 6)
@@ -345,7 +376,7 @@ def _check_result(z, ctx, want):
     k = ctx.depth
     assert ref.lift(z.raw, z.depth, k) == want
     assert z.ctx is ctx.prefix(ref.strip(want, k)[1])
-    assert TowerReal(ctx, want) == z
+    assert ref.value(ctx, want) == z
     assert z.sign() == ref.rsign(want, k, ctx.radicands)
     assert z.is_zero() == ref.riszero(want, k)
     reference = SimpleNamespace(ctx=ctx, raw=want, depth=k)
@@ -359,7 +390,7 @@ class TestFlatDifferential:
         for rads in FLAT_RADICANDS:
             ctx = _flat_ctx(rads)
             assert ctx._prods is not None
-            assert TowerReal(ctx, _random_raw(random.Random(0), ctx.depth))._num is not None
+            assert ref.value(ctx, _random_raw(random.Random(0), ctx.depth))._num is not None
         builder = FieldBuilder()
         builder.sqrt(builder.sqrt(2) + 3)
         assert builder.ctx._prods is None
@@ -379,7 +410,7 @@ class TestFlatDifferential:
             assert y_in == y
             xr = ref.lift(tx.raw, tx.depth, k)
             yr = ref.lift(y_in.raw, y_in.depth, k)
-            assert TowerReal(tx.ctx, tx.raw)._num == tx._num
+            assert ref.value(tx.ctx, tx.raw)._num == tx._num
             _check_result(x + y, ctx, ref.radd(xr, yr, k))
             _check_result(x - y, ctx, ref.rsub(xr, yr, k))
             _check_result(x * y, ctx, ref.rmul(xr, yr, k, rads))
@@ -498,8 +529,8 @@ def _nested_pairs(seed: int) -> list:
     pairs = []
     for x in values:
         k = rng.randrange(x.depth)
-        lower = TowerReal(x.ctx.prefix(k), _random_raw(rng, k))
-        same = TowerReal(x.ctx, _random_raw(rng, x.depth))
+        lower = ref.value(x.ctx.prefix(k), _random_raw(rng, k))
+        same = ref.value(x.ctx, _random_raw(rng, x.depth))
         pairs.append((x, lower) if len(pairs) % 2 else (lower, x))
         if x.depth <= 4:  # the reference recursion is slow above
             pairs += [(x, same), (x, x), (x, R(rng.randint(-4, 4)))]
@@ -554,7 +585,7 @@ def _check_embed(x, y):
     want_rads, want_raw, want_k = _reference_embed(x, y)
     assert builder.ctx.radicands == want_rads
     assert y_in.ctx.radicands == want_rads[:want_k] and y_in.raw == want_raw
-    assert (list(y_in._num), y_in._den) == exact._vector(want_raw, want_k)
+    assert (list(y_in._num), y_in._den) == ref.vector(want_raw, want_k)
     assert y_in == y
     return builder.ctx, y_in
 
@@ -580,7 +611,7 @@ def _check_pair(x, y):
     k, rads = ctx.depth, ctx.radicands
     xr = ref.lift(x.raw, x.depth, k)
     yr = ref.lift(y_in.raw, y_in.depth, k)
-    assert TowerReal(x.ctx, x.raw)._num == x._num
+    assert ref.value(x.ctx, x.raw)._num == x._num
     _check_nested_result(x + y, ctx, ref.radd(xr, yr, k))
     _check_nested_result(x - y, ctx, ref.rsub(xr, yr, k))
     _check_nested_result(x * y, ctx, ref.rmul(xr, yr, k, rads), (32, 64, 128))
@@ -598,7 +629,7 @@ def _reference_terms(rads, raw, k):
     p + q*sqrt(r) structurally."""
     raw, k = ref.strip(raw, k)
     coords = []
-    exact._rflatten(raw, k, coords)
+    ref.rflatten(raw, k, coords)
     terms = []
     for mask, c in enumerate(coords):
         if c:
@@ -668,7 +699,7 @@ class TestNestedDifferential:
         rng = random.Random(seed)
         values = _nested_values(seed)
         for v in values:
-            w = TowerReal(v.ctx, _random_raw(rng, v.depth))
+            w = ref.value(v.ctx, _random_raw(rng, v.depth))
             args = [v * v, R(rng.randint(2, 30)), v if v.sign() > 0 else -v]
             if v.depth <= 4:  # the reference recursion is slow above
                 args += [v * v + 1, w * w, w * w * 3]
@@ -769,8 +800,8 @@ def _cut_contexts():
     j = 1 with e = 3 on the nested level, j = 2 as in the paper's generic
     sides, and j = 3 under two nested levels."""
     one = Fraction(1)
-    three = exact._rconst(Fraction(3), 2)
-    out = {0: exact.TowerContext.get((Fraction(1, 2), (one, one), three))}
+    three = ref.rconst(Fraction(3), 2)
+    out = {0: ref.context((Fraction(1, 2), (one, one), three))}
     for j, build in (
         (1, lambda b: [b.sqrt(2), b.sqrt(Fraction(1, 3) + b.sqrt(2)) + 5]),
         (2, lambda b: [b.sqrt(2), b.sqrt(3), b.sqrt(1 + b.sqrt(2)), b.sqrt(1 + b.sqrt(3))]),
@@ -933,7 +964,7 @@ def _routed_operands(seed: int) -> list:
     contexts += [v.ctx for v in _nested_values(seed) if v.depth <= 4]
     cases = []
     for ctx in contexts:
-        x, y = [v for v in (TowerReal(ctx, _random_raw(rng, ctx.depth)) for _ in range(8)) if v.ctx is ctx][:2]
+        x, y = [v for v in (ref.value(ctx, _random_raw(rng, ctx.depth)) for _ in range(8)) if v.ctx is ctx][:2]
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, R(q)), (R(q), x), (x, 3), (-2, x), (x, q), (q, x), (x, 0)):
             cases.append((ctx, a, b))
@@ -950,7 +981,7 @@ def _raising(*args):
 def _check_routed(z, ctx, want):
     """``_check_nested_result``, and z's integers are the canonical ones."""
     _check_nested_result(z, ctx, want)
-    w = TowerReal(ctx, want)
+    w = ref.value(ctx, want)
     assert (z.ctx, z._num, z._den) == (w.ctx, w._num, w._den)
 
 
@@ -995,8 +1026,8 @@ class TestOperandRoutes:
             return merge(a, b)
 
         s2, s3 = _flat_ctx((2, 3)), _flat_ctx((3, 2))
-        x = TowerReal(s2, ((Fraction(1), Fraction(2, 3)), (Fraction(-5), Fraction(1, 4))))
-        y = TowerReal(s3, ((Fraction(7, 2), Fraction(0)), (Fraction(-1, 3), Fraction(2))))
+        x = ref.value(s2, ((Fraction(1), Fraction(2, 3)), (Fraction(-5), Fraction(1, 4))))
+        y = ref.value(s3, ((Fraction(7, 2), Fraction(0)), (Fraction(-1, 3), Fraction(2))))
         assert x.ctx is s2 and y.ctx is s3
         with monkeypatch.context() as patched:
             patched.setattr(TowerReal, "_merge", staticmethod(counting_merge))
@@ -1088,7 +1119,7 @@ class TestEmbedRoots:
         calls = _counted_embed(monkeypatch, dst, value)
         assert value.depth == 3 and calls["sqrt"] == 3
         assert calls["sqrt_try"] and ((103,), 1) not in calls["sqrt_try"]
-        assert dst.ctx.radicands[:2] == (Fraction(103), exact._rconst(Fraction(101), 1))
+        assert dst.ctx.radicands[:2] == (Fraction(103), ref.rconst(Fraction(101), 1))
         assert dst.ctx.depth == 3
         again = FieldBuilder()
         again.sqrt(103)
@@ -1324,7 +1355,7 @@ def _ref_k_membership(value, basis):
 
     def vec(v):
         out = []
-        exact._rflatten(ref.lift(v.raw, v.depth, ctx.depth), ctx.depth, out)
+        ref.rflatten(ref.lift(v.raw, v.depth, ctx.depth), ctx.depth, out)
         return out
 
     matrix = [vec(builder.embed(c)) for c in cols]

@@ -288,8 +288,10 @@ class TestCertificationMatchesReference:
 
 
 def _with_reference_enclosures(call, monkeypatch):
-    """``call()`` on one-evaluation enclosures and on the two-ended reference
-    ones; ``call`` builds its own angles or sides, so no cache is shared."""
+    """``call()`` on the package's enclosures and on the two-ended reference
+    ones.  Only ``acos_interval`` takes one evaluation; ``sin_interval``
+    evaluates both ends in either.  ``call`` builds its own angles or sides,
+    so no cache is shared."""
     new = call()
     with monkeypatch.context() as m:
         m.setattr(intervals, "acos_interval", reference_acos_interval)

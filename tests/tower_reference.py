@@ -4,21 +4,65 @@ integer vector.  The differential tests check the vectors against it.
 
 A raw value at level 0 is a Fraction; at level k it is a pair (p, q) of
 level-(k-1) values meaning p + q*sqrt(rads[k-1]), where ``rads`` is a
-context's ``radicands``.  ``ReferenceBuilder`` is ``FieldBuilder`` on raw
-values: its ``sqrt`` and ``embed`` give the radicands and raw values the
-kernel must reproduce.
+context's ``radicands``.  The kernel computes only with integer vectors and
+offers this form as an output view (``TowerReal.raw``,
+``TowerContext.radicands``); ``value(ctx, raw)`` and ``context(radicands)``
+turn raw input into the kernel's values and contexts.  ``ReferenceBuilder``
+is ``FieldBuilder`` on raw values: its ``sqrt`` and ``embed`` give the
+radicands and raw values the kernel must reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional
 
-from equicut.exact import NegativeSqrtError, _rconst, squarefree_decompose
+from equicut.exact import NegativeSqrtError, TowerContext, TowerReal, _vector_value, squarefree_decompose
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+
+def rconst(c: Fraction, k: int):
+    """The rational c as a level-k raw value."""
+    if k == 0:
+        return c
+    return (rconst(c, k - 1), rconst(_ZERO, k - 1))
+
+
+def rflatten(x, k: int, out: list) -> None:
+    """Append the 2**k coordinates of the level-k raw value x to ``out``."""
+    if k == 0:
+        out.append(x)
+        return
+    rflatten(x[0], k - 1, out)
+    rflatten(x[1], k - 1, out)
+
+
+def vector(raw, k: int) -> tuple[list[int], int]:
+    """(num, den) with the level-k raw value equal to num/den coordinatewise;
+    gcd(den, *num) == 1."""
+    coords: list[Fraction] = []
+    rflatten(raw, k, coords)
+    den = lcm(*[c.denominator for c in coords])
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def value(ctx: TowerContext, raw) -> TowerReal:
+    """The level-``ctx.depth`` raw value as a kernel value, in canonical form
+    over the least prefix of ``ctx`` that holds it."""
+    return _vector_value(ctx, *vector(raw, ctx.depth))
+
+
+def context(radicands: tuple) -> TowerContext:
+    """The interned context whose radicand i is the level-i raw value
+    ``radicands[i]``; the caller vouches that none is a square."""
+    ctx = TowerContext.get(())
+    for rad in radicands:
+        r = value(ctx, rad)
+        ctx = TowerContext.get(ctx._rads + ((r._num, r._den),))
+    return ctx
 
 
 def riszero(x, k: int) -> bool:
@@ -112,7 +156,7 @@ def rhalf(x, k: int):
 def lift(raw, k: int, to_k: int):
     """The level-k raw value as a level-``to_k`` one."""
     for j in range(k, to_k):
-        raw = (raw, _rconst(_ZERO, j))
+        raw = (raw, rconst(_ZERO, j))
     return raw
 
 
@@ -136,7 +180,7 @@ def rsqrt_try(x, k: int, rads):
         return None
     p, q = x
     r = rads[k - 1]
-    zero = _rconst(_ZERO, k - 1)
+    zero = rconst(_ZERO, k - 1)
     if riszero(q, k - 1):
         s = rsqrt_try(p, k - 1, rads)
         if s is not None:
@@ -210,10 +254,10 @@ class ReferenceBuilder:
         if found is not None:
             return strip(found, k)
         fr = rasfrac(raw, k)
-        zero = _rconst(_ZERO, k)
+        zero = rconst(_ZERO, k)
         if fr is not None:
             s, d = squarefree_decompose(fr.numerator * fr.denominator)
-            self.rads += (_rconst(Fraction(d), k),)
-            return (zero, _rconst(Fraction(s, fr.denominator), k)), k + 1
+            self.rads += (rconst(Fraction(d), k),)
+            return (zero, rconst(Fraction(s, fr.denominator), k)), k + 1
         self.rads += (raw,)
-        return (zero, _rconst(Fraction(1), k)), k + 1
+        return (zero, rconst(Fraction(1), k)), k + 1
