@@ -51,6 +51,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _GUARD_BITS = 16
+# the last enclosure ``NumericReal.__float__`` takes
+_FLOAT_CAP_BITS = 2048
 
 
 def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
@@ -128,18 +130,23 @@ class NumericReal:
 
     The refinement callback receives a target ``bits`` and must return an
     enclosure of width at most 2**-bits.  Results are cached per precision.
+    ``exact_backing`` is the value itself when it is exact; ``cosine`` is the
+    exact cosine of an angle built by ``acos_numeric`` or ``pi_numeric``,
+    which lets the relation finder decide angle relations exactly.
     """
 
-    __slots__ = ("_refine", "_cache", "exact_backing")
+    __slots__ = ("_refine", "_cache", "exact_backing", "cosine")
 
     def __init__(
         self,
         refine: Callable[[int], RatInterval],
         exact_backing: Union[TowerReal, None] = None,
+        cosine: Union[TowerReal, None] = None,
     ):
         self._refine = refine
         self._cache: dict[int, RatInterval] = {}
         self.exact_backing = exact_backing
+        self.cosine = cosine
 
     @classmethod
     def from_exact(cls, value: ExactLike) -> "NumericReal":
@@ -233,7 +240,19 @@ class NumericReal:
         )
 
     def __float__(self) -> float:
-        return float(self.enclosure(64).mid)
+        """Within one ulp: the exact backing's float, else the midpoint of
+        the first enclosure from 64 bits up whose width is at most 2**-60
+        of its magnitude, so that it excludes 0.  A numeric zero such as
+        ``x - x`` never gets one; it stops at 2**-2048, well below the
+        spacing of the smallest subnormal float, and gives the midpoint."""
+        if self.exact_backing is not None:
+            return float(self.exact_backing)
+        bits = 64
+        while True:
+            iv = self.enclosure(bits)
+            if bits >= _FLOAT_CAP_BITS or iv.width * (1 << 60) <= min(abs(iv.lo), abs(iv.hi)):
+                return float(iv.mid)
+            bits *= 2
 
     def __repr__(self) -> str:
         iv = self.enclosure(64)
@@ -241,8 +260,11 @@ class NumericReal:
 
 
 def acos_numeric(x: NumericReal) -> NumericReal:
+    """acos(x), enclosed by ``acos_interval``; an exact ``x`` (its
+    ``exact_backing``) is kept as the angle's exact ``cosine``."""
     return NumericReal(
-        lambda bits: _refine_to(bits, lambda work: acos_interval(x.enclosure(work), work))
+        lambda bits: _refine_to(bits, lambda work: acos_interval(x.enclosure(work), work)),
+        cosine=x.exact_backing,
     )
 
 

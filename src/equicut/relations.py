@@ -7,8 +7,8 @@ The search is exhaustive and every reported answer carries a guarantee:
 * ``FOUND_CERTIFIED``  -- a relation verified by exact field arithmetic
   (only possible when every input is exact).
 * ``FOUND_CANDIDATE``  -- a combination indistinguishable from zero at the
-  maximum working precision; inputs were numeric, so equality cannot be
-  proven, only favored.
+  maximum working precision; inputs were numeric, so equality is not
+  claimed (for angles with exact cosines it is in fact proven, below).
 * ``NONE_UP_TO_HEIGHT`` -- every combination was certified nonzero.
 * ``UNDECIDED``        -- some combination could not be resolved because an
   input cannot be refined (e.g. a bare float); nothing was found either.
@@ -25,8 +25,17 @@ searching: a half-table of more than about 4 M sums, and more than 65 536
 near-zero pairs to certify.  Certification runs on integers over a common
 denominator and decides as summing the values or their enclosures would:
 exact survivors by the columns' coordinate rows in one ``FieldBuilder``
-chain, numeric ones by enclosure endpoints on a ladder from 256 to 4096 bits.  ``EQUICUT_PRECISION_BITS`` overrides the start with an integer
-from 1 to ``MAX_WORK_BITS``, and any other value of it raises ``ValueError``.
+chain, numeric ones by enclosure endpoints on a ladder from 256 to 4096
+bits.  ``EQUICUT_PRECISION_BITS`` overrides the start with an integer from
+1 to ``MAX_WORK_BITS``, and any other value of it raises ``ValueError``.
+
+When every column is an angle known by its exact cosine (``acos_numeric``
+of an exact value, and ``pi_numeric``) and the start is at most 4096 bits,
+``_angle_relations`` first decides each survivor exactly by de Moivre.  A
+relation holds 0 in every rigorous enclosure, so it would stay pending to
+the last rung: the ladder refines only the other survivors, and the
+relations are counted pending at each rung and reported as candidates, as
+the full ladder would report them.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ from .exact import (
     MAX_WORK_BITS,
     FieldBuilder,
     KElement,
+    NegativeSqrtError,
+    SquarefreeBoundError,
     TowerReal,
     _coordinate_rows,
     k_membership,
@@ -259,6 +270,91 @@ def _start_bits(override: Optional[int]) -> int:
     raise ValueError(f"EQUICUT_PRECISION_BITS must be an integer between 1 and {MAX_WORK_BITS}")
 
 
+def _integer_ends(columns: Sequence[_Column], bits: int) -> tuple[list[int], list[int], int]:
+    """L + H and H - L for each column's enclosure [L, H] at ``bits``, as
+    integers over one common denominator d, and d."""
+    ivs = [col.enclosure(bits) for col in columns]
+    d = lcm(*(e.denominator for iv in ivs for e in iv))
+    ends = [[e.numerator * (d // e.denominator) for e in iv] for iv in ivs]
+    return [lo + hi for lo, hi in ends], [hi - lo for lo, hi in ends], d
+
+
+def _angle_relations(
+    columns: Sequence[_Column], survivors: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The survivors q with q . theta = 0, decided exactly, when every column
+    is an angle theta_k in [0, pi] known by its exact cosine c_k (the
+    ``cosine`` of ``acos_numeric`` and ``pi_numeric``); otherwise, or when a
+    sine cannot be adjoined, none.
+
+    In one ``FieldBuilder`` chain s_k = sqrt(1 - c_k**2) >= 0, and z_k =
+    c_k + i*s_k = exp(i*theta_k).  Then q . theta is a multiple of 2*pi
+    exactly when prod z_k**q_k == 1, and it is 0 when moreover |q . theta|
+    < 2*pi, which the 64-bit enclosures certify.  A negative power is the
+    conjugate, since |z_k| = 1, and a real z_k = +-1 (pi's -1) is a sign."""
+    cosines = [getattr(col.value, "cosine", None) for col in columns]
+    if not survivors or None in cosines:
+        return []
+    distinct = []
+    for c in cosines:
+        if c not in distinct:
+            distinct.append(c)
+    index = [distinct.index(c) for c in cosines]
+    builder = FieldBuilder()
+    unit = []  # (c, s) per distinct cosine
+    try:
+        for c in distinct:
+            c = builder.embed(c)
+            unit.append((c, builder.sqrt(1 - c * c)))
+    except (NegativeSqrtError, SquarefreeBoundError):
+        return []
+    # powers[j][p] = z_j**p as (real, imaginary) for 0 < |p| <= max |q_k|;
+    # a real z_j = +-1 has none and flips the sign for odd p when it is -1
+    top = [0] * len(unit)
+    for q in survivors:
+        for j, qk in zip(index, q):
+            top[j] = max(top[j], abs(qk))
+    powers, flips = [], []
+    for (c, s), h in zip(unit, top):
+        zp = {}
+        if s:
+            a, b = c, s
+            for p in range(1, h + 1):
+                zp[p], zp[-p] = (a, b), (a, -b)
+                a, b = a * c - b * s, a * s + b * c
+        powers.append(zp)
+        flips.append(not s and c < 0)
+
+    found = []
+    for q in survivors:
+        sign, terms = 1, []
+        for j, qk in zip(index, q):
+            if qk:
+                if powers[j]:
+                    terms.append((powers[j], qk))
+                elif flips[j] and qk & 1:
+                    sign = -sign
+        if not terms:
+            if sign == 1:
+                found.append(q)
+            continue
+        # sign * prod z**q == 1 exactly when sign times the product over all
+        # but the last term equals the last term's inverse, its conjugate
+        zp, qk = terms.pop()
+        a, b = zp[-qk] if sign > 0 else (-zp[-qk][0], -zp[-qk][1])
+        head = [zp[qk] for zp, qk in terms]
+        re, im = head[0] if head else (1, 0)
+        for x, y in head[1:]:
+            re, im = re * x - im * y, re * y + im * x
+        if im == b and re == a:  # the imaginary part first: it rejects most
+            found.append(q)
+    # 2|q . theta| <= |q . (L + H)| + |q| . (H - L) over the denominator d
+    # of the sweep's enclosures, and 6 < 2*pi
+    mids, widths, d = _integer_ends(columns, 64)
+    return [q for q in found
+            if abs(sum(map(mul, q, mids))) + sum(map(mul, map(abs, q), widths)) < 12 * d]
+
+
 def find_integer_relation(
     values: Sequence[Value],
     height: int,
@@ -311,21 +407,23 @@ def find_integer_relation(
     rungs.append(cap)
     result.precision_bits = start
 
-    pending = list(survivors)
+    # Every enclosure is rigorous, so a relation holds 0 at every rung: the
+    # ladder runs only on the rest, and the relations count as pending.
+    relations = _angle_relations(columns, survivors) if start <= MAX_LADDER_BITS else []
+    pending = [c for c in survivors if c not in relations]
     for bits in rungs:
-        if not pending:
+        if not (pending or relations):
             break
         result.precision_bits = bits
-        # endpoints L, H as integers over one denominator; the sum of the
-        # c_i * [L_i, H_i] holds 0 exactly when |c . (L + H)| <= |c| . (H - L)
-        ivs = [col.enclosure(bits) for col in columns]
-        d = lcm(*(e.denominator for iv in ivs for e in iv))
-        ends = [[e.numerator * (d // e.denominator) for e in iv] for iv in ivs]
-        mids, widths = [lo + hi for lo, hi in ends], [hi - lo for lo, hi in ends]
-        pending = [c for c in pending
-                   if abs(sum(map(mul, c, mids))) <= sum(map(mul, map(abs, c), widths))]
-        stats["pending"][bits] = len(pending)
+        if pending:
+            # the sum of the c_i * [L_i, H_i] holds 0 exactly when
+            # |c . (L + H)| <= |c| . (H - L)
+            mids, widths, _ = _integer_ends(columns, bits)
+            pending = [c for c in pending
+                       if abs(sum(map(mul, c, mids))) <= sum(map(mul, map(abs, c), widths))]
+        stats["pending"][bits] = len(relations) + len(pending)
 
+    pending = sorted(relations + pending)
     if pending:
         refinable = all(col.refinable for col in columns)
         if refinable:

@@ -48,7 +48,8 @@ _SAMPLE_BITS = 53
 
 
 def pi_numeric() -> NumericReal:
-    return NumericReal(lambda bits: pi_interval(bits))
+    """pi, enclosed by ``pi_interval``, as the angle whose exact cosine is -1."""
+    return NumericReal(lambda bits: pi_interval(bits), cosine=TowerReal.from_rational(-1))
 
 
 def is_valid_side_pair(a: ExactValue, b: ExactValue) -> bool:
@@ -128,7 +129,8 @@ def cosines_from_sides(
 def angles_from_sides(
     a: ExactValue, b: ExactValue
 ) -> tuple[NumericReal, NumericReal, NumericReal]:
-    """Angles opposite a, b, 1 as rigorously refinable numeric reals."""
+    """Angles opposite a, b, 1 as rigorously refinable numeric reals, each
+    carrying its exact cosine from ``cosines_from_sides``."""
     cosines = cosines_from_sides(a, b)
     angles = [acos_numeric(NumericReal.from_exact(c)) for c in cosines]
     # equal angles share one value, so each precision is enclosed once

@@ -357,6 +357,36 @@ class TestNumericReal:
         x.enclosure(64)
         assert calls == [64]
 
+    def test_float_of_a_tiny_exact_value(self):
+        # the 64-bit enclosure's midpoint was off by 1.1e-20 here
+        p, q = Fraction(665857), Fraction(470832)
+        true = -1.5948618246068547e-12
+        assert float(NumericReal.from_exact(sqrt_adjoin(2) - p / q)) == true
+        root = NumericReal.from_exact(sqrt_adjoin(2))
+        assert float(root - NumericReal.from_exact(p / q)) == true
+
+    def test_float_of_a_tiny_numeric_value(self):
+        # no exact backing: refined until the width is 2**-60 of the value
+        p, q = 665857, 470832
+        x = NumericReal(sqrt_adjoin(2).enclosure) * q - p
+        assert x.exact_backing is None
+        with mpmath.workprec(256):
+            true = float(mpmath.sqrt(2) * q - p)
+        assert float(x) == true
+        tiny = NumericReal(NumericReal.from_exact(Fraction(1, 3 << 1100)).enclosure)
+        assert float(tiny) == 2.0**-1100 / 3
+
+    def test_float_of_a_numeric_zero_stops(self):
+        calls = []
+
+        def refine(bits):
+            calls.append(bits)
+            return sqrt_adjoin(5).enclosure(bits)
+
+        x = NumericReal(refine)
+        assert float(x - x) == 0.0
+        assert calls == [64 * 2**k + 2 for k in range(6)]
+
 
 @st.composite
 def rat_intervals(draw):

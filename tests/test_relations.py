@@ -8,13 +8,15 @@ from interval_reference import reference_acos_interval, reference_sin_interval
 
 from equicut import intervals, relations
 from equicut.exact import FieldBuilder, KElement, sqrt_adjoin
-from equicut.intervals import NumericReal, RatInterval
+from equicut.intervals import NumericReal, RatInterval, acos_numeric
+from equicut.literals import parse_number
 from equicut.relations import (
     MAX_LADDER_BITS,
     RelationResult,
     RelationStatus,
     SearchSpaceError,
     _canonical,
+    _angle_relations,
     _Column,
     _decode,
     _start_bits,
@@ -27,6 +29,8 @@ from equicut.relations import (
 from equicut.trispace import (
     angle_pair_from_fractions,
     angles_from_sides,
+    is_valid_side_pair,
+    pi_numeric,
     sample_angle_fractions,
     sample_side_fractions,
     sides_from_angles,
@@ -237,6 +241,8 @@ DIFFERENTIAL_CASES = {
     "bare-floats": ([0.5, 1.0, NumericReal.from_exact(_R2) / 2, 2**-0.5], 2),
 }
 
+RUNGS = [256, 512, 1024, 2048, 4096]
+
 # squared sides of the five named triangles: equilateral, right isoceles,
 # 30-60-90, the scalene (1, 7/8, 3/4) and the right triangle with legs 1:2
 NAMED_TRIANGLES = [
@@ -306,6 +312,18 @@ def _angle_call(a, b):
     return lambda: find_angle_relation(*angles_from_sides(a, b)[:2])
 
 
+def _without_cosines(*angles):
+    """The angles of ``acos_numeric`` enclosed alike but with no exact
+    cosine, so that ``find_integer_relation`` runs every survivor up the
+    ladder; equal angles still share one value."""
+    bare = {id(t): acos_numeric(NumericReal(t.cosine.enclosure)) for t in angles}
+    return [bare[id(t)] for t in angles]
+
+
+def _ladder_angle_call(a, b):
+    return lambda: find_angle_relation(*_without_cosines(*angles_from_sides(a, b)[:2]))
+
+
 def _side_call(u, v):
     return lambda: find_side_relation(*sides_from_angles(*angle_pair_from_fractions(u, v)))
 
@@ -326,8 +344,10 @@ class TestOneEvaluationMatchesReference:
 
     @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
     def test_named_triangle_angles(self, sides, monkeypatch):
-        call = _angle_call(*map(sqrt_adjoin, sides))
-        assert _with_reference_enclosures(call, monkeypatch).stats["pending"]
+        # without their cosines the relations climb the whole ladder, so the
+        # two enclosures are compared on every rung
+        call = _ladder_angle_call(*map(sqrt_adjoin, sides))
+        assert list(_with_reference_enclosures(call, monkeypatch).stats["pending"]) == RUNGS
 
     def test_sampled_triangle_angles(self, monkeypatch):
         rng = random.Random(2026)
@@ -350,14 +370,153 @@ class TestOneEvaluationMatchesReference:
         ids=["equilateral", "right-isoceles", "30-60-90"],
     )
     def test_one_acos_per_angle_and_rung(self, sides, evaluations, monkeypatch):
-        """Each distinct angle is enclosed once for the sweep and once per
-        rung of the 256..4096 ladder, by one acos each; equal angles share."""
+        """Each distinct angle without an exact cosine is enclosed once for
+        the sweep and once per rung of the 256..4096 ladder, by one acos
+        each; equal angles share."""
+        calls = []
+        acos = mpmath.acos
+        monkeypatch.setattr(mpmath, "acos", lambda t: calls.append(t) or acos(t))
+        result = _ladder_angle_call(*map(sqrt_adjoin, sides))()
+        assert list(result.stats["pending"]) == RUNGS
+        assert len(calls) == evaluations
+
+    @pytest.mark.parametrize(
+        "sides, evaluations",
+        [(NAMED_TRIANGLES[0], 1), (NAMED_TRIANGLES[1], 1), (NAMED_TRIANGLES[2], 2)],
+        ids=["equilateral", "right-isoceles", "30-60-90"],
+    )
+    def test_exact_cosines_take_only_the_sweep_acos(self, sides, evaluations, monkeypatch):
+        """With exact cosines every survivor is a relation decided by de
+        Moivre, so no rung encloses an angle: the sweep's 64-bit enclosure
+        is the only acos of each distinct angle."""
         calls = []
         acos = mpmath.acos
         monkeypatch.setattr(mpmath, "acos", lambda t: calls.append(t) or acos(t))
         result = _angle_call(*map(sqrt_adjoin, sides))()
-        assert list(result.stats["pending"]) == [256, 512, 1024, 2048, 4096]
+        assert list(result.stats["pending"]) == RUNGS
         assert len(calls) == evaluations
+
+
+def _assert_same_path(new, ladder):
+    _assert_same_result(new, ladder)
+    assert new.stats == ladder.stats
+
+
+def _mixed_angles(cosine=True):
+    """acos(1/2 + 2**-40) and acos(1/2) = pi/3: 104 survivors, of which the
+    four (0, 3k, -k) are relations and the rest drop at the 256-bit rung."""
+    angles = [acos_numeric(NumericReal.from_exact(c))
+              for c in (Fraction(1, 2) + Fraction(1, 1 << 40), Fraction(1, 2))]
+    return angles if cosine else _without_cosines(*angles)
+
+
+class TestExactCosinesMatchLadder:
+    """Angles with exact cosines, decided by de Moivre before the ladder,
+    give the result and stats of the same angles without their cosines,
+    which run every survivor up the ladder."""
+
+    def _check(self, a, b):
+        new, ladder = _angle_call(a, b)(), _ladder_angle_call(a, b)()
+        _assert_same_path(new, ladder)
+        return new
+
+    @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
+    def test_named_triangles(self, sides):
+        result = self._check(*map(sqrt_adjoin, sides))
+        assert result.status == RelationStatus.FOUND_CANDIDATE
+        assert list(result.stats["pending"]) == RUNGS
+
+    @pytest.mark.parametrize(
+        "sides",
+        [("sqrt(2)", "sqrt(3)"), ("1", "sqrt(2)"), ("sqrt(3)", "2"),
+         ("1/4*sqrt(5 + 2*sqrt(6))", "3/4")],
+        ids=str,
+    )
+    def test_other_exact_triangles(self, sides):
+        self._check(*map(parse_number, sides))
+
+    @pytest.mark.parametrize("sides", [NAMED_TRIANGLES[2], NAMED_TRIANGLES[3]], ids=str)
+    @pytest.mark.parametrize(
+        "picks, pi, height",
+        [((0, 1, 2), True, 4), ((0, 1, 2), False, 4), ((0,), True, 12), ((0, 2), True, 8)],
+    )
+    def test_other_angle_columns(self, sides, picks, pi, height):
+        # one, two or three angles, with or without pi, as columns
+        angles = angles_from_sides(*map(sqrt_adjoin, sides))
+        chosen = [angles[i] for i in picks]
+        tail = [pi_numeric()] if pi else []
+        new = find_integer_relation(chosen + tail, height)
+        _assert_same_path(new, find_integer_relation(_without_cosines(*chosen) + tail, height))
+
+    def test_small_rational_triangles(self):
+        # isoceles and right triangles among them have relations
+        rng = random.Random(24)
+        found, done = 0, 0
+        while done < 200:
+            a, b = (Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(2))
+            if is_valid_side_pair(a, b):
+                found += len(self._check(a, b).candidates)
+                done += 1
+        assert found > 100
+
+    def test_sampled_rational_triangles(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            self._check(*sample_side_fractions(rng))
+
+    def test_mixed_relations_and_near_misses(self):
+        new, ladder = (find_angle_relation(*_mixed_angles(c)) for c in (True, False))
+        _assert_same_path(new, ladder)
+        assert new.stats["masked_survivors"] == 104
+        assert new.candidates == [(0, 3, -1), (0, 6, -2), (0, 9, -3), (0, 12, -4)]
+        assert new.stats["pending"] == {bits: 4 for bits in RUNGS}
+
+    def test_same_as_reference(self, monkeypatch):
+        new, ref = _both(lambda: find_angle_relation(*_mixed_angles()), monkeypatch)
+        _assert_same_result(new, ref)
+
+    def test_start_past_the_ladder_skips_the_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            relations, "_angle_relations", lambda *args: calls.append(args) or []
+        )
+        alpha, beta, _ = angles_from_sides(1, 1)
+        find_angle_relation(alpha, beta, height=2, start_bits=MAX_LADDER_BITS)
+        assert len(calls) == 1
+        find_angle_relation(alpha, beta, height=2, start_bits=MAX_LADDER_BITS + 1)
+        assert len(calls) == 1
+
+
+class TestAngleRelationCheck:
+    def test_a_full_turn_is_not_a_relation(self):
+        # z**6 = 1 for alpha = pi/3, but 6*alpha = 2*pi: only the bound
+        # |q . theta| < 2*pi rejects (6, 0, 0), (3, 3, 0) and (0, 0, 2)
+        alpha, beta, _ = angles_from_sides(1, 1)
+        columns = [_Column(v) for v in (alpha, beta, pi_numeric())]
+        fed = [(1, -1, 0), (3, 0, -1), (6, 0, -2), (6, 0, 0), (3, 3, 0), (0, 0, 2)]
+        assert _angle_relations(columns, fed) == [(1, -1, 0), (3, 0, -1), (6, 0, -2)]
+
+    def test_half_turns_and_conjugates_are_not_relations(self):
+        # within the bound, but the product is -1 (pi, 3*alpha), has the
+        # real part of 1's conjugate pair and not its imaginary part (z**2),
+        # or is no real number (alpha)
+        alpha, beta, _ = angles_from_sides(1, 1)
+        columns = [_Column(v) for v in (alpha, beta, pi_numeric())]
+        fed = [(0, 0, 1), (3, 0, 0), (1, 1, 0), (1, 0, 0), (2, 1, -1)]
+        assert _angle_relations(columns, fed) == [(2, 1, -1)]
+
+    def test_columns_without_cosines(self):
+        alpha, beta, _ = angles_from_sides(1, 1)
+        fed = [(1, -1, 0)]
+        assert _angle_relations([_Column(v) for v in (alpha, beta, pi_numeric())], fed)
+        for values in ([*_without_cosines(alpha), beta, pi_numeric()],
+                       [alpha, beta, Fraction(1)]):
+            assert _angle_relations([_Column(v) for v in values], fed) == []
+
+    def test_cosine_past_one(self):
+        # acos clamps 2 to 0, but no angle has cosine 2: no exact decision
+        columns = [_Column(acos_numeric(NumericReal.from_exact(v))) for v in (2, 1)]
+        assert _angle_relations(columns, [(1, -1)]) == []
 
 
 class TestNonFiniteFloats:
@@ -548,7 +707,6 @@ class TestAngleRelations:
         rng = random.Random(7)
         af, bf = sample_side_fractions(rng)
         alpha, beta, _ = angles_from_sides(af, bf)
-        # wrap as numeric-only values (discard the exact cosine backing)
         res = find_angle_relation(alpha, beta, height=6)
         assert res.status == RelationStatus.NONE_UP_TO_HEIGHT
 
