@@ -42,6 +42,9 @@ from .dissect import (
 from .exact import MAX_WORK_BITS, RefinementLimitError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
+    DEFAULT_ANGLE_HEIGHT,
+    DEFAULT_SIDE_BASIS,
+    DEFAULT_SIDE_HEIGHT,
     RelationStatus,
     find_angle_relation,
     find_angle_relation_pi_fractions,
@@ -130,9 +133,9 @@ def _cmd_analyze(args) -> int:
     if args.precision is not None and not 1 <= args.precision <= MAX_WORK_BITS:
         raise _UsageError(f"--precision must be between 1 and {MAX_WORK_BITS}")
     alpha, beta, _ = angles_from_sides(a, b)
-    angle_height = args.height if args.height is not None else 12
-    side_height = args.height if args.height is not None else 8
-    basis = tuple(args.basis) if args.basis else (1, 2, 3, 5)
+    angle_height = args.height if args.height is not None else DEFAULT_ANGLE_HEIGHT
+    side_height = args.height if args.height is not None else DEFAULT_SIDE_HEIGHT
+    basis = tuple(args.basis) if args.basis else DEFAULT_SIDE_BASIS
 
     try:
         sigma1 = find_angle_relation(alpha, beta, angle_height, start_bits=args.precision)
@@ -386,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--basis",
         type=lambda s: [int(x) for x in s.split(",")],
         default=None,
-        help="comma-separated radicands for the side field (default 1,2,3,5)",
+        help="comma-separated radicands for the side field (default "
+        + ",".join(map(str, DEFAULT_SIDE_BASIS)) + ")",
     )
     p.add_argument("--precision", type=int, default=None, help="starting interval bits")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")

@@ -4,18 +4,16 @@ Every predicate returns a certified answer with no epsilons anywhere:
 orientation, segment classification, point location, interior-disjointness
 of triangles, congruence, and sqrt-free comparison of angles.
 
-``orientation`` (which also decides ``triangles_interior_disjoint``) and
-``point_on_segment``'s dot test evaluate their 2x2 determinant once in floats
-from cached midpoints and radii (``Pt._centre``), and ``_fsign`` certifies
-its sign with one error bound (Shewchuk 1997; Meyer and Pion 2008).
-``AngleVec``'s comparisons run the interval filter of Broennimann, Burnikel
-and Pion (2001) on each point's cached float box (``exact._float_bounds``),
-rounding every ``+ - *`` outward by one float step.  When a filter cannot
-decide, or a value leaves the float range, the exact expression decides.
-The boxes also order two coordinates (``point_in_polygon``'s half-open
-test) when their intervals are apart, rule a point off a segment whose ends'
-boxes it lies past, and give ``AngleVec.interior`` its box straight from the
-three corner points.
+``orientation`` (which also decides ``triangles_interior_disjoint``),
+``point_on_segment``'s dot test and ``AngleVec``'s dot and cross signs
+evaluate their 2x2 determinant once in floats from cached midpoints and radii
+(``Pt._centre``), and ``_fsign`` certifies its sign with one error bound
+(Shewchuk 1997; Meyer and Pion 2008).  When it cannot decide, or a value
+leaves the float range, the exact expression decides; ``AngleVec`` compares
+two cosines of one sign exactly.  Each point's cached float box
+(``exact._float_bounds``) is only compared, never computed with: it orders
+two coordinates (``point_in_polygon``'s half-open test) when their intervals
+are apart and rules a point off a segment whose ends' boxes it lies past.
 """
 
 from __future__ import annotations
@@ -51,61 +49,11 @@ Coord = Union[TowerReal, Fraction, int]
 
 
 # ---------------------------------------------------------------------------
-# The float filters.  An interval is a pair (lo, hi) of finite floats
-# enclosing an exact value; a box is a tuple of intervals.
-
-
-def _iv(lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi] widened by one float step each way, enclosing the exact result
-    of a correctly rounded operation; OverflowError unless both ends are
-    finite, so no infinity or NaN ever reaches a decision."""
-    lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
-    if -inf < lo and hi < inf:
-        return lo, hi
-    raise OverflowError("interval left the float range")
-
-
-def _isub(a, b):
-    return _iv(a[0] - b[1], a[1] - b[0])
-
-
-def _imul(a, b):
-    # finite ends never give a NaN product, so min and max see every one
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _iv(min(p), max(p))
-
-
-def _fvec(a, b):
-    """Box of the vector b - a, from the boxes of the points a and b."""
-    return _isub(b[0], a[0]), _isub(b[1], a[1])
-
-
-def _fdot(u, w):
-    p, q = _imul(u[0], w[0]), _imul(u[1], w[1])
-    return _iv(p[0] + q[0], p[1] + q[1])
-
-
-def _fcross(u, w):
-    return _isub(_imul(u[0], w[1]), _imul(u[1], w[0]))
-
-
-def _box(f, *boxes):
-    """f(*boxes), or None when a box is missing or an end overflows."""
-    if None in boxes:
-        return None
-    try:
-        return f(*boxes)
-    except OverflowError:
-        return None
-
-
-def _certified(f, *boxes) -> int:
-    """+1 or -1 when the interval ``_box(f, *boxes)`` excludes 0, else 0."""
-    iv = _box(f, *boxes)
-    return 0 if iv is None else 1 if iv[0] > 0 else -1 if iv[1] < 0 else 0
+# The float filter.
 
 
 _EPS = 2.0**-53  # the unit roundoff of round-to-nearest
+_ORIGIN = (0.0, 0.0, 0.0)  # the exact origin as a ``Pt._centre``
 
 
 def _fsign(o, a, b, dot=False) -> int:
@@ -531,39 +479,27 @@ def find_isometry(src: Triangle, dst: Triangle) -> Optional[Isometry]:
 # Exact angle comparison without square roots.
 
 
-def _fangle(u, w):
-    return _fdot(u, w), _fcross(u, w), _imul(_fdot(u, u), _fdot(w, w))
-
-
-def _fangle_at(a, p, q):
-    """``_fangle`` of the vectors p - a and q - a, from the points' boxes."""
-    return _fangle(_fvec(a, p), _fvec(a, q))
-
-
-def _fcos_diff(a, b):
-    """Interval of d1**2 * m2 - d2**2 * m1 from the angle boxes (d, c, m)."""
-    return _isub(_imul(_imul(a[0], a[0]), b[2]), _imul(_imul(b[0], b[0]), a[2]))
-
-
 class AngleVec:
     """The angle in (0, 2*pi) from vector u to vector w, counterclockwise,
     represented by the exact pair (dot, cross) plus |u|^2 |w|^2.
 
     Total order agrees with the numeric angle but needs no square roots or
-    transcendentals: first by region (0,pi) / pi / (pi,2*pi), then by a
-    cross-multiplied comparison of squared cosines.  ``between`` takes the
-    two vectors; ``interior`` takes three corner points and keeps them, so
-    its box comes from the points' boxes and the vectors are built only for
-    the exact path.  Either computes d, c and m only when the interval
-    filter cannot decide.
+    transcendentals: first by region (0,pi) / pi / (pi,2*pi), then by the
+    signs of the cosines, then by a cross-multiplied comparison of squared
+    cosines.  ``between`` takes the two vectors; ``interior`` takes three
+    corner points and keeps them.  ``_fsign`` certifies the signs of the
+    dot and the cross from the points' ``Pt._centre``, seen from the corner
+    point or from the exact origin; d, c and m, with the vectors ``interior``
+    needs for them, are computed only when it cannot, or when two cosines
+    of one sign are compared.
     """
 
-    __slots__ = ("d", "c", "m", "_at", "_uw", "_box")
+    __slots__ = ("d", "c", "m", "_at", "_uw")
 
     @classmethod
     def between(cls, u: Pt, w: Pt) -> "AngleVec":
         out = cls.__new__(cls)
-        out._at, out._uw, out._box = None, (u, w), False
+        out._at, out._uw = None, (u, w)
         return out
 
     @classmethod
@@ -571,7 +507,7 @@ class AngleVec:
         """Interior angle of a counterclockwise polygon at ``at``: the angle
         from next_pt - at to prev_pt - at."""
         out = cls.__new__(cls)
-        out._at, out._uw, out._box = at, (next_pt, prev_pt), False
+        out._at, out._uw = at, (next_pt, prev_pt)
         return out
 
     def __getattr__(self, name: str):
@@ -584,20 +520,12 @@ class AngleVec:
         self.d, self.c, self.m = u.dot(w), u.cross(w), u.norm_sq() * w.norm_sq()
         return getattr(self, name)
 
-    def _floats(self):
-        """The box (d, c, m) of intervals, built on first use, or None."""
-        if self._box is False:
-            (u, w), at = self._uw, self._at
-            if at is None:
-                self._box = _box(_fangle, u._floats(), w._floats())
-            else:
-                self._box = _box(_fangle_at, at._floats(), u._floats(), w._floats())
-        return self._box
-
     def _sign(self, k: int) -> int:
-        """Sign of d (k = 0) or c (k = 1), from its interval when that
-        excludes 0, else exactly."""
-        return _certified(lambda box: box[k], self._floats()) or (self.c if k else self.d).sign()
+        """Sign of d (k = 0) or c (k = 1), from ``_fsign`` when it
+        certifies one, else exactly."""
+        (u, w), at = self._uw, self._at
+        o = _ORIGIN if at is None else at._centre()
+        return _fsign(o, u._centre(), w._centre(), dot=not k) or (self.c if k else self.d).sign()
 
     def _region(self) -> int:
         cs = self._sign(1)
@@ -622,9 +550,7 @@ class AngleVec:
             return 1 if s1 > s2 else -1
         if s1 == 0:
             return 0
-        diff = _certified(_fcos_diff, self._floats(), other._floats()) or (
-            self.d * self.d * other.m - other.d * other.d * self.m
-        ).sign()
+        diff = (self.d * self.d * other.m - other.d * other.d * self.m).sign()
         # for positive cosines, larger square means larger cosine;
         # for negative cosines the order flips
         return diff * s1

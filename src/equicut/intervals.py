@@ -247,12 +247,15 @@ class NumericReal:
         spacing of the smallest subnormal float, and gives the midpoint."""
         if self.exact_backing is not None:
             return float(self.exact_backing)
-        bits = 64
-        while True:
+
+        def attempt(bits):
             iv = self.enclosure(bits)
             if bits >= _FLOAT_CAP_BITS or iv.width * (1 << 60) <= min(abs(iv.lo), abs(iv.hi)):
-                return float(iv.mid)
-            bits *= 2
+                return iv
+            return None
+
+        # _refine_to starts at 62 + 2 = 64 bits and doubles
+        return float(_refine_to(62, attempt).mid)
 
     def __repr__(self) -> str:
         iv = self.enclosure(64)

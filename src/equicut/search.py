@@ -63,7 +63,7 @@ from .geom import (
     point_on_segment,
     polygon_area,
 )
-from .dissect import Dissection, _piece_multiset_key, _point_key, verify_dissection
+from .dissect import Dissection, _hashed_pieces, _piece_multiset_key, _point_key, verify_dissection
 
 __all__ = [
     "CountReport",
@@ -685,22 +685,22 @@ def region_symmetries(region: Triangle) -> List[Isometry]:
 
 
 def _quotient_by_symmetry(region: Triangle, results: List[Dissection]) -> List[Dissection]:
+    """The first result of each orbit under the region's symmetries.  An
+    orbit is keyed by the set of its members' hashed pieces: one search keeps
+    every value in one tower chain, where equal values have equal keys."""
     group = region_symmetries(region)
     if len(group) <= 1:
         return results
     kept = []
-    seen_keys = []
+    seen = set()
     for d in results:
-        orbit_key = None
-        for iso in group:
-            moved = [iso.apply_triangle(p) for p in d.pieces]
-            key = _piece_multiset_key(moved)
-            if orbit_key is None or key < orbit_key:
-                orbit_key = key
-        if any(orbit_key == k for k in seen_keys):
-            continue
-        seen_keys.append(orbit_key)
-        kept.append(d)
+        orbit = frozenset(
+            frozenset(_hashed_pieces([iso.apply_triangle(p) for p in d.pieces]).items())
+            for iso in group
+        )
+        if orbit not in seen:
+            seen.add(orbit)
+            kept.append(d)
     return kept
 
 

@@ -570,17 +570,23 @@ def _exact_angle_compare(u1, w1, u2, w2):
 
 
 def _chain_sign(f, *pts):
-    """The interval chain that certified orientation and on-segment signs
-    before ``geom._fsign``: f on the points' boxes, rounded outward."""
-    return geom._certified(f, *(p._floats() for p in pts))
+    """The interval chain that certified orientation, on-segment and angle
+    signs before ``geom._fsign``: f on the points' boxes, rounded outward."""
+    return reference._certified(f, *(p._floats() for p in pts))
 
 
 def _chain_orientation(a, b, c):
-    return geom._fcross(geom._fvec(a, b), geom._fvec(a, c))
+    return reference._fcross(reference._fvec(a, b), reference._fvec(a, c))
 
 
 def _chain_dot(o, a, b):
-    return geom._fdot(geom._fvec(o, a), geom._fvec(o, b))
+    return reference._fdot(reference._fvec(o, a), reference._fvec(o, b))
+
+
+def _region_and_cos(u, w):
+    """The angle from u to w as (region, sign of its cosine), exactly."""
+    c = u.cross(w).sign()
+    return 0 if c > 0 else 2 if c < 0 else 1, u.dot(w).sign()
 
 
 def _pell(d, count):
@@ -780,9 +786,11 @@ class TestFilterDifferential:
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_interior_angles_match_between(self, radicands, exact_calls):
         """``AngleVec.interior(prev, at, next)`` keeps the three points and
-        boxes them directly; it must answer as ``between(next - at,
-        prev - at)`` on generic, straight, zero and equal angles, and build
-        no exact vector when its box decides."""
+        certifies its signs from them directly; it must answer as
+        ``between(next - at, prev - at)`` on generic, straight, zero and
+        equal angles.  A generic pair builds no exact vector exactly when
+        the regions or the cosine signs differ: equal ones are compared by
+        the exact squared cosines."""
         cases = _FilterCases(radicands, seed=30 + len(radicands))
         rng = cases.rng
         decided = 0
@@ -810,7 +818,8 @@ class TestFilterDifferential:
                         AngleVec.interior(*corners[0]).compare, AngleVec.interior(*corners[1])))
                     assert got == _outcome(eager[0].compare, eager[1]), (kind, k)
                     if kind == "generic" and k == 0:
-                        assert not fell_back
+                        (r1, s1), (r2, s2) = (_region_and_cos(e._uw[0], e._uw[1]) for e in eager)
+                        assert fell_back == (r1 == r2 and s1 == s2), (r1, s1, r2, s2)
                     if k in OUT_OF_RANGE:
                         assert fell_back, (kind, k)
                     decided += not fell_back
@@ -822,7 +831,9 @@ class TestFilterDifferential:
 
     def test_nested_coordinates_filter(self, exact_calls):
         """Nested coordinates have float boxes too: generic cases are decided
-        by the box and agree with the exact path; a collinear one falls back."""
+        by the float bound and agree with the exact path; a collinear one
+        falls back.  Angles whose cosine signs differ are ordered without
+        exact vectors; equal signs compare the exact squared cosines."""
         r = parse_number("sqrt(5 + 2*sqrt(6))")
         assert r.ctx._prods is None
         a, b = Pt(0, 0), Pt(r, 1)
@@ -830,10 +841,12 @@ class TestFilterDifferential:
             got, fell_back = _fell_back(exact_calls, orientation, a, b, c)
             assert got == _exact_orientation(a, b, c)
             assert fell_back == collinear
-        angle = AngleVec.between(b - a, Pt(1, 2))
-        got, fell_back = _fell_back(exact_calls, angle.compare, AngleVec.between(Pt(1, 0), Pt(1, 1)))
-        assert got == _exact_angle_compare(b - a, Pt(1, 2), Pt(1, 0), Pt(1, 1))
-        assert not fell_back
+        u = b - a
+        for w2, same_sign in ((Pt(1, 1), True), (Pt(-1, 1), False)):
+            angle = AngleVec.between(u, Pt(1, 2))
+            got, fell_back = _fell_back(exact_calls, angle.compare, AngleVec.between(Pt(1, 0), w2))
+            assert got == _exact_angle_compare(u, Pt(1, 2), Pt(1, 0), w2)
+            assert fell_back == same_sign
 
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_straight_line_bound_against_interval_chain(self, radicands):
@@ -862,17 +875,49 @@ class TestFilterDifferential:
                             decided += got != 0
         assert decided > 0
 
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_angle_signs_against_interval_chain(self, radicands, exact_calls):
+        """``AngleVec._sign`` never certifies a wrong dot or cross sign, for
+        ``between`` (seen from the exact origin) and ``interior`` (seen from
+        the corner point) alike, and it certifies every sign that the
+        interval chain on the same boxes certifies, except at 10**-160."""
+        cases = _FilterCases(radicands, seed=50 + len(radicands))
+        decided = 0
+        for kind in ("generic", "collinear", "near_collinear"):
+            if kind == "near_collinear" and not cases.pell:
+                continue
+            for _ in range(4):
+                base = getattr(cases, kind)()
+                for k in FILTER_SCALES:
+                    pts = _scaled(base, k)
+                    for o, a, b in (pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+                        u, w = a - o, b - o
+                        for j, exact, f, chain in (
+                            (0, u.dot(w), reference._fdot, _chain_dot),
+                            (1, u.cross(w), reference._fcross, _chain_orientation),
+                        ):
+                            for angle, certified in (
+                                (AngleVec.between(u, w), _chain_sign(f, u, w)),
+                                (AngleVec.interior(b, o, a), _chain_sign(chain, o, a, b)),
+                            ):
+                                got, fell_back = _fell_back(exact_calls, angle._sign, j)
+                                assert got == exact.sign(), (kind, k, j)
+                                if k != -160:
+                                    assert not (certified and fell_back), (kind, k, j)
+                                decided += not fell_back
+        assert decided > 0
+
     def test_no_infinity_or_nan_decides(self):
         inf, nan = float("inf"), float("nan")
         for lo, hi in ((nan, 1.0), (1.0, nan), (nan, nan), (1.0, inf), (-inf, -1.0)):
             with pytest.raises(OverflowError):
-                geom._iv(lo, hi)
+                reference._iv(lo, hi)
         big = (1e300, 1e300)
         with pytest.raises(OverflowError):
-            geom._imul(big, big)
-        assert geom._certified(geom._imul, big, big) == 0
-        assert geom._certified(geom._imul, big, None) == 0
-        assert geom._certified(geom._imul, (2.0, 3.0), (1.0, 2.0)) == 1
+            reference._imul(big, big)
+        assert reference._certified(reference._imul, big, big) == 0
+        assert reference._certified(reference._imul, big, None) == 0
+        assert reference._certified(reference._imul, (2.0, 3.0), (1.0, 2.0)) == 1
         # the straight-line bound: overflowing products, subnormal coordinates,
         # no box, and a NaN or infinite midpoint or radius never certify a sign
         r = parse_number("sqrt(1 + sqrt(2))")

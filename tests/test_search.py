@@ -766,6 +766,52 @@ class TestSymmetry:
             assert any(k == k2 for k2 in keys(plain.dissections))
 
 
+def _min_key_quotient(region, results):
+    """The symmetry quotient as it first was: each orbit keyed by its least
+    ``_piece_multiset_key`` over the group, the seen keys scanned one by one."""
+    group = region_symmetries(region)
+    if len(group) <= 1:
+        return results
+    kept, seen_keys = [], []
+    for d in results:
+        orbit_key = min(
+            (_piece_multiset_key([iso.apply_triangle(p) for p in d.pieces]) for iso in group)
+        )
+        if not any(orbit_key == k for k in seen_keys):
+            seen_keys.append(orbit_key)
+            kept.append(d)
+    return kept
+
+
+class TestQuotientAgainstMinKey:
+    """The hashed orbit keys keep the same representatives, in the same
+    order, as the sorted minimum keys did."""
+
+    HALF_HEIGHT = sqrt_adjoin(Fraction(3, 16))
+
+    def test_same_kept_dissections(self):
+        # equilateral into 30-60-90 pieces: 3 results in 1 orbit at m = 2,
+        # and 162 in 29 orbits at m = 8
+        instances = [
+            (EQUILATERAL, 2, (Fraction(1, 2), 2 * self.HALF_HEIGHT, 1)),
+            (EQUILATERAL, 8, (Fraction(1, 4), self.HALF_HEIGHT, Fraction(1, 2))),
+            (EQUILATERAL, 3, (INV_SQRT3, INV_SQRT3, 1)),
+        ]
+        instances += [(EQUILATERAL, m, None) for m in (3, 4, 9)]
+        instances += [(RIGHT_ISOCELES, m, None) for m in (2, 4, 8, 16)]
+        instances += [(THIRTY_SIXTY, m, None) for m in (3, 4)]
+        sizes = []
+        for region, m, tile in instances:
+            tile = tile or similar_tile(region, m)
+            results = search_dissections(SearchSpec(region=region, tile=tile, m=m)).dissections
+            got = search_module._quotient_by_symmetry(region, results)
+            want = _min_key_quotient(region, results)
+            assert [id(d) for d in got] == [id(d) for d in want], m
+            sizes.append((len(results), len(got)))
+        # orbits of 6 and of 2 members were merged
+        assert {(3, 1), (162, 29), (64, 40)} <= set(sizes)
+
+
 class TestDeterminism:
     def test_repeat_runs_agree_exactly(self):
         spec = lambda: SearchSpec(

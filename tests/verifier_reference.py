@@ -8,11 +8,17 @@ are apart and exactly otherwise.  ``verify_dissection`` compares each
 piece's sorted squared sides with piece 0's, boxes each nondegenerate piece
 by the ``Fraction`` ends of its coordinates' ``interval(32)`` and sums the
 exact |area| of every piece.
+
+The interval chain below is the float filter that ``equicut.geom`` ran
+before ``geom._fsign`` became its only one (Broennimann, Burnikel and Pion
+2001): every ``+ - *`` on the points' boxes rounded outward by one float
+step.  The filter tests check ``_fsign`` against it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, nextafter
 from typing import List, Sequence, Tuple
 
 from equicut.dissect import (
@@ -21,8 +27,62 @@ from equicut.dissect import (
     VerificationResult,
 )
 from equicut.exact import TowerReal
-from equicut.geom import Location, Pt, Triangle, _box, _fdot, _fvec, point_in_triangle
+from equicut.geom import Location, Pt, Triangle, point_in_triangle
 from equicut.literals import format_number
+
+
+# An interval is a pair (lo, hi) of finite floats enclosing an exact value;
+# a box is a tuple of intervals.
+
+
+def _iv(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened by one float step each way, enclosing the exact result
+    of a correctly rounded operation; OverflowError unless both ends are
+    finite, so no infinity or NaN ever reaches a decision."""
+    lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
+    if -inf < lo and hi < inf:
+        return lo, hi
+    raise OverflowError("interval left the float range")
+
+
+def _isub(a, b):
+    return _iv(a[0] - b[1], a[1] - b[0])
+
+
+def _imul(a, b):
+    # finite ends never give a NaN product, so min and max see every one
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _iv(min(p), max(p))
+
+
+def _fvec(a, b):
+    """Box of the vector b - a, from the boxes of the points a and b."""
+    return _isub(b[0], a[0]), _isub(b[1], a[1])
+
+
+def _fdot(u, w):
+    p, q = _imul(u[0], w[0]), _imul(u[1], w[1])
+    return _iv(p[0] + q[0], p[1] + q[1])
+
+
+def _fcross(u, w):
+    return _isub(_imul(u[0], w[1]), _imul(u[1], w[0]))
+
+
+def _box(f, *boxes):
+    """f(*boxes), or None when a box is missing or an end overflows."""
+    if None in boxes:
+        return None
+    try:
+        return f(*boxes)
+    except OverflowError:
+        return None
+
+
+def _certified(f, *boxes) -> int:
+    """+1 or -1 when the interval ``_box(f, *boxes)`` excludes 0, else 0."""
+    iv = _box(f, *boxes)
+    return 0 if iv is None else 1 if iv[0] > 0 else -1 if iv[1] < 0 else 0
 
 
 def _fprojections(a, b, *pts):
