@@ -68,13 +68,7 @@ from .search import (
     similar_tile,
 )
 from .svgout import dissection_svg, lattice_region_svg
-from .trispace import (
-    angles_from_sides,
-    cosines_from_sides,
-    sample_angle_triangle,
-    sample_side_triangle,
-    sides_from_angles,
-)
+from .trispace import angles_from_sides, cosines_from_sides, sample_side_triangle
 
 __version__ = "0.1.0"
 
@@ -131,11 +125,9 @@ __all__ = [
     "lattice_region_svg",
     "parse_number",
     "region_symmetries",
-    "sample_angle_triangle",
     "sample_side_triangle",
     "search_dissections",
     "search_for_count",
-    "sides_from_angles",
     "similar_tile",
     "sqrt_adjoin",
     "squarefree_decompose",

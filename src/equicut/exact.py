@@ -34,7 +34,7 @@ dividing their radicands, and read the result back.
 
 The package's one interval type, ``RatInterval``, and its one bounded
 refinement loop, ``_refine_to``, live here too: the kernel's fast path is
-built from them, and ``intervals.NumericReal`` composes them further.
+built from them, and ``intervals`` encloses transcendental values with them.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ MAX_WORK_BITS = 1 << 16
 
 class RefinementLimitError(ArithmeticError):
     """An enclosure did not reach its target width before the working
-    precision passed ``MAX_WORK_BITS`` (for instance a divisor that is
-    exactly zero)."""
+    precision passed ``MAX_WORK_BITS`` (for instance a target narrower than
+    2**-MAX_WORK_BITS, or a source whose enclosures never narrow)."""
 
 
 class RatInterval:
@@ -174,25 +174,8 @@ class RatInterval:
     def contains(self, x: Rationalish) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def strict_sign(self) -> int:
-        """+1 or -1 when the interval certifies a sign, else 0 (unknown)."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return _interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return _interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RatInterval":
-        return _interval(-self.hi, -self.lo)
 
     def __mul__(self, other: Union["RatInterval", Rationalish]) -> "RatInterval":
         # RatInterval first: an isinstance test against Fraction goes
@@ -211,19 +194,11 @@ class RatInterval:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RatInterval":
-        if self.contains_zero():
-            raise ZeroDivisionError("interval contains zero")
-        return _interval(1 / self.hi, 1 / self.lo)
-
     def sqrt(self, bits: int = 128) -> "RatInterval":
         lo = self.lo if self.lo > 0 else _ZERO
         return _interval(
             fraction_sqrt_bounds(lo, bits)[0], fraction_sqrt_bounds(self.hi, bits)[1]
         )
-
-    def pad(self, eps: Fraction) -> "RatInterval":
-        return _interval(self.lo - eps, self.hi + eps)
 
     def __repr__(self) -> str:
         return f"RatInterval({float(self.lo)!r}, {float(self.hi)!r})"

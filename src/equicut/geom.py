@@ -1,8 +1,8 @@
 """Exact planar geometry over tower-field coordinates.
 
 Every predicate returns a certified answer with no epsilons anywhere:
-orientation, segment classification, point location, interior-disjointness
-of triangles, congruence, and sqrt-free comparison of angles.
+orientation, points on segments, point location, interior-disjointness of
+triangles, congruence, and sqrt-free comparison of angles.
 
 ``orientation`` (which also decides ``triangles_interior_disjoint``),
 ``point_on_segment``'s dot test and ``AngleVec``'s dot and cross signs
@@ -32,9 +32,7 @@ __all__ = [
     "Isometry",
     "Location",
     "Pt",
-    "SegmentRelation",
     "Triangle",
-    "classify_segments",
     "congruent",
     "find_isometry",
     "orientation",
@@ -176,13 +174,6 @@ def orientation(a: Pt, b: Pt, c: Pt) -> int:
     return s or (b - a).cross(c - a).sign()
 
 
-class SegmentRelation(enum.Enum):
-    DISJOINT = "disjoint"
-    TOUCH_AT_ENDPOINT = "touch_at_endpoint"
-    OVERLAP_COLLINEAR = "overlap_collinear"
-    CROSS = "cross"
-
-
 class Location(enum.Enum):
     INSIDE = "inside"
     ON_BOUNDARY = "on_boundary"
@@ -206,43 +197,6 @@ def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
         return False
     s = _fsign(p._centre(), a._centre(), b._centre(), dot=True)
     return (s or (p - a).dot(p - b).sign()) <= 0
-
-
-def classify_segments(p1: Pt, p2: Pt, q1: Pt, q2: Pt) -> SegmentRelation:
-    """Exact relation of two nondegenerate closed segments."""
-    if p1 == p2 or q1 == q2:
-        raise ValueError("degenerate segment")
-    o1 = orientation(p1, p2, q1)
-    o2 = orientation(p1, p2, q2)
-    o3 = orientation(q1, q2, p1)
-    o4 = orientation(q1, q2, p2)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return SegmentRelation.CROSS
-    if o1 == 0 and o2 == 0:
-        # collinear: compare 1-D extents along the shared line
-        d = p2 - p1
-        lo_q = d.dot(q1 - p1)
-        hi_q = d.dot(q2 - p1)
-        if hi_q < lo_q:
-            lo_q, hi_q = hi_q, lo_q
-        lo_p = TowerReal.from_rational(0)
-        hi_p = d.norm_sq()
-        lo = lo_q if lo_q > lo_p else lo_p
-        hi = hi_q if hi_q < hi_p else hi_p
-        if lo > hi:
-            return SegmentRelation.DISJOINT
-        if lo == hi:
-            return SegmentRelation.TOUCH_AT_ENDPOINT
-        return SegmentRelation.OVERLAP_COLLINEAR
-    touches = (
-        (o1 == 0 and point_on_segment(q1, p1, p2))
-        or (o2 == 0 and point_on_segment(q2, p1, p2))
-        or (o3 == 0 and point_on_segment(p1, q1, q2))
-        or (o4 == 0 and point_on_segment(p2, q1, q2))
-    )
-    if touches:
-        return SegmentRelation.TOUCH_AT_ENDPOINT
-    return SegmentRelation.DISJOINT
 
 
 @dataclass(frozen=True)

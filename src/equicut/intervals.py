@@ -1,15 +1,17 @@
-"""Rigorous numerics: refinable real numbers and transcendental enclosures.
+"""Rigorous numerics: enclosure sources and transcendental enclosures.
 
-``NumericReal`` represents a real number through a refinement callback that
-can produce an enclosure of any requested width.  Arithmetic on
-``NumericReal`` values composes the callbacks; precision is raised until the
-requested output width is met.
+``NumericReal`` is a real number known only through a refinement callback
+that returns an enclosure of any requested width, cached per precision.  It
+has no arithmetic of its own: ``TowerReal`` is the package's one number
+algebra.  A ``NumericReal`` is what the relation finder reads: an exact
+value (``from_exact``), an angle ``acos_numeric`` builds with its exact
+cosine, pi (``trispace.pi_numeric``), or a bare float's fixed interval.
 
 The interval type ``RatInterval`` and the bounded refinement loop
 ``_refine_to`` (with ``MAX_WORK_BITS`` and ``RefinementLimitError``) live in
 ``exact``, whose sign fast path uses them too; they are re-exported here.
 
-Transcendental values (pi, acos, sin) come from mpmath evaluated at elevated
+Transcendental values (pi, acos) come from mpmath evaluated at elevated
 working precision and are then padded outward by a full 2**-bits, several
 orders of magnitude beyond mpmath's documented few-ulp error, so the returned
 intervals are trustworthy enclosures.  An enclosure of acos over an interval
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import mpmath
 
@@ -43,12 +45,9 @@ __all__ = [
     "acos_numeric",
     "mpf_to_fraction",
     "pi_interval",
-    "sin_interval",
-    "sin_numeric",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _GUARD_BITS = 16
 # the last enclosure ``NumericReal.__float__`` takes
@@ -106,22 +105,6 @@ def acos_interval(x: RatInterval, bits: int) -> RatInterval:
     return RatInterval(lo, max(lo, top + eps))
 
 
-def sin_interval(x: RatInterval, bits: int) -> RatInterval:
-    """Enclosure of sin over ``x``, assuming 0 <= x <= pi (the only range the
-    package needs); accounts for the maximum at pi/2."""
-    p = bits + _GUARD_BITS
-    lo_n, hi_n = _grid(x, p)
-    s_lo, s_hi = _at(mpmath.sin, lo_n, p), _at(mpmath.sin, hi_n, p)
-    eps = Fraction(1, 1 << bits)
-    half_pi = pi_interval(bits + 2) * Fraction(1, 2)
-    lo = max(-_ONE, min(s_lo, s_hi) - eps)
-    if x.lo <= half_pi.hi and x.hi >= half_pi.lo:
-        hi = _ONE
-    else:
-        hi = min(_ONE, max(s_lo, s_hi) + eps)
-    return RatInterval(lo, max(lo, hi))
-
-
 ExactLike = Union[TowerReal, Fraction, int]
 
 
@@ -161,90 +144,13 @@ class NumericReal:
             self._cache[bits] = iv
         return iv
 
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value: Union["NumericReal", ExactLike]) -> "NumericReal":
-        if isinstance(value, NumericReal):
-            return value
-        return NumericReal.from_exact(value)
-
-    @staticmethod
-    def _combine(
-        parts: tuple["NumericReal", ...],
-        op: Callable[..., RatInterval],
-    ) -> "NumericReal":
-        return NumericReal(
-            lambda bits: _refine_to(bits, lambda work: op(*(p.enclosure(work) for p in parts)))
-        )
-
-    def __add__(self, other):
-        try:
-            o = NumericReal._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return NumericReal._combine((self, o), lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            o = NumericReal._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return NumericReal._combine((self, o), lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        try:
-            o = NumericReal._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return NumericReal._combine((self, o), lambda a, b: b - a)
-
-    def __mul__(self, other):
-        try:
-            o = NumericReal._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return NumericReal._combine((self, o), lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        try:
-            o = NumericReal._coerce(other)
-        except TypeError:
-            return NotImplemented
-
-        def div(work: int) -> Optional[RatInterval]:
-            bi = o.enclosure(work)
-            if bi.contains_zero():
-                return None
-            return self.enclosure(work) * bi.inverse()
-
-        return NumericReal(lambda bits: _refine_to(bits, div))
-
-    def __rtruediv__(self, other):
-        try:
-            o = NumericReal._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return NumericReal._combine((self,), lambda a: -a)
-
-    def sqrt(self) -> "NumericReal":
-        return NumericReal(
-            lambda bits: _refine_to(bits, lambda work: self.enclosure(work).sqrt(work))
-        )
-
     def __float__(self) -> float:
         """Within one ulp: the exact backing's float, else the midpoint of
         the first enclosure from 64 bits up whose width is at most 2**-60
-        of its magnitude, so that it excludes 0.  A numeric zero such as
-        ``x - x`` never gets one; it stops at 2**-2048, well below the
-        spacing of the smallest subnormal float, and gives the midpoint."""
+        of its magnitude, so that it excludes 0.  A numeric zero, whose
+        enclosures all straddle 0, never gets one; it stops at 2**-2048,
+        well below the spacing of the smallest subnormal float, and gives
+        the midpoint."""
         if self.exact_backing is not None:
             return float(self.exact_backing)
 
@@ -270,8 +176,3 @@ def acos_numeric(x: NumericReal) -> NumericReal:
         cosine=x.exact_backing,
     )
 
-
-def sin_numeric(x: NumericReal) -> NumericReal:
-    return NumericReal(
-        lambda bits: _refine_to(bits, lambda work: sin_interval(x.enclosure(work), work))
-    )

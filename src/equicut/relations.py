@@ -51,6 +51,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .exact import (
+    DEFAULT_FACTOR_BOUND,
     MAX_WORK_BITS,
     FieldBuilder,
     KElement,
@@ -291,7 +292,9 @@ def _angle_relations(
     c_k + i*s_k = exp(i*theta_k).  Then q . theta is a multiple of 2*pi
     exactly when prod z_k**q_k == 1, and it is 0 when moreover |q . theta|
     < 2*pi, which the 64-bit enclosures certify.  A negative power is the
-    conjugate, since |z_k| = 1, and a real z_k = +-1 (pi's -1) is a sign."""
+    conjugate, since |z_k| = 1, and a real z_k = +-1 (pi's -1) is a sign.
+    A rational 1 - c_k**2 = n/d with n*d past ``DEFAULT_FACTOR_BOUND**2``
+    gives none at once: trial division might not factor it."""
     cosines = [getattr(col.value, "cosine", None) for col in columns]
     if not survivors or None in cosines:
         return []
@@ -305,7 +308,11 @@ def _angle_relations(
     try:
         for c in distinct:
             c = builder.embed(c)
-            unit.append((c, builder.sqrt(1 - c * c)))
+            r = 1 - c * c
+            f = r.as_fraction()
+            if f is not None and f.numerator * f.denominator > DEFAULT_FACTOR_BOUND**2:
+                return []
+            unit.append((c, builder.sqrt(r)))
     except (NegativeSqrtError, SquarefreeBoundError):
         return []
     # powers[j][p] = z_j**p as (real, imaginary) for 0 < |p| <= max |q_k|;

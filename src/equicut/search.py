@@ -687,17 +687,22 @@ def region_symmetries(region: Triangle) -> List[Isometry]:
 def _quotient_by_symmetry(region: Triangle, results: List[Dissection]) -> List[Dissection]:
     """The first result of each orbit under the region's symmetries.  An
     orbit is keyed by the set of its members' hashed pieces: one search keeps
-    every value in one tower chain, where equal values have equal keys."""
+    every value in one tower chain, where equal values have equal keys.
+    Pieces share vertex objects, so each distinct vertex is mapped once per
+    isometry."""
     group = region_symmetries(region)
     if len(group) <= 1:
         return results
     kept = []
     seen = set()
     for d in results:
-        orbit = frozenset(
-            frozenset(_hashed_pieces([iso.apply_triangle(p) for p in d.pieces]).items())
-            for iso in group
-        )
+        verts = {id(v): v for p in d.pieces for v in p.vertices}
+        orbit = set()
+        for iso in group:
+            image = {k: iso.apply(v) for k, v in verts.items()}
+            pieces = [Triangle(*(image[id(v)] for v in p.vertices)) for p in d.pieces]
+            orbit.add(frozenset(_hashed_pieces(pieces).items()))
+        orbit = frozenset(orbit)
         if orbit not in seen:
             seen.add(orbit)
             kept.append(d)

@@ -7,13 +7,14 @@ Triangles are normalized two ways:
 * angle form -- angles (alpha, beta, pi - alpha - beta) with alpha, beta > 0
   and alpha + beta < pi.
 
-Conversions use the law of cosines (exact rational cosines for exact sides)
-and the law of sines (rigorous numeric enclosures).  Samplers draw dyadic
-rationals with 53 random bits per coordinate from a caller-seeded generator
-and reject points outside the open region, so results are reproducible and
-every accepted sample satisfies its constraints exactly.
+Sides convert to angles by the law of cosines: the cosines are exact, and
+each angle is a rigorous ``acos`` enclosure that keeps its exact cosine.
+Angles (u*pi, v*pi) are kept as the rational pair (u, v).  Samplers draw
+dyadic rationals with 53 random bits per coordinate from a caller-seeded
+generator and reject points outside the open region, so results are
+reproducible and every accepted sample satisfies its constraints exactly.
 
-Sampled triangles are returned at the *numeric* tier (``NumericReal``): a
+Sampled side pairs are returned at the *numeric* tier (``NumericReal``): a
 random triangle plays the role of a generic real point, so downstream
 relation detection treats it by refinement rather than by field membership.
 """
@@ -25,10 +26,9 @@ from fractions import Fraction
 from typing import Union
 
 from .exact import TowerReal, exactify
-from .intervals import NumericReal, acos_numeric, pi_interval, sin_numeric
+from .intervals import NumericReal, acos_numeric, pi_interval
 
 __all__ = [
-    "angle_pair_from_fractions",
     "angles_from_sides",
     "cosines_from_sides",
     "in_side_sample_region",
@@ -36,10 +36,8 @@ __all__ = [
     "is_valid_side_pair",
     "pi_numeric",
     "sample_angle_fractions",
-    "sample_angle_triangle",
     "sample_side_fractions",
     "sample_side_triangle",
-    "sides_from_angles",
 ]
 
 ExactValue = Union[TowerReal, Fraction, int]
@@ -103,15 +101,6 @@ def sample_angle_fractions(rng: random.Random) -> tuple[Fraction, Fraction]:
             return u, v
 
 
-def angle_pair_from_fractions(u: Fraction, v: Fraction) -> tuple[NumericReal, NumericReal]:
-    pi = pi_numeric()
-    return pi * u, pi * v
-
-
-def sample_angle_triangle(rng: random.Random) -> tuple[NumericReal, NumericReal]:
-    return angle_pair_from_fractions(*sample_angle_fractions(rng))
-
-
 def cosines_from_sides(
     a: ExactValue, b: ExactValue
 ) -> tuple[TowerReal, TowerReal, TowerReal]:
@@ -136,14 +125,3 @@ def angles_from_sides(
     # equal angles share one value, so each precision is enclosed once
     return tuple(angles[cosines.index(c)] for c in cosines)
 
-
-def sides_from_angles(
-    alpha: Union[NumericReal, ExactValue], beta: Union[NumericReal, ExactValue]
-) -> tuple[NumericReal, NumericReal]:
-    """Sides (a, b) of the triangle with angles (alpha, beta) and third side
-    1, by the law of sines: a = sin(alpha)/sin(gamma)."""
-    alpha = alpha if isinstance(alpha, NumericReal) else NumericReal.from_exact(alpha)
-    beta = beta if isinstance(beta, NumericReal) else NumericReal.from_exact(beta)
-    gamma = pi_numeric() - alpha - beta
-    sin_gamma = sin_numeric(gamma)
-    return sin_numeric(alpha) / sin_gamma, sin_numeric(beta) / sin_gamma

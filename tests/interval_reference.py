@@ -1,7 +1,7 @@
-"""The transcendental enclosures that ``equicut.intervals`` formed before
-one evaluation and a mean-value radius: acos or sin evaluated at both ends
-of the input, rounded outward onto the 2**-(bits+16) grid.  The
-differential tests check the one-evaluation enclosures against them.
+"""The acos enclosure that ``equicut.intervals`` formed before one
+evaluation and a mean-value radius: acos evaluated at both ends of the
+input, rounded outward onto the 2**-(bits+16) grid.  The differential tests
+check the one-evaluation enclosures against it.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 
-from equicut.intervals import RatInterval, mpf_to_fraction, pi_interval
+from equicut.intervals import RatInterval, mpf_to_fraction
 
 
 def _dyadic_out(x, p, up):
@@ -37,20 +37,3 @@ def reference_acos_interval(x, bits):
     lo = max(Fraction(0), out_lo - eps)
     return RatInterval(lo, max(lo, out_hi + eps))
 
-
-def reference_sin_interval(x, bits):
-    """sin over ``x`` evaluated at both ends, capped at 1 when ``x`` meets pi/2."""
-    p = bits + 16
-    lo_in = _dyadic_out(x.lo, p, up=False)
-    hi_in = _dyadic_out(x.hi, p, up=True)
-    eps = Fraction(1, 1 << bits)
-    with mpmath.workprec(p + 8):
-        s_lo = mpf_to_fraction(mpmath.sin(_exact_mpf(lo_in)))
-        s_hi = mpf_to_fraction(mpmath.sin(_exact_mpf(hi_in)))
-    half_pi = pi_interval(bits + 2) * Fraction(1, 2)
-    lo = max(Fraction(-1), min(s_lo, s_hi) - eps)
-    if x.lo <= half_pi.hi and x.hi >= half_pi.lo:
-        hi = Fraction(1)
-    else:
-        hi = min(Fraction(1), max(s_lo, s_hi) + eps)
-    return RatInterval(lo, max(lo, hi))

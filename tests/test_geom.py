@@ -15,9 +15,7 @@ from equicut.geom import (
     Isometry,
     Location,
     Pt,
-    SegmentRelation,
     Triangle,
-    classify_segments,
     congruent,
     find_isometry,
     orientation,
@@ -116,79 +114,6 @@ class TestPointOnSegment:
         assert point_on_segment(P(0, 0), P(0, 0), P(2, 2))
         assert not point_on_segment(P(3, 3), P(0, 0), P(2, 2))
         assert not point_on_segment(P(1, 0), P(0, 0), P(2, 2))
-
-
-class TestClassifySegments:
-    def test_cross(self):
-        assert (
-            classify_segments(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
-            == SegmentRelation.CROSS
-        )
-
-    def test_t_junction_touches(self):
-        assert (
-            classify_segments(P(0, 0), P(2, 0), P(1, 0), P(1, 1))
-            == SegmentRelation.TOUCH_AT_ENDPOINT
-        )
-
-    def test_shared_endpoint(self):
-        assert (
-            classify_segments(P(0, 0), P(1, 0), P(1, 0), P(2, 1))
-            == SegmentRelation.TOUCH_AT_ENDPOINT
-        )
-
-    def test_collinear_overlap(self):
-        assert (
-            classify_segments(P(0, 0), P(2, 0), P(1, 0), P(3, 0))
-            == SegmentRelation.OVERLAP_COLLINEAR
-        )
-        assert (
-            classify_segments(P(0, 0), P(3, 0), P(1, 0), P(2, 0))
-            == SegmentRelation.OVERLAP_COLLINEAR
-        )
-
-    def test_collinear_touch(self):
-        assert (
-            classify_segments(P(0, 0), P(1, 0), P(1, 0), P(2, 0))
-            == SegmentRelation.TOUCH_AT_ENDPOINT
-        )
-
-    def test_collinear_disjoint(self):
-        assert (
-            classify_segments(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
-            == SegmentRelation.DISJOINT
-        )
-
-    def test_disjoint(self):
-        assert (
-            classify_segments(P(0, 0), P(1, 0), P(0, 1), P(1, 2))
-            == SegmentRelation.DISJOINT
-        )
-        assert (
-            classify_segments(P(0, 0), P(1, 1), P(2, 0), P(3, -5))
-            == SegmentRelation.DISJOINT
-        )
-
-    def test_symmetry(self):
-        cases = [
-            (P(0, 0), P(2, 2), P(0, 2), P(2, 0)),
-            (P(0, 0), P(2, 0), P(1, 0), P(3, 0)),
-            (P(0, 0), P(1, 0), P(1, 0), P(2, 0)),
-            (P(0, 0), P(1, 0), P(0, 1), P(1, 2)),
-        ]
-        for p1, p2, q1, q2 in cases:
-            assert classify_segments(p1, p2, q1, q2) == classify_segments(q1, q2, p1, p2)
-
-    def test_irrational_cross(self):
-        r2 = sqrt_adjoin(2)
-        rel = classify_segments(
-            P(0, 0), Pt(r2, r2), Pt(0, r2), Pt(r2, 0)
-        )
-        assert rel == SegmentRelation.CROSS
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            classify_segments(P(0, 0), P(0, 0), P(1, 0), P(2, 0))
 
 
 class TestPointInTriangle:

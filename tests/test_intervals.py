@@ -15,10 +15,8 @@ from equicut.intervals import (
     acos_numeric,
     mpf_to_fraction,
     pi_interval,
-    sin_interval,
-    sin_numeric,
 )
-from interval_reference import reference_acos_interval, reference_sin_interval
+from interval_reference import reference_acos_interval
 
 
 def high_precision(fn, *args):
@@ -36,8 +34,6 @@ class TestRatInterval:
         a = RatInterval(1, 2)
         b = RatInterval(-1, Fraction(1, 2))
         assert (a + b).lo == 0 and (a + b).hi == Fraction(5, 2)
-        assert (a - b).lo == Fraction(1, 2) and (a - b).hi == 3
-        assert (-a).lo == -2
         prod = a * b
         assert prod.lo == -2 and prod.hi == 1
 
@@ -46,19 +42,10 @@ class TestRatInterval:
         assert (a * -3).lo == -6 and (a * -3).hi == -3
         assert (2 * a).hi == 4
 
-    def test_inverse(self):
-        a = RatInterval(Fraction(1, 2), 2)
-        inv = a.inverse()
-        assert inv.lo == Fraction(1, 2) and inv.hi == 2
-        with pytest.raises(ZeroDivisionError):
-            RatInterval(-1, 1).inverse()
-
     def test_predicates(self):
-        assert RatInterval(-1, 1).contains_zero()
-        assert RatInterval(1, 2).strict_sign() == 1
-        assert RatInterval(-2, -1).strict_sign() == -1
-        assert RatInterval(-1, 1).strict_sign() == 0
         assert RatInterval(1, 3).contains(2)
+        assert RatInterval(-1, 1).contains(0)
+        assert not RatInterval(1, 3).contains(0)
 
     def test_sqrt_encloses(self):
         iv = RatInterval(2, 3).sqrt(80)
@@ -129,21 +116,6 @@ class TestTranscendentalEnclosures:
         pi_ref = high_precision(lambda: +mpmath.pi)
         assert acos_interval(RatInterval(-1, -1), 64).contains(pi_ref)
 
-    @pytest.mark.parametrize(
-        "t", [Fraction(1, 10), Fraction(1), Fraction(3, 2), Fraction(3)]
-    )
-    def test_sin_point(self, t):
-        ref = high_precision(mpmath.sin, t)
-        iv = sin_interval(RatInterval(t, t), 96)
-        assert iv.contains(ref)
-        assert iv.width <= Fraction(1, 1 << 90)
-
-    def test_sin_spanning_maximum(self):
-        iv = sin_interval(RatInterval(Fraction(3, 2), Fraction(8, 5)), 64)
-        assert iv.hi == 1
-        ref = high_precision(mpmath.sin, Fraction(3, 2))
-        assert iv.lo <= ref
-
 
 def _point(x):
     return lambda bits: RatInterval(x)
@@ -151,10 +123,6 @@ def _point(x):
 
 def _tower(value):
     return value.enclosure
-
-
-def _pi_times(q, shift=0):
-    return lambda bits: pi_interval(bits) * q + RatInterval(shift)
 
 
 _TINY_COS = 1 - Fraction(1, 3 << 40)  # acos of it is about 2**-20, acos' about 2**20
@@ -190,30 +158,10 @@ ACOS_AT_ONE = {
     "beyond-one": lambda bits: RatInterval(Fraction(3, 2), 2),
     "beyond-minus-one": lambda bits: RatInterval(-3, -2),
 }
-SIN_NARROW = {
-    "dyadic-1": _point(Fraction(1)),
-    "dyadic-3/2": _point(Fraction(3, 2)),
-    "dyadic-3": _point(Fraction(3)),
-    "zero": _point(Fraction(0)),
-    "point-1/3": _point(Fraction(1, 3)),
-    "point-311/100": _point(Fraction(311, 100)),
-    "tiny-angle": _point(Fraction(1, 3 << 20)),
-    "pi/3": _pi_times(Fraction(1, 3)),
-    "pi/2": _pi_times(Fraction(1, 2)),
-    "near-pi/2": _pi_times(Fraction(1, 2), Fraction(-1, 1 << 20)),
-    "just-past-pi/2": _pi_times(Fraction(1, 2), Fraction(1, 1 << 60)),
-    "near-pi": _pi_times(1, Fraction(-1, 3 << 20)),
-    "pi": pi_interval,
-    "acos-tower": _tower(acos_numeric(NumericReal.from_exact(sqrt_adjoin(3) / 2))),
-}
 # wide inputs, where acos's mean-value radius is not that tight: containment only
 WIDE = {
     "acos-spanning-zero": (mpmath.acos, RatInterval(Fraction(-9, 10), Fraction(7, 10))),
     "acos-near-one": (mpmath.acos, RatInterval(Fraction(9, 10), Fraction(99, 100))),
-    "sin-rising": (mpmath.sin, RatInterval(Fraction(1, 10), Fraction(1, 5))),
-    "sin-falling": (mpmath.sin, RatInterval(2, 3)),
-    "sin-spanning-maximum": (mpmath.sin, RatInterval(Fraction(3, 2), Fraction(8, 5))),
-    "sin-all": (mpmath.sin, RatInterval(0, Fraction(22, 7))),
 }
 _BITS = (96, 256, 1024)
 
@@ -234,8 +182,7 @@ def _image_samples(fn, x, bits):
 class TestMeanValueEnclosures:
     """One acos evaluation and a mean-value radius enclose what the two-ended
     reference encloses, and are wider by at most 2**-(bits+12) on inputs as
-    narrow as the refinement loop passes.  sin, still evaluated at both ends
-    of the integer grid, gives the reference's enclosure exactly."""
+    narrow as the refinement loop passes."""
 
     @pytest.mark.parametrize("bits", _BITS)
     @pytest.mark.parametrize("name", sorted(ACOS_NARROW) + sorted(ACOS_AT_ONE))
@@ -248,20 +195,11 @@ class TestMeanValueEnclosures:
         if name in ACOS_AT_ONE:
             assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
 
-    @pytest.mark.parametrize("bits", _BITS)
-    @pytest.mark.parametrize("name", sorted(SIN_NARROW))
-    def test_sin(self, name, bits):
-        x = SIN_NARROW[name](bits)
-        iv = sin_interval(x, bits)
-        assert all(iv.contains(v) for v in _image_samples(mpmath.sin, x, bits))
-        ref = reference_sin_interval(x, bits)
-        assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
-
     @pytest.mark.parametrize("bits", (64, 256))
     @pytest.mark.parametrize("name", sorted(WIDE))
     def test_wide(self, name, bits):
         fn, x = WIDE[name]
-        iv = (acos_interval if fn is mpmath.acos else sin_interval)(x, bits)
+        iv = acos_interval(x, bits)
         assert all(iv.contains(v) for v in _image_samples(fn, x, bits))
 
     def test_one_evaluation_away_from_one(self, monkeypatch):
@@ -282,30 +220,10 @@ class TestNumericReal:
         assert iv.width <= Fraction(1, 1 << 100)
         assert x.exact_backing is not None
 
-    def test_arithmetic_encloses(self):
-        x = NumericReal.from_exact(sqrt_adjoin(2))
-        y = NumericReal.from_exact(Fraction(1, 3))
-        expr = (x + y) * (x - y) - x * x  # equals -1/9
-        iv = expr.enclosure(120)
-        assert iv.contains(Fraction(-1, 9))
-        assert iv.width <= Fraction(1, 1 << 120)
-
-    def test_division(self):
-        x = NumericReal.from_exact(sqrt_adjoin(2))
-        iv = (1 / x).enclosure(100)
-        ref = sqrt_adjoin(2) / 2
-        lo, hi = ref.enclosure(120)
-        assert iv.lo <= hi and iv.hi >= lo
-
-    def test_division_by_zero_raises(self):
-        quotient = NumericReal.from_exact(1) / NumericReal.from_exact(0)
-        with pytest.raises(RefinementLimitError):
-            quotient.enclosure(64)
-
     def test_operand_that_never_narrows_raises(self):
         stuck = NumericReal(lambda bits: RatInterval(0, 1))
         with pytest.raises(RefinementLimitError):
-            (stuck + 1).enclosure(64)
+            acos_numeric(stuck).enclosure(64)
 
     def test_target_past_the_work_limit_fails_before_any_attempt(self):
         attempts = []
@@ -322,27 +240,6 @@ class TestNumericReal:
         assert time.perf_counter() - start < 1
         assert attempts == []
         assert _refine_to(MAX_WORK_BITS, attempt).width == 0
-
-    def test_sqrt(self):
-        x = NumericReal.from_exact(2)
-        iv = x.sqrt().enclosure(150)
-        assert iv.lo**2 <= 2 <= iv.hi**2
-        assert iv.width <= Fraction(1, 1 << 150)
-
-    def test_mixed_operands(self):
-        x = NumericReal.from_exact(sqrt_adjoin(3))
-        expr = 2 * x - sqrt_adjoin(3) - sqrt_adjoin(3)
-        assert expr.enclosure(200).contains(0)
-
-    def test_acos_sin_composition(self):
-        # angle = acos(1/2) = pi/3, sin(pi/3) = sqrt(3)/2
-        angle = acos_numeric(NumericReal.from_exact(Fraction(1, 2)))
-        s = sin_numeric(angle)
-        ref = sqrt_adjoin(3) / 2
-        lo, hi = ref.enclosure(150)
-        iv = s.enclosure(130)
-        assert iv.lo <= hi and iv.hi >= lo
-        assert iv.width <= Fraction(1, 1 << 130)
 
     def test_refinement_cache(self):
         calls = []
@@ -362,13 +259,11 @@ class TestNumericReal:
         p, q = Fraction(665857), Fraction(470832)
         true = -1.5948618246068547e-12
         assert float(NumericReal.from_exact(sqrt_adjoin(2) - p / q)) == true
-        root = NumericReal.from_exact(sqrt_adjoin(2))
-        assert float(root - NumericReal.from_exact(p / q)) == true
 
     def test_float_of_a_tiny_numeric_value(self):
         # no exact backing: refined until the width is 2**-60 of the value
         p, q = 665857, 470832
-        x = NumericReal(sqrt_adjoin(2).enclosure) * q - p
+        x = NumericReal((sqrt_adjoin(2) * q - p).enclosure)
         assert x.exact_backing is None
         with mpmath.workprec(256):
             true = float(mpmath.sqrt(2) * q - p)
@@ -377,15 +272,18 @@ class TestNumericReal:
         assert float(tiny) == 2.0**-1100 / 3
 
     def test_float_of_a_numeric_zero_stops(self):
+        """Enclosures that always straddle 0 never reach a relative width, so
+        the float stops at the 2**-2048 enclosure, the sixth."""
         calls = []
 
         def refine(bits):
             calls.append(bits)
-            return sqrt_adjoin(5).enclosure(bits)
+            half = Fraction(1, 1 << (bits + 1))
+            return RatInterval(-half, half)
 
         x = NumericReal(refine)
-        assert float(x - x) == 0.0
-        assert calls == [64 * 2**k + 2 for k in range(6)]
+        assert float(x) == 0.0
+        assert calls == [64 * 2**k for k in range(6)]
 
 
 @st.composite
@@ -403,6 +301,5 @@ class TestIntervalAlgebraHypothesis:
         pa = a.lo + (a.hi - a.lo) * Fraction(1, 3)
         pb = b.lo + (b.hi - b.lo) * Fraction(2, 3)
         assert (a + b).contains(pa + pb)
-        assert (a - b).contains(pa - pb)
         assert (a * b).contains(pa * pb)
         assert (a * pt_frac).contains(pa * pt_frac)

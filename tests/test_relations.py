@@ -4,9 +4,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from interval_reference import reference_acos_interval, reference_sin_interval
+from interval_reference import reference_acos_interval
 
-from equicut import intervals, relations
+from equicut import exact, intervals, relations
 from equicut.exact import FieldBuilder, KElement, sqrt_adjoin
 from equicut.intervals import NumericReal, RatInterval, acos_numeric
 from equicut.literals import parse_number
@@ -27,13 +27,10 @@ from equicut.relations import (
     find_side_relation,
 )
 from equicut.trispace import (
-    angle_pair_from_fractions,
     angles_from_sides,
     is_valid_side_pair,
     pi_numeric,
-    sample_angle_fractions,
     sample_side_fractions,
-    sides_from_angles,
 )
 
 
@@ -115,22 +112,24 @@ def _random_values(rng, numeric):
     """One to five values: small rationals, some times a square root and
     some a small multiple of the value before, so that random values often
     share exact relations; numeric values may also be square roots of small
-    rationals."""
-    values = []
+    rationals.  Each value is built exactly, and a numeric one is then
+    ``NumericReal.from_exact`` of it."""
+    values, exacts = [], []
     for _ in range(rng.randint(1, 5)):
         if values and rng.random() < 0.3:
-            value = values[-1] * Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+            value = exacts[-1] * Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+            as_numeric = isinstance(values[-1], NumericReal)
         elif numeric and rng.random() < 0.3:
             square = Fraction(rng.choice((1, 2, 3, 8, 12)), rng.randint(1, 4))
-            value = NumericReal.from_exact(square).sqrt()
+            value, as_numeric = sqrt_adjoin(square), True
         else:
             value = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
             d = rng.choice((1, 1, 2, 3))
             if d != 1:
                 value = value * sqrt_adjoin(d)
-            if numeric:
-                value = NumericReal.from_exact(value)
-        values.append(value)
+            as_numeric = numeric
+        exacts.append(value)
+        values.append(NumericReal.from_exact(value) if as_numeric else value)
     return values
 
 
@@ -187,7 +186,7 @@ def _reference_relation(values, height, *, labels=None, mask=None, start_bits=No
             for c, iv in zip(coeffs, ivs):
                 if c:
                     total = total + iv * c
-            if total.contains_zero():
+            if total.contains(0):
                 still.append(coeffs)
         pending = still
     if pending:
@@ -235,10 +234,11 @@ DIFFERENTIAL_CASES = {
     # rational enclosures are single points with denominators 3 and 6, so a
     # relation's interval sum is exactly [0, 0]
     "non-dyadic": ([_THIRD, NumericReal.from_exact(Fraction(5, 6)), Fraction(1, 2)], 4),
-    "non-dyadic-roots": ([_THIRD.sqrt(), NumericReal.from_exact(_R3) / 3, _THIRD], 3),
+    "non-dyadic-roots": ([NumericReal.from_exact(sqrt_adjoin(Fraction(1, 3))),
+                          NumericReal.from_exact(_R3 / 3), _THIRD], 3),
     # separated only at the 512-bit rung
     "numeric-near-miss": ([NumericReal.from_exact(_R2 + _TINY), NumericReal.from_exact(_R2)], 2),
-    "bare-floats": ([0.5, 1.0, NumericReal.from_exact(_R2) / 2, 2**-0.5], 2),
+    "bare-floats": ([0.5, 1.0, NumericReal.from_exact(_R2 / 2), 2**-0.5], 2),
 }
 
 RUNGS = [256, 512, 1024, 2048, 4096]
@@ -294,14 +294,12 @@ class TestCertificationMatchesReference:
 
 
 def _with_reference_enclosures(call, monkeypatch):
-    """``call()`` on the package's enclosures and on the two-ended reference
-    ones.  Only ``acos_interval`` takes one evaluation; ``sin_interval``
-    evaluates both ends in either.  ``call`` builds its own angles or sides,
-    so no cache is shared."""
+    """``call()`` on the package's acos enclosures and on the two-ended
+    reference ones.  ``call`` builds its own angles, so no cache is
+    shared."""
     new = call()
     with monkeypatch.context() as m:
         m.setattr(intervals, "acos_interval", reference_acos_interval)
-        m.setattr(intervals, "sin_interval", reference_sin_interval)
         ref = call()
     _assert_same_result(new, ref)
     assert new.stats["pending"] == ref.stats["pending"]
@@ -324,23 +322,9 @@ def _ladder_angle_call(a, b):
     return lambda: find_angle_relation(*_without_cosines(*angles_from_sides(a, b)[:2]))
 
 
-def _side_call(u, v):
-    return lambda: find_side_relation(*sides_from_angles(*angle_pair_from_fractions(u, v)))
-
-
-# angles of the named triangles, as fractions of pi
-NAMED_ANGLES = [
-    (Fraction(1, 3), Fraction(1, 3)),
-    (Fraction(1, 4), Fraction(1, 4)),
-    (Fraction(1, 3), Fraction(1, 6)),
-    (Fraction(2, 5), Fraction(1, 5)),
-]
-
-
 class TestOneEvaluationMatchesReference:
-    """Angles enclosed by one acos evaluation and a mean-value radius, and
-    sides enclosed by sin on the integer grid, decide every relation as the
-    two-ended reference enclosures did."""
+    """Angles enclosed by one acos evaluation and a mean-value radius decide
+    every relation as the two-ended reference enclosures did."""
 
     @pytest.mark.parametrize("sides", NAMED_TRIANGLES, ids=str)
     def test_named_triangle_angles(self, sides, monkeypatch):
@@ -353,16 +337,6 @@ class TestOneEvaluationMatchesReference:
         rng = random.Random(2026)
         for _ in range(200):
             _with_reference_enclosures(_angle_call(*sample_side_fractions(rng)), monkeypatch)
-
-    @pytest.mark.parametrize("angles", NAMED_ANGLES, ids=str)
-    def test_named_triangle_sides(self, angles, monkeypatch):
-        result = _with_reference_enclosures(_side_call(*angles), monkeypatch)
-        assert result.status == RelationStatus.FOUND_CANDIDATE
-
-    def test_sampled_triangle_sides(self, monkeypatch):
-        rng = random.Random(2026)
-        for _ in range(200):
-            _with_reference_enclosures(_side_call(*sample_angle_fractions(rng)), monkeypatch)
 
     @pytest.mark.parametrize(
         "sides, evaluations",
@@ -474,6 +448,21 @@ class TestExactCosinesMatchLadder:
     def test_same_as_reference(self, monkeypatch):
         new, ref = _both(lambda: find_angle_relation(*_mixed_angles()), monkeypatch)
         _assert_same_result(new, ref)
+
+    def test_sine_radicand_too_large_to_factor_is_not_factored(self, monkeypatch):
+        """1 - c**2 = n/d for c = 1/2 + 2**-40 has n*d past the square of
+        the trial-division bound, so the check leaves every survivor to the
+        ladder without trying to factor it."""
+        c = Fraction(1, 2) + Fraction(1, 1 << 40)
+        radicand = (1 - c * c).numerator * (1 - c * c).denominator
+        assert radicand > exact.DEFAULT_FACTOR_BOUND**2
+        factored = []
+        decompose = exact.squarefree_decompose
+        monkeypatch.setattr(exact, "squarefree_decompose",
+                            lambda n, *rest: factored.append(n) or decompose(n, *rest))
+        new, ladder = (find_angle_relation(*_mixed_angles(k)) for k in (True, False))
+        _assert_same_path(new, ladder)
+        assert radicand not in factored
 
     def test_start_past_the_ladder_skips_the_check(self, monkeypatch):
         calls = []

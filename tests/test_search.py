@@ -33,6 +33,7 @@ import pytest
 
 from equicut.dissect import (
     Dissection,
+    _hashed_pieces,
     _piece_multiset_key,
     canonical_triangle,
     is_standard,
@@ -46,6 +47,7 @@ from equicut.dissect import _point_key
 from equicut.exact import TowerReal, _value_key, exactify, sqrt_adjoin
 from equicut.geom import (
     AngleVec,
+    Isometry,
     Location,
     Pt,
     Triangle,
@@ -810,6 +812,49 @@ class TestQuotientAgainstMinKey:
             sizes.append((len(results), len(got)))
         # orbits of 6 and of 2 members were merged
         assert {(3, 1), (162, 29), (64, 40)} <= set(sizes)
+
+
+def _per_piece_quotient(region, results):
+    """The hashed-orbit quotient with every piece mapped on its own, so a
+    vertex shared by k pieces is mapped k times per isometry."""
+    group = region_symmetries(region)
+    if len(group) <= 1:
+        return results
+    kept, seen = [], set()
+    for d in results:
+        orbit = frozenset(
+            frozenset(_hashed_pieces([iso.apply_triangle(p) for p in d.pieces]).items())
+            for iso in group
+        )
+        if orbit not in seen:
+            seen.add(orbit)
+            kept.append(d)
+    return kept
+
+
+class TestQuotientMapsEachVertexOnce:
+    """Mapping each distinct vertex once per isometry keeps the results that
+    mapping every piece on its own keeps, in the same order."""
+
+    @pytest.mark.parametrize("region, m, tile", [
+        (EQUILATERAL, 2, (Fraction(1, 2), sqrt_adjoin(Fraction(3, 4)), 1)),
+        (RIGHT_ISOCELES, 16, None),
+    ], ids=["equilateral-2", "right-isoceles-16"])
+    def test_same_kept_dissections(self, region, m, tile, monkeypatch):
+        tile = tile or similar_tile(region, m)
+        results = search_dissections(SearchSpec(region=region, tile=tile, m=m)).dissections
+        want = _per_piece_quotient(region, results)
+        calls = []
+        apply = Isometry.apply
+        monkeypatch.setattr(Isometry, "apply", lambda iso, p: calls.append(p) or apply(iso, p))
+        group = region_symmetries(region)
+        finding_the_group = len(calls)
+        calls.clear()
+        got = search_module._quotient_by_symmetry(region, results)
+        assert [id(d) for d in got] == [id(d) for d in want]
+        assert len(got) < len(results)
+        distinct = sum(len({id(v) for t in d.pieces for v in t.vertices}) for d in results)
+        assert len(calls) == finding_the_group + distinct * len(group)
 
 
 class TestDeterminism:

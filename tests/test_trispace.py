@@ -7,7 +7,6 @@ import pytest
 from equicut.exact import sqrt_adjoin
 from equicut.intervals import mpf_to_fraction, pi_interval
 from equicut.trispace import (
-    angle_pair_from_fractions,
     angles_from_sides,
     cosines_from_sides,
     in_side_sample_region,
@@ -17,7 +16,6 @@ from equicut.trispace import (
     sample_angle_fractions,
     sample_side_fractions,
     sample_side_triangle,
-    sides_from_angles,
 )
 
 
@@ -102,33 +100,9 @@ class TestAngleMaps:
 
     def test_angle_sum_is_pi(self):
         alpha, beta, gamma = angles_from_sides(Fraction(7, 8), Fraction(3, 4))
-        total = alpha + beta + gamma
-        iv = total.enclosure(128)
+        iv = alpha.enclosure(128) + beta.enclosure(128) + gamma.enclosure(128)
         pi = pi_interval(128)
         assert iv.lo <= pi.hi and iv.hi >= pi.lo
-
-    def test_sides_from_angles_equilateral(self):
-        pi = pi_numeric()
-        a, b = sides_from_angles(pi * Fraction(1, 3), pi * Fraction(1, 3))
-        assert contains_reference(a, Fraction(1), 110)
-        assert contains_reference(b, Fraction(1), 110)
-
-    def test_round_trip(self):
-        a0, b0 = Fraction(7, 8), Fraction(3, 4)
-        alpha, beta, _ = angles_from_sides(a0, b0)
-        a, b = sides_from_angles(alpha, beta)
-        assert contains_reference(a, a0, 120)
-        assert contains_reference(b, b0, 120)
-
-    def test_right_angle_sides(self):
-        # angles pi/2 and pi/4: sides sqrt(2) and 1 against the unit side
-        pi = pi_numeric()
-        a, b = sides_from_angles(pi * Fraction(1, 2), pi * Fraction(1, 4))
-        r2 = sqrt_adjoin(2)
-        lo, hi = r2.enclosure(120)
-        iv = a.enclosure(110)
-        assert iv.lo <= hi and iv.hi >= lo
-        assert contains_reference(b, Fraction(1), 110)
 
 
 class TestSamplers:
@@ -156,11 +130,6 @@ class TestSamplers:
         a, b = sample_side_triangle(rng)
         iv = a.enclosure(80)
         assert iv.width <= Fraction(1, 1 << 80)
-        u, v = sample_angle_fractions(rng)
-        alpha, beta = angle_pair_from_fractions(u, v)
-        pi = pi_interval(100)
-        iva = alpha.enclosure(90)
-        assert iva.lo >= 0 and iva.hi <= pi.hi
 
     def test_distinct_samples(self):
         rng = random.Random(999)
