@@ -22,7 +22,8 @@ vector's context.  Two vectors over one context have one length and
 combine or multiply directly.  Only values over different contexts merge:
 one over a prefix of the other's context is padded with zeros, and
 otherwise the merge takes one root per source level, by lookup where the
-destination chain holds the radicand, and maps vectors by halves.
+destination chain holds the radicand, and maps vectors by halves; a repeat
+merge of one context pair reuses the first merge's roots and context.
 Contexts are interned by their radicands' integer vectors; the nested-pair
 views ``raw`` and ``radicands`` are built on each call, for output only.
 
@@ -470,8 +471,12 @@ class TowerContext:
     ``_levels[(R, e)] == i``: a repeated radicand would be a square.
     ``_children[(R, e)]`` is the interned context one level up whose top
     radicand is (R, e); a context is interned only once its radicand is
-    certified a non-square, so a child is that certificate.  ``radicands``
-    is the nested-pair view of ``_rads``, built on each call for output.
+    certified a non-square, so a child is that certificate.
+    ``_embeds[src]`` is what ``FieldBuilder.embed`` derived the first time
+    it merged a value over context ``src`` into this one: the final context
+    and the tuple of source roots t_i, so a repeat merge of the same pair
+    reuses them.  ``radicands`` is the nested-pair view of ``_rads``, built
+    on each call for output.
 
     A context is *flat* when every radicand is a rational integer.  It then
     keeps ``_prods[m]``, the product of the radicands picked by the bits of
@@ -486,7 +491,7 @@ class TowerContext:
 
     __slots__ = (
         "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
-        "_flat_depth", "_flat_prods", "_levels", "_children",
+        "_flat_depth", "_flat_prods", "_levels", "_children", "_embeds",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
@@ -498,6 +503,7 @@ class TowerContext:
         self._prefixes: dict[int, TowerContext] = {}
         self._levels = {rad: i for i, rad in enumerate(rads)}
         self._children: dict[tuple, TowerContext] = {}
+        self._embeds: dict[TowerContext, tuple] = {}
         if rads:
             self.prefix(self.depth - 1)._children[rads[-1]] = self
         self._prods = self._scales = self._roots = self._flat_depth = self._flat_prods = None
@@ -578,9 +584,10 @@ class TowerReal:
     operand's inverse there.  Over one context the vectors have one length
     and combine or multiply with no merge.  Only values over different
     contexts go through ``_merge``, which embeds one through
-    ``FieldBuilder`` unless one context is a prefix of the other.  Every
-    route ends in the canonical form, so each gives the value, tuple for
-    tuple, that the general route would.
+    ``FieldBuilder`` unless one context is a prefix of the other; a repeat
+    merge of one context pair reuses the first merge's roots and context.
+    Every route ends in the canonical form, so each gives the value, tuple
+    for tuple, that the general route would.
     """
 
     __slots__ = ("ctx", "_num", "_den", "_sign", "_ivs")
@@ -977,6 +984,16 @@ def _sqrt_try(x: TowerReal, ctx: TowerContext) -> Optional[TowerReal]:
     return None
 
 
+def _image(v, roots):
+    """The vector v of a source context mapped by halves, low + high*t, with
+    roots[i] the image t_i of source level i's root."""
+    h = len(v) >> 1
+    if h == 0:
+        return v[0]
+    low, high = _image(v[:h], roots), v[h:]
+    return low + _image(high, roots) * roots[h.bit_length() - 1] if any(high) else low
+
+
 class FieldBuilder:
     """Accumulates one growing tower context; used to keep related values
     (a whole search, a whole JSON file) inside a single shared field."""
@@ -989,22 +1006,21 @@ class FieldBuilder:
 
     def embed(self, value: Union[TowerReal, Rationalish]) -> TowerReal:
         """``value`` in this tower: each source radicand R_i/e_i is mapped, lowest
-        level first, and its root t_i taken once; vectors map as low + high*t_top."""
+        level first, and its root t_i taken once; vectors map as low + high*t_top.
+        The first merge of a context pair stores the roots and the final
+        context in ``_embeds``, and a repeat merge of that pair reuses them."""
         value = exactify(value)
         if value.depth <= self.ctx.depth and self.ctx.prefix(value.depth) is value.ctx:
             return value
-        roots = []
-
-        def image(v):
-            h = len(v) >> 1
-            if h == 0:
-                return v[0]
-            low, high = image(v[:h]), v[h:]
-            return low + image(high) * roots[h.bit_length() - 1] if any(high) else low
-
-        for R, e in value.ctx._rads:
-            roots.append(self.sqrt(image(R) * Fraction(1, e)))
-        return image(value._num) * Fraction(1, value._den)
+        start = self.ctx
+        memo = start._embeds.get(value.ctx)
+        if memo is None:
+            roots = []
+            for R, e in value.ctx._rads:
+                roots.append(self.sqrt(_image(R, roots) * Fraction(1, e)))
+            memo = start._embeds[value.ctx] = (self.ctx, tuple(roots))
+        self.ctx, roots = memo
+        return _image(value._num, roots) * Fraction(1, value._den)
 
     def sqrt(self, value: Union[TowerReal, Rationalish]) -> TowerReal:
         """The root >= 0; a radicand already in the chain gives its t_j at once,

@@ -6,7 +6,6 @@ Wall-clock budgets are asserted where the criteria state them.
 """
 
 import itertools
-import json
 import random
 import time
 from fractions import Fraction

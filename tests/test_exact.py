@@ -1064,70 +1064,87 @@ def _count_roots(monkeypatch) -> dict:
     return calls
 
 
-def _counted_embed(monkeypatch, builder, value) -> dict:
+def _counted_embed(monkeypatch, builder, value) -> tuple[TowerReal, dict]:
     """``builder.embed(value)`` against the recursion, the same radicands
-    and raw value; returns its ``_count_roots`` counts."""
+    and raw value: the same result context, by identity, the same vector
+    and the same final builder context.  Returns the result and its
+    ``_count_roots`` counts."""
     reference = ref.ReferenceBuilder(builder.ctx.radicands)
-    want = reference.embed((value.raw, value.depth), value.ctx.radicands)
+    raw, k = reference.embed((value.raw, value.depth), value.ctx.radicands)
     calls = _count_roots(monkeypatch)
     got = builder.embed(value)
-    assert builder.ctx.radicands == reference.rads
-    assert (got.raw, got.depth) == want
-    return calls
+    want_ctx = ref.context(reference.rads)
+    want = ref.value(want_ctx.prefix(k), raw)
+    assert builder.ctx is want_ctx
+    assert (got.ctx, got._num, got._den) == (want.ctx, want._num, want._den)
+    return got, calls
+
+
+def _check_repeat_merge(monkeypatch, start, value, first, first_ctx):
+    """An identical second merge of ``value`` into a builder over ``start``,
+    after a first that gave ``first`` and left its builder at ``first_ctx``:
+    no root and no denesting search, and the same result and builder
+    context as the first."""
+    builder = FieldBuilder(start)
+    again, calls = _counted_embed(monkeypatch, builder, value)
+    assert calls == {"sqrt": 0, "sqrt_try": []}
+    assert builder.ctx is first_ctx
+    assert again.ctx is first.ctx and (again._num, again._den) == (first._num, first._den)
 
 
 class TestEmbedRoots:
-    """``FieldBuilder.embed`` takes one root per source level, and a source
-    radicand already in the destination chain never reaches the denesting
-    search."""
+    """``FieldBuilder.embed`` takes one root per source level on the first
+    merge of a context pair, and a source radicand already in the
+    destination chain never reaches the denesting search; a repeat merge of
+    the pair takes no root at all.  Each test adjoins primes that no other
+    test adjoins, so its first merge is the first."""
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_flat_value_takes_one_root_per_level(self, monkeypatch, k):
-        primes = (2, 3, 5, 7, 11)[:k]
+        primes = (251, 257, 263, 269, 271)[:k]
         src, dst = FieldBuilder(), FieldBuilder()
         roots = [src.sqrt(p) for p in primes]
         for p in reversed(primes):
             dst.sqrt(p)
+        start = dst.ctx
         value = sum((i + 1) * t for i, t in enumerate(roots)) + roots[0] * roots[-1] / 3
-        calls = _counted_embed(monkeypatch, dst, value)
+        first, calls = _counted_embed(monkeypatch, dst, value)
         assert value.depth == k and calls == {"sqrt": k, "sqrt_try": []}
-        assert dst.ctx.depth == k
+        assert dst.ctx is start
+        _check_repeat_merge(monkeypatch, start, value, first, dst.ctx)
 
     def test_nested_value_takes_one_root_per_level(self, monkeypatch):
         src, dst = FieldBuilder(), FieldBuilder()
-        t2, t3 = src.sqrt(2), src.sqrt(3)
+        t2, t3 = src.sqrt(277), src.sqrt(281)
         w = src.sqrt(1 + t2 + t3)
-        u3, u2 = dst.sqrt(3), dst.sqrt(2)
+        u3, u2 = dst.sqrt(281), dst.sqrt(277)
         dst.sqrt(1 + u2 + u3)
+        start = dst.ctx
         value = w * t2 * t3 - 5 * w + t3
-        calls = _counted_embed(monkeypatch, dst, value)
+        first, calls = _counted_embed(monkeypatch, dst, value)
         assert value.depth == 3 and calls == {"sqrt": 3, "sqrt_try": []}
-        assert dst.ctx.depth == 3
+        assert dst.ctx is start
+        _check_repeat_merge(monkeypatch, start, value, first, dst.ctx)
 
     def test_missing_radicands_adjoin_as_before(self, monkeypatch):
         """(101, 103, 1 + sqrt(101)) into (103,): 103 is found by lookup, and
         101 and 1 + sqrt(101) are adjoined after it, as the recursion adjoins
         them.  The first merge proves both non-squares by denesting; an
-        identical second merge finds the contexts the first interned and
-        searches nothing.  No other test adjoins these radicands, and no
-        prime context lists 103 before 101, so the first merge is the first."""
+        identical second merge reuses its roots and context.  No other test
+        adjoins these radicands, and no prime context lists 103 before 101,
+        so the first merge is the first."""
         src = FieldBuilder()
         t101, t103 = src.sqrt(101), src.sqrt(103)
         value = 4 * src.sqrt(1 + t101) + t103 + 1
         dst = FieldBuilder()
         dst.sqrt(103)
-        calls = _counted_embed(monkeypatch, dst, value)
+        start = dst.ctx
+        first, calls = _counted_embed(monkeypatch, dst, value)
         assert value.depth == 3 and calls["sqrt"] == 3
         assert calls["sqrt_try"] and ((103,), 1) not in calls["sqrt_try"]
         assert dst.ctx.radicands[:2] == (Fraction(103), ref.rconst(Fraction(101), 1))
         assert dst.ctx.depth == 3
-        again = FieldBuilder()
-        again.sqrt(103)
-        calls = _counted_embed(monkeypatch, again, value)
-        assert calls == {"sqrt": 3, "sqrt_try": []}
-        assert again.ctx is dst.ctx
-        first, second = dst.embed(value), again.embed(value)
-        assert second.ctx is first.ctx and (second._num, second._den) == (first._num, first._den)
+        _check_repeat_merge(monkeypatch, start, value, first, dst.ctx)
 
 
 # The merging tower shapes of the benchmark's kernel workload (bench/workloads.py,
@@ -1218,7 +1235,8 @@ class TestChildLookup:
     def test_kernel_shapes_miss_then_hit(self, monkeypatch, index):
         """Each pairwise merge of a kernel triple and each root of one tower's
         value in another's chain, twice, against the recursion: the first run
-        adjoins through the denesting search, the second through children."""
+        adjoins through the denesting search; in the second, each merge
+        reuses the first's roots and each root comes from a child."""
         rng, primes = random.Random(index), _SHAPE_PRIMES[index]
         towers = [_kernel_tower(rng, primes, r, n) for r, n in _KERNEL_MERGE_SHAPES[index]]
         pairs = [(a, b) for a in towers for b in towers if a is not b]
@@ -1230,6 +1248,73 @@ class TestChildLookup:
                 _check_sqrt(a.ctx, b if b.sign() > 0 else -b)
             searched.append(calls["sqrt_try"])
         assert searched[0] and searched[1] == []
+
+
+def _check_memo(start, value):
+    """``value`` merged into a builder over ``start`` as the memo's miss (its
+    entry for the pair dropped first) and then as its hit, each against the
+    recursion: one result context, by identity, one vector and one final
+    builder context.  The miss takes one root per source level."""
+    with pytest.MonkeyPatch.context() as patched:
+        start._embeds.pop(value.ctx, None)
+        miss = FieldBuilder(start)
+        got, calls = _counted_embed(patched, miss, value)
+        prefix = value.depth <= start.depth and start.prefix(value.depth) is value.ctx
+        assert calls["sqrt"] == (0 if prefix else value.depth)
+        _check_repeat_merge(patched, start, value, got, miss.ctx)
+
+
+# Primes for the memo's differential tests, which adjoin them in orders no
+# other test does: one triple per kernel shape, then the flat and nested
+# sources and the destinations of the drawn vectors.
+_MEMO_SHAPE_PRIMES = [(283, 293, 307), (311, 313, 317), (331, 337, 347), (349, 353, 359),
+                      (367, 373, 379), (383, 389, 397)]
+_MEMO_PRIMES = (401, 409, 419, 421)
+
+
+def _memo_contexts() -> tuple[dict, dict]:
+    """Sources over the primes p0..p3 of ``_MEMO_PRIMES``: flat (p0, p1, p2)
+    and nested (p0, p1, 1 + sqrt(p0) + sqrt(p1)).  Destinations: the two
+    reversed, (p1, p0) and (p1, p0, 1 + sqrt(p1) + sqrt(p0)), and (p3,),
+    which has to adjoin every source level."""
+    p0, p1, p2, p3 = _MEMO_PRIMES
+    flat, nested = FieldBuilder(), FieldBuilder()
+    for p in (p0, p1, p2):
+        flat.sqrt(p)
+    nested.sqrt(1 + nested.sqrt(p0) + nested.sqrt(p1))
+    reversed_flat, reversed_nested = FieldBuilder(), FieldBuilder()
+    reversed_flat.sqrt(p1)
+    reversed_flat.sqrt(p0)
+    reversed_nested.sqrt(reversed_nested.sqrt(p1) + reversed_nested.sqrt(p0) + 1)
+    sources = {"flat": flat.ctx, "nested": nested.ctx}
+    destinations = {"reversed flat": reversed_flat.ctx, "reversed nested": reversed_nested.ctx,
+                    "fresh": sqrt_adjoin(p3).ctx}
+    return sources, destinations
+
+
+class TestEmbedMemo:
+    """The memo of ``FieldBuilder.embed`` against the path it replaces: for
+    each value, the first merge of its context pair, a repeat merge and the
+    recursion (``ReferenceBuilder.embed``) agree on the result context, the
+    vector and the final builder context."""
+
+    @pytest.mark.parametrize("index", range(len(_KERNEL_MERGE_SHAPES)))
+    def test_kernel_shapes(self, index):
+        rng, primes = random.Random(index), _MEMO_SHAPE_PRIMES[index]
+        towers = [_kernel_tower(rng, primes, r, n) for r, n in _KERNEL_MERGE_SHAPES[index]]
+        fresh = sqrt_adjoin(_MEMO_PRIMES[3]).ctx
+        for b in towers:
+            for start in [a.ctx for a in towers if a is not b] + [fresh]:
+                _check_memo(start, b)
+                _check_memo(start, b * b - 3 * b)
+
+    @given(st.sampled_from(["flat", "nested"]),
+           st.sampled_from(["reversed flat", "reversed nested", "fresh"]),
+           st.lists(st.integers(-9, 9), min_size=8, max_size=8), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_vectors(self, source, destination, num, den):
+        sources, destinations = _memo_contexts()
+        _check_memo(destinations[destination], exact._vector_value(sources[source], num, den))
 
 
 class TestKElement:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicut.exact import KElement, TowerReal, sqrt_adjoin
+from equicut.exact import KElement, sqrt_adjoin
 from equicut.literals import ParseError, format_k_element, format_number, parse_number
 
 

@@ -32,7 +32,6 @@ from types import SimpleNamespace
 import pytest
 
 from equicut.dissect import (
-    Dissection,
     _hashed_pieces,
     _piece_multiset_key,
     canonical_triangle,
