@@ -29,9 +29,9 @@ views ``raw`` and ``radicands`` are built on each call, for output only.
 
 ``KElement`` is the squarefree-basis view of a flat vector: a rational
 combination of square roots of squarefree integers in canonical form, so
-equality is coefficient equality.  Its ``+ - * /`` lift the operands to
-integer vectors over their *prime context*, the flat tower over the primes
-dividing their radicands, and read the result back.
+equality is coefficient equality.  Its ``+ - * /`` lift the operands into
+one ``FieldBuilder`` chain, compute there with ``TowerReal`` and read the
+result back.
 
 The package's one interval type, ``RatInterval``, and its one bounded
 refinement loop, ``_refine_to``, live here too: the kernel's fast path is
@@ -41,7 +41,6 @@ built from them, and ``intervals`` encloses transcendental values with them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, inf, isqrt, lcm, nextafter
 from operator import add, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -469,9 +468,9 @@ class TowerContext:
     ``_rads`` is the interning key.  Stored radicands are certified
     nonnegative and are never perfect squares at their own level, and
     ``_levels[(R, e)] == i``: a repeated radicand would be a square.
-    ``_children[(R, e)]`` is the interned context one level up whose top
-    radicand is (R, e); a context is interned only once its radicand is
-    certified a non-square, so a child is that certificate.
+    A context is interned only once its top radicand is certified a
+    non-square, so ``_interned[ctx._rads + ((R, e),)]``, the *child* of
+    ``ctx`` under (R, e), is that certificate.
     ``_embeds[src]`` is what ``FieldBuilder.embed`` derived the first time
     it merged a value over context ``src`` into this one: the final context
     and the tuple of source roots t_i, so a repeat merge of the same pair
@@ -491,7 +490,7 @@ class TowerContext:
 
     __slots__ = (
         "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
-        "_flat_depth", "_flat_prods", "_levels", "_children", "_embeds",
+        "_flat_depth", "_flat_prods", "_levels", "_embeds",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
@@ -502,10 +501,7 @@ class TowerContext:
         self._sqrt_cache: dict[int, list[RatInterval]] = {}
         self._prefixes: dict[int, TowerContext] = {}
         self._levels = {rad: i for i, rad in enumerate(rads)}
-        self._children: dict[tuple, TowerContext] = {}
         self._embeds: dict[TowerContext, tuple] = {}
-        if rads:
-            self.prefix(self.depth - 1)._children[rads[-1]] = self
         self._prods = self._scales = self._roots = self._flat_depth = self._flat_prods = None
         if all(len(R) == 1 and e == 1 for R, e in rads):
             prods = [1]
@@ -754,29 +750,26 @@ class TowerReal:
         _, x, y = TowerReal._merge(self, other)
         return x == y
 
+    def _compare(self, other):
+        """The sign of self - other, or NotImplemented for a foreign operand."""
+        d = TowerReal.__sub__(self, other)
+        return d if d is NotImplemented else d.sign()
+
     def __lt__(self, other):
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() < 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s < 0
 
     def __le__(self, other):
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() <= 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s <= 0
 
     def __gt__(self, other):
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() > 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s > 0
 
     def __ge__(self, other):
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() >= 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s >= 0
 
     def __repr__(self) -> str:
         from .literals import format_number
@@ -1040,7 +1033,7 @@ class FieldBuilder:
         top[1 << k] = 1
         # a rational n/d would be stored as n*d, its root taken as sqrt(n*d)/d
         rad = (v, value._den) if fr is None else ((fr.numerator * d,), 1)
-        child = self.ctx._children.get(rad)
+        child = TowerContext._interned.get(self.ctx._rads + (rad,))
         if child is None:
             found = _sqrt_try(value, self.ctx)
             if found is not None:
@@ -1064,44 +1057,13 @@ def sqrt_adjoin(value: Union[TowerReal, Rationalish]) -> TowerReal:
 # KElement: the multiquadratic field in squarefree-basis normal form.
 
 
-@lru_cache(maxsize=4096)
-def _primes(d: int) -> tuple[int, ...]:
-    """The primes dividing the squarefree d, in increasing order."""
-    out, p = [], 2
-    while p * p <= d:
-        if d % p == 0:
-            out.append(p)
-            d //= p
-        p += 1 if p == 2 else 2
-    if d > 1:
-        out.append(d)
-    return tuple(out)
-
-
-def _k_vectors(*elements: "KElement") -> tuple[TowerContext, list[tuple[list[int], int]]]:
-    """The elements as (numerators, denominator) vectors over their prime
-    context: the flat context whose radicands are the sorted primes dividing
-    any of their radicands.  Term d sits at the mask of its primes, the
-    coordinate where the context's ``_prods`` holds d."""
-    primes = tuple(sorted({p for e in elements for d, _ in e._terms for p in _primes(d)}))
-    ctx = TowerContext.get(tuple(((p,), 1) for p in primes))
-    vectors = []
-    for e in elements:
-        den = lcm(*[c.denominator for _, c in e._terms])
-        num = [0] * len(ctx._prods)
-        for d, c in e._terms:
-            m = sum(1 << i for i, p in enumerate(primes) if d % p == 0)
-            num[m] = c.numerator * (den // c.denominator)
-        vectors.append((num, den))
-    return ctx, vectors
-
-
 class KElement:
     """A finite sum of coeff * sqrt(d) terms with d squarefree, d=1 rational.
 
     The representation is canonical, so equality is structural; a rational
-    element hashes like its Fraction.  Arithmetic runs on the integer
-    vectors of the operands' prime context (see ``_k_vectors``).
+    element hashes like its Fraction.  ``+ - * /`` run on ``TowerReal``:
+    both operands are lifted into one ``FieldBuilder`` chain and the result
+    is read back by ``_read_k``.
     """
 
     __slots__ = ("_terms",)
@@ -1165,8 +1127,8 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx, ((xn, xd), (yn, yd)) = _k_vectors(self, o)
-        return _k_from(_vcombine(ctx, xn, xd, yn, yd, s))
+        builder = FieldBuilder()
+        return _read_k(self._tower(builder) + s * o._tower(builder))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -1189,17 +1151,15 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx, ((xn, xd), (yn, yd)) = _k_vectors(self, o)
-        return _k_from(_vector_value(ctx, _vmul(xn, yn, ctx._prods), xd * yd))
+        builder = FieldBuilder()
+        return _read_k(self._tower(builder) * o._tower(builder))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "KElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in K")
-        ctx, ((v, den),) = _k_vectors(self)
-        w, d = _vinv(v, ctx)
-        return _k_from(_vector_value(ctx, [c * den for c in w], d))
+        return _read_k(1 / self.to_tower())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1225,9 +1185,12 @@ class KElement:
             return hash(self.rational_part())
         return hash(self._terms)
 
+    def _tower(self, builder: FieldBuilder) -> TowerReal:
+        return sum((c if d == 1 else c * builder.sqrt(d) for d, c in self._terms),
+                   builder.const(0))
+
     def to_tower(self) -> TowerReal:
-        builder = FieldBuilder()
-        return sum((c * builder.sqrt(d) for d, c in self._terms), builder.const(0))
+        return self._tower(FieldBuilder())
 
     def __float__(self) -> float:
         return float(self.to_tower())
@@ -1238,17 +1201,15 @@ class KElement:
         return f"KElement({format_k_element(self)})"
 
 
-def _k_from(value: TowerReal) -> KElement:
-    """The squarefree-basis normal form of a value over a flat context."""
-    prods, den = value.ctx._prods, value._den
-    return KElement([(prods[m], Fraction(c, den)) for m, c in enumerate(value._num) if c])
-
-
-def tower_to_k(value: TowerReal) -> Optional[KElement]:
-    """Convert to the squarefree-basis normal form, or None if a nonzero
-    coordinate of the value involves a nested (non-rational) radicand.  A
-    value over a nested tower is read off too when its nonzero coordinates
-    sit only on products of rational radicands."""
+def _read_k(value: TowerReal) -> Optional[KElement]:
+    """The squarefree-basis normal form, or None if a nonzero coordinate of
+    the value involves a nested (non-rational) radicand.  A value over a
+    nested tower is read off too when its nonzero coordinates sit only on
+    products of rational radicands.  The product is kept squarefree as it
+    is read, sqrt(d) * sqrt(R) = g * sqrt((d/g) * (R/g)) for g = gcd(d, R),
+    so radicands sharing a large prime still factor.  Raises
+    ``SquarefreeBoundError`` when a product of radicands cannot be factored
+    within the bound."""
     rads = value.ctx._rads
     terms = []
     for m, c in enumerate(value._num):
@@ -1258,10 +1219,18 @@ def tower_to_k(value: TowerReal) -> Optional[KElement]:
                 if m >> i & 1:
                     if len(R) != 1 or e != 1:
                         return None
-                    d *= R[0]
+                    g = gcd(d, R[0])
+                    d = (d // g) * (R[0] // g)
+                    c *= g
             terms.append((d, Fraction(c, value._den)))
+    return KElement(terms)
+
+
+def tower_to_k(value: TowerReal) -> Optional[KElement]:
+    """``_read_k``, with None also for a product of radicands that cannot
+    be factored within the bound."""
     try:
-        return KElement(terms)
+        return _read_k(value)
     except SquarefreeBoundError:
         return None
 

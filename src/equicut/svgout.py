@@ -18,6 +18,8 @@ from .exact import exactify
 
 __all__ = ["dissection_svg", "lattice_region_svg"]
 
+_WIDTH_PX = 640
+
 _PALETTE = [
     "#8dd3c7",
     "#ffffb3",
@@ -54,22 +56,20 @@ def _path_of(points: Sequence[Tuple[object, object]]) -> str:
     return " ".join(parts)
 
 
-def _document(
-    body: List[str], xs: List[float], ys: List[float], width_px: int = 640
-) -> str:
+def _document(body: List[str], xs: List[float], ys: List[float]) -> str:
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span_x = max(max_x - min_x, 1e-9)
     span_y = max(max_y - min_y, 1e-9)
     pad = 0.04 * max(span_x, span_y)
     view = (min_x - pad, min_y - pad, span_x + 2 * pad, span_y + 2 * pad)
-    height_px = max(1, round(width_px * view[3] / view[2]))
+    height_px = max(1, round(_WIDTH_PX * view[3] / view[2]))
     # The group transform flips the y axis in place, so the coordinates of
     # every element are the untouched exact values.
     flip = _decimal(min_y + max_y)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH_PX}" '
         f'height="{height_px}" viewBox="{_decimal(view[0])} {_decimal(view[1])} '
         f'{_decimal(view[2])} {_decimal(view[3])}">',
         f'<g transform="matrix(1 0 0 -1 0 {flip})">',
@@ -80,7 +80,7 @@ def _document(
     return "\n".join(lines) + "\n"
 
 
-def dissection_svg(dissection: Dissection, width_px: int = 640) -> str:
+def dissection_svg(dissection: Dissection) -> str:
     """Render a dissection: one polygon per piece plus the region outline."""
     body: List[str] = []
     xs: List[float] = []
@@ -107,7 +107,7 @@ def dissection_svg(dissection: Dissection, width_px: int = 640) -> str:
         for v in piece.vertices:
             xs.append(float(v.x))
             ys.append(float(v.y))
-    return _document(body, xs, ys, width_px)
+    return _document(body, xs, ys)
 
 
 _SQRT3_HALF = math.sqrt(3) / 2
@@ -118,7 +118,7 @@ def _lattice_xy(vertex: Tuple[int, int]) -> Tuple[float, float]:
     return i + j / 2, j * _SQRT3_HALF
 
 
-def lattice_region_svg(cells: Iterable[Cell], width_px: int = 640) -> str:
+def lattice_region_svg(cells: Iterable[Cell]) -> str:
     """Render a lattice region: cells as light paths, boundary loops heavy."""
     cells = list(cells)
     body: List[str] = []
@@ -139,4 +139,4 @@ def lattice_region_svg(cells: Iterable[Cell], width_px: int = 640) -> str:
             f'<path d="{_path_of(pts)}" fill="none" stroke="#1a1a1a" '
             f'stroke-width="{_decimal(0.05)}" stroke-linejoin="round"/>'
         )
-    return _document(body, xs, ys, width_px)
+    return _document(body, xs, ys)

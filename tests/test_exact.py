@@ -124,6 +124,15 @@ class TestTowerArithmetic:
         assert not (r3 < r2)
         assert r2 + r3 > sqrt_adjoin(6)
 
+    def test_comparisons_with_foreign_operands(self):
+        r2 = sqrt_adjoin(2)
+        for compare in (lambda: r2 < 1.5, lambda: r2 <= 1.5, lambda: r2 > 1.5,
+                        lambda: r2 >= 1.5, lambda: 1.5 < r2):
+            with pytest.raises(TypeError, match="not supported between instances"):
+                compare()
+        assert sorted([r2, 1, Fraction(3, 2)]) == [1, r2, Fraction(3, 2)]
+        assert Fraction(1) < r2 and 2 >= r2 and not (Fraction(3, 2) <= r2)
+
     def test_float_and_enclosure(self):
         r2 = sqrt_adjoin(2)
         assert abs(float(r2) - 2**0.5) < 1e-12
@@ -1131,8 +1140,7 @@ class TestEmbedRoots:
         101 and 1 + sqrt(101) are adjoined after it, as the recursion adjoins
         them.  The first merge proves both non-squares by denesting; an
         identical second merge reuses its roots and context.  No other test
-        adjoins these radicands, and no prime context lists 103 before 101,
-        so the first merge is the first."""
+        adjoins these radicands, so the first merge is the first."""
         src = FieldBuilder()
         t101, t103 = src.sqrt(101), src.sqrt(103)
         value = 4 * src.sqrt(1 + t101) + t103 + 1
@@ -1175,11 +1183,22 @@ def _kernel_tower(rng, primes, radicands, nested):
     return v + sqrt_adjoin(v * v + 1) if nested else v
 
 
+def _children() -> dict:
+    """The interned contexts above the base, grouped by their parent's key
+    and then by top radicand."""
+    out: dict = {}
+    for rads, child in exact.TowerContext._interned.items():
+        if rads:
+            out.setdefault(rads[:-1], {})[rads[-1]] = child
+    return out
+
+
 class TestChildLookup:
     """A radicand that the destination chain lacks but that some earlier
-    ``FieldBuilder.sqrt`` adjoined to the same context is taken from that
-    context's interned child without the denesting search, with the same
-    result and context as the search gives, and with no other change."""
+    ``FieldBuilder.sqrt`` adjoined to the same context is taken from the
+    interned context one level up, its child, without the denesting search,
+    with the same result and context as the search gives, and with no other
+    change."""
 
     def test_square_times_a_big_prime_square(self):
         """6*q*q over (2, 3) is the square q*sqrt(6), with or without children
@@ -1192,7 +1211,7 @@ class TestChildLookup:
                 for other in (sqrt_adjoin(5), sqrt_adjoin(Fraction(2, 11)),
                               parse_number("sqrt(1 + sqrt(2))")):
                     FieldBuilder(builder.ctx).embed(other)
-                assert len(builder.ctx._children) >= 3
+                assert len(_children()[builder.ctx._rads]) >= 3
             v = builder.sqrt(6 * q * q)
             assert v == q * t2 * t3 and v.depth == 2 and builder.ctx.depth == 2
         with pytest.raises(SquarefreeBoundError):
@@ -1221,15 +1240,16 @@ class TestChildLookup:
 
     def test_one_child_entry_per_interned_context(self):
         """Every context above the base is its parent's child under its top
-        radicand, and the children are all the state the lookup keeps."""
+        radicand, and the intern table is all the state the lookup keeps."""
         builder = FieldBuilder()
         builder.embed(parse_number("sqrt(1 + sqrt(2))") + sqrt_adjoin(3))
         builder.sqrt(Fraction(5, 7))
         interned = exact.TowerContext._interned
+        children = _children()
         for ctx in interned.values():
             if ctx.depth:
-                assert ctx.prefix(ctx.depth - 1)._children[ctx._rads[-1]] is ctx
-        assert sum(len(ctx._children) for ctx in interned.values()) == len(interned) - 1
+                assert children[ctx.prefix(ctx.depth - 1)._rads][ctx._rads[-1]] is ctx
+        assert sum(map(len, children.values())) == len(interned) - 1
 
     @pytest.mark.parametrize("index", range(len(_KERNEL_MERGE_SHAPES)))
     def test_kernel_shapes_miss_then_hit(self, monkeypatch, index):
@@ -1338,6 +1358,27 @@ class TestKElement:
         assert x * x.inverse() == KElement.from_rational(1)
         with pytest.raises(ZeroDivisionError):
             KElement.zero().inverse()
+
+    def test_unfactorable_product_raises(self):
+        """Both factors are primes above the trial-division bound and their
+        product is above its square, so the product's radicand cannot be
+        certified squarefree."""
+        p, q = KElement.sqrt_of(1000003), KElement.sqrt_of(1000033)
+        with pytest.raises(SquarefreeBoundError):
+            p * q
+        with pytest.raises(SquarefreeBoundError):
+            (p + 1) * (q + 1)
+
+    def test_radicands_sharing_a_big_prime(self):
+        """2P, 3P and 5P share the prime P above the trial-division bound, so
+        a product of two or three of them factors only if P**2 is taken out
+        as it is read; the product is the same in either order."""
+        P = 1000003
+        a = KElement.sqrt_of(2 * P) + KElement.sqrt_of(3 * P) + KElement.sqrt_of(5 * P)
+        cube = a * (a * a)
+        assert cube == (a * a) * a == _ref_mul(a, _ref_mul(a, a))
+        assert cube == KElement([(2 * P, 26 * P), (3 * P, 24 * P), (5 * P, 20 * P),
+                                 (30 * P, 6 * P)])
 
     def test_hash_and_eq(self):
         assert hash(KElement.sqrt_of(8)) == hash(KElement([(2, 2)]))
