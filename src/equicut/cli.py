@@ -39,7 +39,7 @@ from .dissect import (
     standard_from_region,
     verify_dissection,
 )
-from .exact import MAX_WORK_BITS, RefinementLimitError
+from .exact import MAX_WORK_BITS, RefinementLimitError, SquarefreeBoundError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
     DEFAULT_ANGLE_HEIGHT,
@@ -229,11 +229,14 @@ def _cmd_search(args) -> int:
     if args.time_budget is not None and not args.time_budget > 0:
         raise _UsageError("--time-budget must be positive")
     extra = [_parse_tile(t) for t in args.tile or []]
-    report = search_for_count(
-        region, args.pieces, extra_tiles=extra, allow_reflections=not args.no_reflections,
-        symmetry_quotient=args.quotient_symmetry, max_nodes=args.max_nodes,
-        max_results=args.max_results, time_budget=args.time_budget,
-    )
+    try:
+        report = search_for_count(
+            region, args.pieces, extra_tiles=extra, allow_reflections=not args.no_reflections,
+            symmetry_quotient=args.quotient_symmetry, max_nodes=args.max_nodes,
+            max_results=args.max_results, time_budget=args.time_budget,
+        )
+    except SquarefreeBoundError as exc:  # e.g. sqrt(1/m) for an m it cannot factor
+        raise _UsageError(str(exc)) from exc
 
     total = 0
     out_dir: Optional[Path] = None

@@ -78,14 +78,16 @@ class SquarefreeBoundError(ValueError):
     """A radicand was too large to factor within the trial-division bound."""
 
 
-def squarefree_decompose(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, int]:
+def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 1 as s**2 * d with d squarefree; returns (s, d).
 
-    Trial division runs up to ``bound``; inputs whose unfactored cofactor
-    cannot be certified squarefree are rejected rather than guessed at.
+    Trial division runs up to ``DEFAULT_FACTOR_BOUND``; inputs whose
+    unfactored cofactor cannot be certified squarefree are rejected rather
+    than guessed at.
     """
     if n < 1:
         raise ValueError("squarefree_decompose expects a positive integer")
+    bound = DEFAULT_FACTOR_BOUND
     s, d, m = 1, 1, n
     p = 2
     while p * p <= m and p <= bound:

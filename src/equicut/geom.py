@@ -491,12 +491,6 @@ class AngleVec:
             raise ValueError("zero or full angle has no direction")
         return 2  # (pi, 2*pi)
 
-    def is_reflex(self) -> bool:
-        return self._region() == 2
-
-    def is_straight(self) -> bool:
-        return self._region() == 1
-
     def _cos_cmp(self, other: "AngleVec") -> int:
         """Sign of (my cos) - (other cos), exactly."""
         s1, s2 = self._sign(0), other._sign(0)

@@ -20,14 +20,12 @@ The enumeration is a depth-first search on the uncovered region:
   wedge-counting argument shows some piece of every completed dissection
   must sit exactly like that, so trying all 3 corners (times 2 mirror
   orientations when reflections are allowed) loses nothing.
-* Sound pruning rules cut branches that provably cannot complete; three of
-  them can be toggled off for differential testing, which must only ever
-  grow the node count, never change the result set:
+* Two sound pruning rules cut branches that provably cannot complete; both
+  can be toggled off for differential testing, which must only ever grow
+  the node count, never change the result set:
 
   - *remainder*: a corner placed at a frontier vertex must leave a wedge
     no narrower than the tile's smallest angle;
-  - *overshoot*: a tile side longer than the outgoing edge must continue
-    past a reflex vertex;
   - *lengths* (Laczkovich's boundary lemma): a frontier edge whose two end
     vertices are both convex must have a length p*s0 + q*s1 + r*s2 with
     integers p, q, r >= 0, where s0 <= s1 <= s2 are the tile sides.  The
@@ -52,14 +50,12 @@ from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
     AngleVec,
     Isometry,
-    Location,
     Pt,
     Triangle,
     _coord_sign,
     _ordered_isometry,
     _separated,
     orientation,
-    point_in_polygon,
     point_on_segment,
     polygon_area,
 )
@@ -87,7 +83,7 @@ class SearchSpec:
     use).  ``allow_reflections=False`` restricts pieces to the single
     handedness whose counterclockwise side cycle runs in ascending sorted
     order.  ``symmetry_quotient=True`` keeps one representative per orbit of
-    the region's symmetry group.  The three ``prune_*`` switches exist for
+    the region's symmetry group.  The two ``prune_*`` switches exist for
     differential testing of search soundness; disabling them may only slow
     the search down, never change its results.  ``max_nodes``,
     ``max_results`` and ``time_budget`` (seconds) stop the search early,
@@ -103,11 +99,10 @@ class SearchSpec:
     max_results: Optional[int] = None
     time_budget: Optional[float] = None
     prune_remainder: bool = True
-    prune_overshoot: bool = True
     prune_lengths: bool = True
 
 
-_PRUNE_RULES = ("remainder", "overshoot", "lengths")
+_PRUNE_RULES = ("remainder", "lengths")
 
 
 def _stats(nodes: int = 0, cuts: Optional[dict] = None, truncated_by: Optional[str] = None) -> dict:
@@ -122,7 +117,7 @@ class SearchOutcome:
     expansion calls, and an optional notice for vacuous cases.
 
     ``stats`` holds ``expanded`` (equal to ``nodes``), ``cuts`` (branches
-    cut per pruning rule: ``remainder``, ``overshoot``, ``lengths``) and
+    cut per pruning rule: ``remainder`` and ``lengths``) and
     ``truncated_by`` (None for a complete search, else ``"nodes"``,
     ``"results"`` or ``"time"``).
     """
@@ -581,13 +576,6 @@ class _Searcher:
             for along_len, other_len in orders:
                 if self.truncated:
                     return
-                if along_len > out_len and self.spec.prune_overshoot:
-                    w_angle = AngleVec.interior(
-                        v_at, v_next, poly.verts[(vi + 2) % n]
-                    )
-                    if not w_angle.is_reflex():
-                        self.cuts["overshoot"] += 1
-                        continue
                 a_pt = self._shared(v_at + e * along_len)
                 x_pt = self._shared(v_at + d_dir * other_len)
                 if any(a_pt is a2 and x_pt is x2 for (a2, x2) in seen):
@@ -633,14 +621,23 @@ class _Searcher:
         exactly when an edge line of the triangle or the edge's own line
         weakly separates the two, the Minkowski-difference argument of
         ``triangles_interior_disjoint`` applied to a triangle and a segment.
+
+        Missing every frontier edge is enough.  ``_expand`` places a corner
+        at the canonical vertex only when its angle is at most the interior
+        angle phi there, flush along the outgoing edge, so the open triangle
+        starts inside the interior wedge of that vertex occurrence; it is
+        connected and meets no frontier edge, so all of it lies inside the
+        polygon.  A flush side longer than the outgoing edge has the edge's
+        far end strictly inside it; when that end is convex, the next
+        frontier edge turns into the triangle's inner half-plane there and
+        meets its open interior, so such a placement is refused here.
         """
         n = len(poly.verts)
         for idx in range(n):
             seg = (poly.verts[idx], poly.verts[(idx + 1) % n])
             if not (_separated(tri, 1, seg) or _separated(seg, 1, tri)):
                 return False
-        centroid = (tri[0] + tri[1] + tri[2]) / 3
-        return point_in_polygon(centroid, poly.verts) is Location.INSIDE
+        return True
 
     def _emit(self, pieces: List[Triangle]) -> None:
         if len(pieces) != self.spec.m:

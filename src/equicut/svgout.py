@@ -14,7 +14,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .boundary import Cell, boundary_loops
 from .dissect import Dissection
-from .exact import exactify
 
 __all__ = ["dissection_svg", "lattice_region_svg"]
 
@@ -35,12 +34,9 @@ _PALETTE = [
 
 
 def _decimal(value) -> str:
-    """Twelve-significant-digit decimal rendering of an exact value."""
-    if isinstance(value, float):
-        approx = value
-    else:
-        approx = float(exactify(value).enclosure(60).mid)
-    out = f"{approx:.12g}"
+    """Twelve-significant-digit decimal rendering of an exact value: its
+    ``float`` is within one ulp, so the digits hold however small it is."""
+    out = f"{float(value):.12g}"
     return "0" if out == "-0" else out
 
 

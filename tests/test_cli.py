@@ -523,14 +523,27 @@ class TestSearch:
         assert code == 0
         stats = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
         assert stats == [
-            {"tile": 0, "expanded": 0, "cuts": {"remainder": 0, "overshoot": 0, "lengths": 1},
+            {"tile": 0, "expanded": 0, "cuts": {"remainder": 0, "lengths": 1},
              "truncated_by": None},
-            {"tile": 1, "expanded": 4, "cuts": {"remainder": 0, "overshoot": 2, "lengths": 0},
+            {"tile": 1, "expanded": 4, "cuts": {"remainder": 0, "lengths": 0},
              "truncated_by": None},
         ]
         assert [line for line in out.splitlines() if not line.startswith("{")] == (
             plain.splitlines()
         )
+
+    def test_unfactorable_piece_count_is_usage_error(self):
+        """The similar tile adjoins sqrt(1/m), and trial division cannot
+        certify the squarefree part of this prime m: one error line."""
+        src = str(Path(equicut.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "equicut", "search", "--region", "1,1",
+             "--pieces", "1000000000039"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot certify squarefree part of 1000000000039")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
     def test_duplicate_tile_counted_once(self, capsys):
         code, out, _ = run(

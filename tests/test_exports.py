@@ -1,11 +1,12 @@
 """Every exported name resolves, so a deletion cannot leave a dangling
 entry in ``equicut.__all__`` or in a submodule's ``__all__``; and every
-imported name is used or exported, so a deletion cannot leave a dead
-import behind."""
+imported name is used or exported, and every private helper in src is
+referenced, so a deletion cannot leave a dead import or helper behind."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,48 @@ def test_no_unused_imports():
     assert len(SOURCES) > 30
     unused = {str(p.relative_to(ROOT)): _unused_imports(p) for p in SOURCES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+SRC = sorted((ROOT / "src" / "equicut").glob("*.py"))
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, imported or used as an attribute."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+    return refs
+
+
+def _private_definitions(tree: ast.Module):
+    """The functions, classes and methods at module or class level whose
+    names have one leading underscore."""
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                yield node
+
+
+def test_no_orphaned_private_helpers():
+    """Every private helper in src/equicut is referenced outside its own
+    body, so a deleted code path cannot leave its helpers behind."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SRC}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in _private_definitions(tree)
+        if refs[node.name] == _references(node)[node.name]
+    ]
+    assert len(SRC) > 10
+    assert orphans == []

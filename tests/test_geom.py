@@ -406,9 +406,10 @@ class TestAngleVec:
         assert rotated == self.deg45
 
     def test_reflex_and_straight(self):
-        assert self.deg270.is_reflex()
-        assert not self.deg90.is_reflex()
-        assert self.deg180.is_straight()
+        # _region: 0 in (0, pi), 1 exactly pi, 2 in (pi, 2*pi)
+        assert self.deg270._region() == 2
+        assert self.deg90._region() == 0
+        assert self.deg180._region() == 1
 
     def test_interior_angles(self):
         # equilateral triangle: all interior angles equal
@@ -749,9 +750,8 @@ class TestFilterDifferential:
                         assert fell_back, (kind, k)
                     decided += not fell_back
                     lazy = [AngleVec.interior(*c) for c in corners]
-                    for name in ("is_reflex", "is_straight"):
-                        for x, y in zip(lazy, eager):
-                            assert _outcome(getattr(x, name)) == _outcome(getattr(y, name)), (kind, k)
+                    for x, y in zip(lazy, eager):
+                        assert _outcome(x._region) == _outcome(y._region), (kind, k)
         assert decided > 0
 
     def test_nested_coordinates_filter(self, exact_calls):

@@ -376,22 +376,56 @@ class TestPruningSoundness:
         "toggle",
         [
             {"prune_remainder": False},
-            {"prune_overshoot": False},
-            {"prune_remainder": False, "prune_overshoot": False},
+            {"prune_remainder": False, "symmetry_quotient": True},
+            {"prune_lengths": False, "allow_reflections": False},
             {"prune_lengths": False},
-            {"prune_remainder": False, "prune_overshoot": False, "prune_lengths": False},
+            {"prune_remainder": False, "prune_lengths": False},
         ],
     )
     def test_disabling_prunes_never_changes_results(self, toggle):
+        """The baseline search shares every non-prune field of ``toggle``, so
+        a case may hold, say, the symmetry quotient or the handedness fixed
+        while a rule is off."""
+        fixed = {k: v for k, v in toggle.items() if not k.startswith("prune_")}
         for region, m in self.CASES:
             tile = similar_tile(region, m)
-            base = search_dissections(SearchSpec(region=region, tile=tile, m=m))
+            base = search_dissections(SearchSpec(region=region, tile=tile, m=m, **fixed))
             alt = search_dissections(
                 SearchSpec(region=region, tile=tile, m=m, **toggle)
             )
             assert alt.complete and base.complete
             assert keys(alt.dissections) == keys(base.dissections)
             assert alt.nodes >= base.nodes
+
+    @pytest.mark.parametrize("prunes", [True, False], ids=["prunes_on", "prunes_off"])
+    def test_a_side_past_a_convex_vertex_does_not_fit(self, monkeypatch, prunes):
+        """A flush side longer than the outgoing edge, whose far end v_next
+        is convex, is refused by ``_fits`` alone: the frontier edge leaving
+        v_next turns into the placed triangle."""
+        overshoots = []
+        fits = _Searcher._fits
+
+        def recording_fits(self, poly, tri):
+            out = fits(self, poly, tri)
+            verts, n = poly.verts, len(poly.verts)
+            for i in range(n):
+                nxt = verts[(i + 1) % n]
+                if (
+                    verts[i] is tri[0]
+                    and nxt is not tri[1]
+                    and point_on_segment(nxt, tri[0], tri[1])
+                    and orientation(verts[i], nxt, verts[(i + 2) % n]) > 0
+                ):
+                    overshoots.append(out)
+            return out
+
+        monkeypatch.setattr(_Searcher, "_fits", recording_fits)
+        toggles = dict.fromkeys(("prune_remainder", "prune_lengths"), prunes)
+        for region, m in self.CASES:
+            search_dissections(
+                SearchSpec(region=region, tile=similar_tile(region, m), m=m, **toggles)
+            )
+        assert overshoots and not any(overshoots)
 
 
 def _seeded_rational_triangles(count: int, seed: int):
@@ -626,7 +660,7 @@ class TestStats:
         )
         assert out.stats == {
             "expanded": out.nodes,
-            "cuts": {"remainder": 3, "overshoot": 2, "lengths": 2},
+            "cuts": {"remainder": 3, "lengths": 2},
             "truncated_by": None,
         }
 
@@ -654,7 +688,7 @@ class TestStats:
         )
         assert out.stats == {
             "expanded": 0,
-            "cuts": {"remainder": 0, "overshoot": 0, "lengths": 0},
+            "cuts": {"remainder": 0, "lengths": 0},
             "truncated_by": None,
         }
 
@@ -1173,7 +1207,7 @@ class TestSubtractAgainstReference:
         assert checked_calls["subtract"] == 656
 
     def test_every_placement_of_the_searches(self, checked_calls):
-        assert checked_calls["fits"] == 1327
+        assert checked_calls["fits"] == 1811
 
     def test_every_merge_of_the_searches(self, checked_calls):
         assert checked_calls["merge"] == 628
@@ -1213,12 +1247,10 @@ PLACEMENT_CASES = (
 
 class TestPlacementAgainstReference:
     @pytest.mark.parametrize("name, seg, meets", PLACEMENT_CASES, ids=[c[0] for c in PLACEMENT_CASES])
-    def test_segment_against_triangle(self, monkeypatch, name, seg, meets):
-        """``_fits`` on a frontier of the one segment, each way round, with
-        the centroid check answering INSIDE: it fits exactly when the
-        segment misses the open interior, for every rotation of the
-        counterclockwise triangle."""
-        monkeypatch.setattr(search_module, "point_in_polygon", lambda p, verts: Location.INSIDE)
+    def test_segment_against_triangle(self, name, seg, meets):
+        """``_fits`` on a frontier of the one segment, each way round: it
+        fits exactly when the segment misses the open interior, for every
+        rotation of the counterclockwise triangle."""
         corners = [Pt(x, y) for x, y in PLACEMENT_TRIANGLE]
         p, q = (Pt(x, y) for x, y in seg)
         for r in range(3):

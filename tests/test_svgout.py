@@ -24,6 +24,10 @@ class TestDecimal:
     def test_integer(self):
         assert _decimal(Fraction(5)) == "5"
 
+    def test_twelve_digits_under_cancellation(self):
+        # sqrt(2) minus its Pell convergent 665857/470832, about -1.6e-12
+        assert _decimal(sqrt_adjoin(2) - Fraction(665857, 470832)) == "-1.59486182461e-12"
+
 
 class TestDissectionSvg:
     def test_one_polygon_per_piece_plus_outline_path(self):
