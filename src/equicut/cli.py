@@ -238,7 +238,6 @@ def _cmd_search(args) -> int:
     except SquarefreeBoundError as exc:  # e.g. sqrt(1/m) for an m it cannot factor
         raise _UsageError(str(exc)) from exc
 
-    total = 0
     out_dir: Optional[Path] = None
     if args.out:
         out_dir = Path(args.out)
@@ -267,7 +266,6 @@ def _cmd_search(args) -> int:
             print(f"  note: same tile as tile[{first}]; its results are counted once")
             continue
         for d_idx, dissection in enumerate(outcome.dissections):
-            total += 1
             tag = " standard" if is_standard(dissection) else ""
             print(f"  result {t_idx}.{d_idx}:{tag} {dissection.piece_count} pieces")
             if out_dir is not None:
@@ -277,7 +275,7 @@ def _cmd_search(args) -> int:
                     (out_dir / f"{stem}.svg").write_text(dissection_svg(dissection))
                 except OSError as exc:
                     raise _UsageError(f"cannot write output: {exc}") from exc
-    print(f"total: {total} dissection(s)")
+    print(f"total: {report.total_dissections} dissection(s)")
     return 0
 
 

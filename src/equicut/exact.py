@@ -6,13 +6,13 @@ below it.  Every value is a vector of integer coefficients over the
 products of the radicands' square roots, one per bit mask, with one
 positive denominator.  These products are a basis of the tower over Q,
 because no radicand is a square at its own level, so the coordinates are
-unique and the form is canonical.  In a *flat* tower, where every radicand
-is a rational integer, products multiply by masks; in a tower with a nested
-radicand, t_i**2 = r_i is a vector one level down and products reduce by
-halves, top level first, down to the flat prefix of rational radicands,
-where they multiply by masks again.  Signs come from a 64-bit fixed-point
-enclosure of the basis products, or from an exact halving recursion when
-the enclosure cannot certify one.
+unique and the form is canonical.  Above a tower's flat prefix, its
+leading rational-integer radicands, t_i**2 = r_i is a vector one level
+down, and products reduce by halves, top level first, down to that prefix;
+there they multiply by masks.  A *flat* tower is one whose prefix is the
+whole tower.  Signs come from a 64-bit fixed-point enclosure of the basis
+products, or from an exact halving recursion when the enclosure cannot
+certify one.
 
 A binary ``+ - * /`` is routed by its operands.  Two rationals (ints,
 Fractions or values over the base context) combine as four integers with
@@ -261,19 +261,20 @@ def _vraw(v, den: int, k: int):
 # coordinates for some k, so its low half lies one level down and its high
 # half is the coefficient of t_{k-1}.
 #
-# The product picks its method from the context.  Over a flat context every
-# t_i**2 is a rational integer, so the basis multiplies by masks (``_vmul``).
-# Over a nested one t_i**2 = R_i/e_i is a vector one level down, and the
-# product reduces by these relations top level first (``_hmul``), as for
-# triangular sets (Li, Moreno Maza and Schost, J. Symb. Comput. 44, 2009).
-# It splits into halves only down to the context's flat prefix, the leading
-# levels whose radicands are rational integers, and multiplies the halves
-# there by masks.  Above the prefix each level takes three half products,
-# not four (Karatsuba and Ofman, 1962).
+# One product rule serves every context.  On the context's flat prefix,
+# the leading levels whose radicands are rational integers, every t_i**2 is
+# a rational integer, so the basis multiplies by masks (``_vmul``).  Above
+# it t_i**2 = R_i/e_i is a vector one level down, and the product reduces by
+# these relations top level first (``_hmul``), as for triangular sets (Li,
+# Moreno Maza and Schost, J. Symb. Comput. 44, 2009), splitting into halves
+# until they fit the prefix; each level takes three half products, not four
+# (Karatsuba and Ofman, 1962).  A flat context is all prefix, so its product
+# is one ``_vmul``.
 
 
 def _vmul(x, y, prods) -> list:
-    """The product of two vectors over a flat context, x the longer, from
+    """The product of two vectors that fit a flat prefix's mask table
+    ``prods``, x the longer, from
     sqrt(prods[a]) * sqrt(prods[b]) == prods[a & b] * sqrt(prods[a ^ b])."""
     out = [0] * len(x)
     for a, xa in enumerate(x):
@@ -285,18 +286,18 @@ def _vmul(x, y, prods) -> list:
 
 
 def _hmul(x, y, k: int, ctx) -> list:
-    """S_k * x * y over a nested context, for x of 2**k coordinates and y of
-    at most as many; S_k = S_{k-1}**2 * e_{k-1} keeps it in integers.
+    """S_k * x * y over ``ctx``, for x of 2**k coordinates and y of at most
+    as many; S_k = S_{k-1}**2 * e_{k-1} keeps it in integers.
 
     By halves, with t = t_{k-1} and t**2 = r = R/e:
     (p1 + q1*t)(p2 + q2*t) = p1*p2 + r*q1*q2 + (p1*q2 + q1*p2)*t.
-    At or below the context's flat prefix every S_k is 1 and the basis
-    multiplies by masks, so the halves end there in ``_vmul``."""
+    Once x fits the flat prefix's mask table every S_k is 1, so the halves
+    end there in ``_vmul``."""
     if len(y) == 1:
         c = y[0] * ctx._scales[k]
         return [a * c for a in x]
-    if k <= ctx._flat_depth:
-        return _vmul(x, y, ctx._flat_prods)
+    if len(x) <= len(ctx._prods):
+        return _vmul(x, y, ctx._prods)
     h = 1 << (k - 1)
     R, e = ctx._rads[k - 1]
     c = ctx._scales[k - 1] * e
@@ -319,9 +320,6 @@ def _product(ctx, x, y) -> tuple[list, int]:
     if len(y) == 1:
         c = y[0]
         return [a * c for a in x], 1
-    prods = ctx._prods
-    if prods is not None:
-        return _vmul(x, y, prods), 1
     k = (len(x) - 1).bit_length()
     return _hmul(x, y, k, ctx), ctx._scales[k]
 
@@ -479,20 +477,20 @@ class TowerContext:
     reuses them.  ``radicands`` is the nested-pair view of ``_rads``, built
     on each call for output.
 
-    A context is *flat* when every radicand is a rational integer.  It then
-    keeps ``_prods[m]``, the product of the radicands picked by the bits of
-    mask m, and ``_roots[m] = isqrt(_prods[m] << 128)``, the square roots of
-    those products in 64-bit fixed point.  A nested context keeps the
-    per-level scales ``_scales`` of ``_hmul`` instead, and fills ``_roots``
-    on first use (``_roots``).  It also keeps its flat prefix: the number
-    ``_flat_depth`` of leading radicands that are rational integers, and
-    that prefix's ``_prods`` as ``_flat_prods``.  ``_hmul`` splits products
-    into halves only down to that level, and multiplies by masks there.
+    Every context keeps ``_prods[m]``, the product of the radicands picked
+    by the bits of mask m over its flat prefix (the leading radicands that
+    are rational integers), and the per-level scales ``_scales`` of
+    ``_hmul``, which are 1 on that prefix.  ``_hmul`` splits products into
+    halves until they fit ``_prods``, and multiplies by masks there.  A
+    context is *flat* when the prefix is the whole tower.  A flat context
+    holds ``_roots[m] = isqrt(_prods[m] << 128)``, the square roots of those
+    products in 64-bit fixed point, from the start; a nested one fills
+    ``_roots`` on first use (``_roots``).
     """
 
     __slots__ = (
         "depth", "_sqrt_cache", "_prefixes", "_rads", "_prods", "_scales", "_roots",
-        "_flat_depth", "_flat_prods", "_levels", "_embeds",
+        "_levels", "_embeds",
     )
 
     _interned: dict[tuple, "TowerContext"] = {}
@@ -504,23 +502,16 @@ class TowerContext:
         self._prefixes: dict[int, TowerContext] = {}
         self._levels = {rad: i for i, rad in enumerate(rads)}
         self._embeds: dict[TowerContext, tuple] = {}
-        self._prods = self._scales = self._roots = self._flat_depth = self._flat_prods = None
-        if all(len(R) == 1 and e == 1 for R, e in rads):
-            prods = [1]
-            for (r,), _ in rads:
-                prods += [p * r for p in prods]
-            self._prods = prods
-            self._roots = [isqrt(p << 128) for p in prods]
-        else:
-            scales = [1]
-            for _, e in rads:
-                scales.append(scales[-1] ** 2 * e)
-            self._scales = scales
-            j = 0
-            while len(rads[j][0]) == 1 and rads[j][1] == 1:
-                j += 1
-            self._flat_depth = j
-            self._flat_prods = self.prefix(j)._prods
+        j = 0  # the flat prefix: leading radicands that are rational integers
+        while j < self.depth and len(rads[j][0]) == 1 and rads[j][1] == 1:
+            j += 1
+        prods, scales = [1], [1]
+        for (r,), _ in rads[:j]:
+            prods += [p * r for p in prods]
+        for _, e in rads:
+            scales.append(scales[-1] ** 2 * e)
+        self._prods, self._scales = prods, scales
+        self._roots = [isqrt(p << 128) for p in prods] if j == self.depth else None
 
     @classmethod
     def get(cls, rads: tuple) -> "TowerContext":

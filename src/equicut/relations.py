@@ -377,7 +377,7 @@ def find_integer_relation(
     if not values:
         raise ValueError("need at least one value")
     columns = [_Column(v) for v in values]
-    names = list(labels) if labels else [f"v{i}" for i in range(len(columns))]
+    names = list(labels) if labels is not None else [f"v{i}" for i in range(len(columns))]
     if len(names) != len(columns):
         raise ValueError("labels must match values")
 

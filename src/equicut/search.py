@@ -87,7 +87,8 @@ class SearchSpec:
     differential testing of search soundness; disabling them may only slow
     the search down, never change its results.  ``max_nodes``,
     ``max_results`` and ``time_budget`` (seconds) stop the search early,
-    and the outcome then says which one did.
+    and the outcome then says which one did; the first two must be at
+    least 1.
     """
 
     region: Triangle
@@ -382,6 +383,9 @@ class _Searcher:
     def __init__(self, spec: SearchSpec):
         if spec.m < 1:
             raise ValueError("piece count must be at least 1")
+        for name, value in (("max_nodes", spec.max_nodes), ("max_results", spec.max_results)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1")
         region = spec.region.oriented()
         if region.is_degenerate():
             raise ValueError("degenerate region")

@@ -299,6 +299,12 @@ class TestIntervalDifferential:
 FLAT_RADICANDS = [(2,), (3, 2), (2, 3, 5), (5, 7, 2), (15, 5), (6, 10)]
 
 
+def _nested(ctx) -> bool:
+    """Whether ``ctx`` has a radicand that is not a rational integer: its
+    mask table covers only a proper prefix of the tower."""
+    return len(ctx._prods) < 1 << ctx.depth
+
+
 def _flat_ctx(radicands):
     builder = FieldBuilder()
     for r in radicands:
@@ -398,11 +404,11 @@ class TestFlatDifferential:
     def test_flat_contexts_are_detected(self):
         for rads in FLAT_RADICANDS:
             ctx = _flat_ctx(rads)
-            assert ctx._prods is not None
+            assert not _nested(ctx) and ctx._roots is not None
             assert ref.value(ctx, _random_raw(random.Random(0), ctx.depth))._num is not None
         builder = FieldBuilder()
         builder.sqrt(builder.sqrt(2) + 3)
-        assert builder.ctx._prods is None
+        assert _nested(builder.ctx)
         # (15, 5): the product 75 of the two radicands is not squarefree
         assert _flat_ctx((15, 5))._prods == [1, 15, 5, 75]
 
@@ -689,7 +695,7 @@ class TestNestedDifferential:
     @pytest.mark.parametrize("seed", range(4))
     def test_towers_are_nested_of_depth_two_to_six(self, seed):
         values = _nested_values(seed)
-        assert all(v.ctx._prods is None for v in values)
+        assert all(_nested(v.ctx) for v in values)
         assert {v.depth for v in values} >= {2, 3, 4, 5, 6}
 
     @pytest.mark.parametrize("seed", range(3))
@@ -723,7 +729,7 @@ class TestNestedDifferential:
         reference_vsign = exact._vsign
 
         def counting_vsign(v, ctx):
-            if ctx._prods is None:
+            if _nested(ctx):
                 calls.append(len(v))
             return reference_vsign(v, ctx)
 
@@ -739,7 +745,7 @@ class TestNestedDifferential:
                 values += [smaller - small * top, small * top + 3 * smaller]
         with mpmath.workdps(400):
             for v in values:
-                assert v.ctx._prods is None
+                assert _nested(v.ctx)
                 assert exact._vfilter(v._num, exact._roots(v.ctx)) == 0
                 want = mpmath.sign(_mp_value(v.raw, v.depth, v.ctx.radicands))
                 assert want != 0
@@ -841,10 +847,15 @@ class TestProductCutoff:
     def test_flat_prefix_of_each_context(self):
         contexts = _cut_contexts()
         for j, ctx in contexts.items():
-            assert ctx._prods is None and ctx._flat_depth == j, j
+            assert _nested(ctx) and len(ctx._prods) == 1 << j, j
+            assert not _nested(ctx.prefix(j)) and _nested(ctx.prefix(j + 1)), j
             assert ctx.depth >= j + 2
-            assert ctx._flat_prods is ctx.prefix(j)._prods
-        assert contexts[0]._flat_prods == [1] and contexts[0]._rads[0] == ((1,), 2)
+            assert ctx._prods == ctx.prefix(j)._prods
+            rs = [R[0] for R, _ in ctx._rads[:j]]
+            want = [math.prod(r for i, r in enumerate(rs) if m >> i & 1) for m in range(1 << j)]
+            assert ctx._prods == want
+            assert ctx._scales[: j + 1] == [1] * (j + 1)
+        assert contexts[0]._prods == [1] and contexts[0]._rads[0] == ((1,), 2)
         assert contexts[1]._rads[1][1] == 3
 
     @pytest.mark.parametrize("seed", range(4))
@@ -889,26 +900,31 @@ class TestProductCutoff:
         vmul = exact._vmul
 
         def counting_vmul(x, y, prods):
-            calls.append(prods)
+            calls.append((len(x), prods))
             return vmul(x, y, prods)
 
         monkeypatch.setattr(exact, "_vmul", counting_vmul)
         x = list(range(1, 1 + (1 << ctx.depth)))
         exact._product(ctx, x, x)
-        assert calls and all(p is ctx._flat_prods for p in calls)
-        # the halves recursion stops at level j: no product below it
+        # the halves recursion stops at level j = 2: no product above or below it
+        assert calls and all(n == 4 and p is ctx._prods for n, p in calls)
         assert len(calls) < 4 ** (ctx.depth - 2) + 1
 
-        def no_hmul(*args):
-            raise AssertionError("a flat context reached _hmul")
+        hmul, hmul_levels = exact._hmul, []
 
-        monkeypatch.setattr(exact, "_hmul", no_hmul)
+        def counting_hmul(x, y, k, c):
+            hmul_levels.append(k)
+            return hmul(x, y, k, c)
+
+        monkeypatch.setattr(exact, "_hmul", counting_hmul)
         calls.clear()
         assert exact._product(flat, [1, 2, 3, 4, 5, 6, 7, 8], [1, -1]) == (
             vmul([1, 2, 3, 4, 5, 6, 7, 8], [1, -1], flat._prods),
             1,
         )
-        assert calls == [flat._prods]
+        # a flat product is one mask product over the whole tower, no halves
+        assert hmul_levels == [3]
+        assert len(calls) == 1 and calls[0][0] == 8 and calls[0][1] is flat._prods
 
 
 class TestSqrtAdjoin:
@@ -1426,7 +1442,7 @@ class TestKMembership:
         # sqrt(5 + 2*sqrt(6)) does not denest over Q(sqrt(6)), so the
         # literal's tower keeps a nested radicand; it equals sqrt(2)+sqrt(3)
         v = parse_number("1/4*sqrt(5 + 2*sqrt(6))")
-        assert v.ctx._prods is None
+        assert _nested(v.ctx)
         m = k_membership(v, [2, 3])
         assert m == KElement([(2, Fraction(1, 4)), (3, Fraction(1, 4))])
         assert k_membership(v, [2, 5]) is None

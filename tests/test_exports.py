@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a dangling
 entry in ``equicut.__all__`` or in a submodule's ``__all__``; and every
-imported name is used or exported, and every private helper in src is
-referenced, so a deletion cannot leave a dead import or helper behind."""
+imported name is used or exported, and every private helper and constant
+in src is referenced, so a deletion cannot leave a dead import, helper or
+constant behind."""
 
 import ast
 import importlib
@@ -103,4 +104,43 @@ def test_no_orphaned_private_helpers():
         if refs[node.name] == _references(node)[node.name]
     ]
     assert len(SRC) > 10
+    assert orphans == []
+
+
+def _private_bindings(tree: ast.Module):
+    """The names with one leading underscore that a module-level assignment
+    binds, each with its binding statement."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if (
+                    isinstance(name, ast.Name)
+                    and name.id.startswith("_")
+                    and not name.id.startswith("__")
+                ):
+                    yield name.id, node
+
+
+def test_no_orphaned_private_constants():
+    """Every private module-level name bound by assignment in src/equicut
+    is referenced in its module outside its binding, or imported by another
+    module, so a deleted code path cannot leave its constants behind."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SRC}
+    imported = {
+        node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.alias)
+    }
+    bindings = [(path, name, node) for path in SRC for name, node in _private_bindings(trees[path])]
+    local = {path: _references(tree) for path, tree in trees.items()}
+    orphans = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, name, node in bindings
+        if local[path][name] == _references(node)[name] and name not in imported
+    ]
+    assert len(bindings) >= 20
     assert orphans == []

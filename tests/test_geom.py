@@ -760,7 +760,7 @@ class TestFilterDifferential:
         falls back.  Angles whose cosine signs differ are ordered without
         exact vectors; equal signs compare the exact squared cosines."""
         r = parse_number("sqrt(5 + 2*sqrt(6))")
-        assert r.ctx._prods is None
+        assert len(r.ctx._prods) < 1 << r.ctx.depth  # nested
         a, b = Pt(0, 0), Pt(r, 1)
         for c, collinear in ((Pt(1, 2), False), (Pt(r * 2, 2), True), (Pt(r, -r), False)):
             got, fell_back = _fell_back(exact_calls, orientation, a, b, c)

@@ -62,6 +62,11 @@ class TestIntegerRelationExact:
         with pytest.raises(TypeError):
             find_integer_relation([object()], 2)
 
+    @pytest.mark.parametrize("labels", [[], ["a"], ["a", "b", "c"]])
+    def test_labels_must_match_values(self, labels):
+        with pytest.raises(ValueError, match="labels must match values"):
+            find_integer_relation([1, 2], 2, labels=labels)
+
     def test_space_size_guard(self):
         with pytest.raises(ValueError):
             find_integer_relation([Fraction(i + 1) for i in range(9)], 12)

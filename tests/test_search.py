@@ -625,6 +625,15 @@ class TestLimits:
         assert verify_dissection(out.dissections[0]).ok
         assert out.stats["truncated_by"] == "results"
 
+    @pytest.mark.parametrize("budget", ["max_nodes", "max_results"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_budgets_below_one_are_rejected(self, budget, value):
+        spec = SearchSpec(
+            region=RIGHT_ISOCELES, tile=similar_tile(RIGHT_ISOCELES, 4), m=4, **{budget: value}
+        )
+        with pytest.raises(ValueError, match=f"{budget} must be at least 1"):
+            search_dissections(spec)
+
     def test_zero_time_budget_stops_immediately(self):
         out = search_dissections(
             SearchSpec(
