@@ -9,10 +9,10 @@ search    exhaustively search for dissections into m congruent tiles
 boundary  boundary loops, turning, and corner pattern of a lattice region
 sample    empirical hit rate of relation-admitting triangles
 
-Exit codes: 0 success, 1 falsified check, 2 usage or input error.  The
-environment variable ``EQUICUT_PRECISION_BITS``, an integer from 1 to
-``MAX_WORK_BITS``, overrides the starting interval precision used by the
-relation searches; any other value is a usage error.
+Exit codes: 0 success, 1 falsified check, 2 usage or input error.
+``analyze --precision``, an integer from 1 to ``MAX_WORK_BITS``, sets the
+starting interval precision of the relation searches, and a start below 64
+runs at 64; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ def _cmd_analyze(args) -> int:
         sigma1 = find_angle_relation(alpha, beta, angle_height, start_bits=args.precision)
         sigma2 = find_side_relation(a, b, side_height, basis, start_bits=args.precision)
     except (ValueError, RefinementLimitError) as exc:
-        # ValueError: SearchSpaceError, SquarefreeBoundError, or a malformed
-        # EQUICUT_PRECISION_BITS
+        # ValueError: SearchSpaceError or SquarefreeBoundError
         raise _UsageError(str(exc)) from exc
     if args.json:
         sides = [format_number(a), format_number(b), "1"]
@@ -359,7 +358,7 @@ def _cmd_sample(args) -> int:
                 u, v = sample_angle_fractions(rng)
                 result = find_angle_relation_pi_fractions(u, v)
         except (ValueError, RefinementLimitError) as exc:
-            # a malformed EQUICUT_PRECISION_BITS, or one too large to refine to
+            # ValueError: SearchSpaceError or SquarefreeBoundError
             raise _UsageError(str(exc)) from exc
         if result.status in (RelationStatus.FOUND_CERTIFIED, RelationStatus.FOUND_CANDIDATE):
             hits += 1

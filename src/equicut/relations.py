@@ -26,8 +26,7 @@ near-zero pairs to certify.  Certification runs on integers over a common
 denominator and decides as summing the values or their enclosures would:
 exact survivors by the columns' coordinate rows in one ``FieldBuilder``
 chain, numeric ones by enclosure endpoints on a ladder from 256 to 4096
-bits.  ``EQUICUT_PRECISION_BITS`` overrides the start with an integer from
-1 to ``MAX_WORK_BITS``, and any other value of it raises ``ValueError``.
+bits.  ``start_bits`` overrides the start; a start below 64 runs at 64.
 
 When every column is an angle known by its exact cosine (``acos_numeric``
 of an exact value, and ``pi_numeric``) and the start is at most 4096 bits,
@@ -41,7 +40,6 @@ the full ladder would report them.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
@@ -52,7 +50,6 @@ import numpy as np
 
 from .exact import (
     DEFAULT_FACTOR_BOUND,
-    MAX_WORK_BITS,
     FieldBuilder,
     KElement,
     NegativeSqrtError,
@@ -257,18 +254,7 @@ def _sweep(columns: Sequence[_Column], height: int, stats: Optional[dict] = None
 
 
 def _start_bits(override: Optional[int]) -> int:
-    if override is not None:
-        return max(64, int(override))
-    env = os.environ.get("EQUICUT_PRECISION_BITS")
-    if not env:
-        return DEFAULT_START_BITS
-    try:
-        bits = int(env)
-        if 1 <= bits <= MAX_WORK_BITS:
-            return max(64, bits)
-    except ValueError:
-        pass
-    raise ValueError(f"EQUICUT_PRECISION_BITS must be an integer between 1 and {MAX_WORK_BITS}")
+    return DEFAULT_START_BITS if override is None else max(64, int(override))
 
 
 def _integer_ends(columns: Sequence[_Column], bits: int) -> tuple[list[int], list[int], int]:

@@ -88,7 +88,7 @@ class SearchSpec:
     the search down, never change its results.  ``max_nodes``,
     ``max_results`` and ``time_budget`` (seconds) stop the search early,
     and the outcome then says which one did; the first two must be at
-    least 1.
+    least 1 and ``time_budget`` at least 0, and none may be NaN.
     """
 
     region: Triangle
@@ -384,8 +384,10 @@ class _Searcher:
         if spec.m < 1:
             raise ValueError("piece count must be at least 1")
         for name, value in (("max_nodes", spec.max_nodes), ("max_results", spec.max_results)):
-            if value is not None and value < 1:
+            if value is not None and not value >= 1:
                 raise ValueError(f"{name} must be at least 1")
+        if spec.time_budget is not None and not spec.time_budget >= 0:
+            raise ValueError("time_budget must be at least 0")
         region = spec.region.oriented()
         if region.is_degenerate():
             raise ValueError("degenerate region")

@@ -20,9 +20,6 @@ from equicut.exact import MAX_WORK_BITS, RefinementLimitError
 from equicut.dissect import dissection_from_json, verify_dissection
 
 
-BAD_PRECISION_ENV = (
-    f"error: EQUICUT_PRECISION_BITS must be an integer between 1 and {MAX_WORK_BITS}\n"
-)
 TWELVE_ROOTS = "sqrt(2 + " * 12 + "1" + ")" * 12
 
 
@@ -127,38 +124,28 @@ class TestAnalyze:
         assert err == f"error: --precision must be between 1 and {MAX_WORK_BITS}\n"
 
     @pytest.mark.parametrize("bits", [MAX_WORK_BITS - 1, MAX_WORK_BITS])
-    @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_precision_at_the_limit_fails_on_angles(self, capsys, monkeypatch, source, bits):
+    @pytest.mark.parametrize("source", ["flag"])
+    def test_precision_at_the_limit_fails_on_angles(self, capsys, source, bits):
         """Accepted, but an angle refines its cosine 2 bits past the target,
         beyond MAX_WORK_BITS, so the analysis exits 2 with the refinement error."""
-        argv = ["analyze", "--region", "3/4,1/2"]
-        if source == "flag":
-            argv += ["--precision", str(bits)]
-        else:
-            monkeypatch.setenv("EQUICUT_PRECISION_BITS", str(bits))
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "analyze", "--region", "3/4,1/2", "--precision", str(bits))
         assert code == 2
         assert out == ""
         assert err == f"error: a width of 2**-{bits + 2} needs over {MAX_WORK_BITS} bits\n"
 
-    def test_precision_environment_past_the_limit_is_usage_error(
-        self, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("EQUICUT_PRECISION_BITS", "1000000")
-        code, out, err = run(capsys, "analyze", "--region", "3/4,1/2")
-        assert code == 2
-        assert out == ""
-        assert err == BAD_PRECISION_ENV
-
-    @pytest.mark.parametrize("bits", ["abc", "0", "-3", "2.5", str(MAX_WORK_BITS + 1)])
-    def test_malformed_precision_environment_is_usage_error(
-        self, capsys, monkeypatch, bits
-    ):
-        monkeypatch.setenv("EQUICUT_PRECISION_BITS", bits)
-        code, out, err = run(capsys, "analyze", "--region", "3/4,1/2")
-        assert code == 2
-        assert out == ""
-        assert err == BAD_PRECISION_ENV
+    @pytest.mark.parametrize("value", ["abc", "128"])
+    def test_precision_variable_is_ignored(self, capsys, monkeypatch, value):
+        """EQUICUT_PRECISION_BITS, once an override of the starting precision,
+        changes nothing: ``--precision`` is the only source."""
+        commands = [
+            ["analyze", "--region", "3/4,1/2", "--stats"],
+            ["sample", "--count", "3", "--mode", "angles"],
+        ]
+        monkeypatch.delenv("EQUICUT_PRECISION_BITS", raising=False)
+        unset = [run(capsys, *argv) for argv in commands]
+        monkeypatch.setenv("EQUICUT_PRECISION_BITS", value)
+        assert [run(capsys, *argv) for argv in commands] == unset
+        assert [code for code, _, _ in unset] == [0, 0]
 
     def test_value_of_a_nested_tower_is_a_member(self, capsys):
         code, out, _ = run(capsys, "analyze", "--region", "1/4*sqrt(5 + 2*sqrt(6)),3/4")
@@ -693,17 +680,6 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert err == "error: no enclosure of width 2**-64 by 65538 working bits\n"
-
-    @pytest.mark.parametrize("mode", ["sides", "angles"])
-    @pytest.mark.parametrize("bits", ["abc", "0", "-3"])
-    def test_malformed_precision_environment_is_usage_error(
-        self, capsys, monkeypatch, mode, bits
-    ):
-        monkeypatch.setenv("EQUICUT_PRECISION_BITS", bits)
-        code, out, err = run(capsys, "sample", "--count", "3", "--mode", mode)
-        assert code == 2
-        assert out == ""
-        assert err == BAD_PRECISION_ENV
 
 
 class TestParser:

@@ -144,3 +144,32 @@ def test_no_orphaned_private_constants():
     ]
     assert len(bindings) >= 20
     assert orphans == []
+
+
+def _environment_reads(tree: ast.AST) -> list[int]:
+    """The lines that read ``os.environ`` or ``os.getenv``, or import
+    either from ``os``."""
+    names = {"environ", "getenv"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in names
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in names for alias in node.names)
+        )
+    )
+
+
+def test_no_environment_configuration():
+    """The library reads no environment variable: its behaviour is set by
+    arguments alone, never by ambient process state."""
+    reads = {path.name: _environment_reads(ast.parse(path.read_text(), str(path))) for path in SRC}
+    assert len(SRC) > 10
+    assert {name: lines for name, lines in reads.items() if lines} == {}

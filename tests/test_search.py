@@ -626,12 +626,21 @@ class TestLimits:
         assert out.stats["truncated_by"] == "results"
 
     @pytest.mark.parametrize("budget", ["max_nodes", "max_results"])
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
     def test_budgets_below_one_are_rejected(self, budget, value):
         spec = SearchSpec(
             region=RIGHT_ISOCELES, tile=similar_tile(RIGHT_ISOCELES, 4), m=4, **{budget: value}
         )
         with pytest.raises(ValueError, match=f"{budget} must be at least 1"):
+            search_dissections(spec)
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_time_budget_nan_or_negative_is_rejected(self, value):
+        # NaN compares false with every deadline, so it would mean no budget
+        spec = SearchSpec(
+            region=RIGHT_ISOCELES, tile=similar_tile(RIGHT_ISOCELES, 4), m=4, time_budget=value
+        )
+        with pytest.raises(ValueError, match="time_budget must be at least 0"):
             search_dissections(spec)
 
     def test_zero_time_budget_stops_immediately(self):
