@@ -49,7 +49,7 @@ def show(name, cells, out_dir):
     print(f"== {name}: {len(cells)} cells, {len(loops)} loop(s), "
           f"simply connected: {simply}")
     for k, loop in enumerate(loops):
-        kind = "outer" if k == 0 else "hole"
+        kind = "outer" if loop.total_turning() > 0 else "hole"
         turns = " ".join(f"{t:+d}" for t in loop.turns)
         print(f"  {kind} loop: turning {loop.total_turning():+d}  [{turns}]")
     pattern = find_boundary_pattern(loops[0])

@@ -45,7 +45,7 @@ from .exact import (
     squarefree_decompose,
     tower_to_k,
 )
-from .geom import AngleVec, Isometry, Pt, Triangle, congruent, find_isometry
+from .geom import AngleVec, Isometry, Pt, Triangle, congruent
 from .intervals import NumericReal, RatInterval, RefinementLimitError
 from .literals import ParseError, format_k_element, format_number, parse_number
 from .relations import (
@@ -115,7 +115,6 @@ __all__ = [
     "find_angle_relation_pi_fractions",
     "find_boundary_pattern",
     "find_integer_relation",
-    "find_isometry",
     "find_side_relation",
     "format_k_element",
     "format_number",

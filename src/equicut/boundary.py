@@ -64,18 +64,6 @@ class Cell:
         a, b, c = self.vertices()
         return ((a, b), (b, c), (c, a))
 
-    def to_triple(self) -> Tuple[int, int, str]:
-        return (self.i, self.j, "up" if self.up else "down")
-
-    @classmethod
-    def from_triple(cls, triple) -> "Cell":
-        if len(triple) != 3:
-            raise ValueError("cell triple must be (i, j, 'up'|'down')")
-        i, j, kind = triple
-        if kind not in ("up", "down"):
-            raise ValueError(f"cell kind must be 'up' or 'down', got {kind!r}")
-        return cls(int(i), int(j), kind == "up")
-
 
 def standard_cells(n: int) -> FrozenSet[Cell]:
     """All cells of the order-n subdivision of the corner triangle

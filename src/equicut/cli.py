@@ -161,6 +161,13 @@ def _cmd_analyze(args) -> int:
 # standard
 
 
+def _svg_text(dissection) -> str:
+    try:
+        return dissection_svg(dissection)
+    except (OverflowError, ValueError) as exc:  # ValueError: a NaN view box
+        raise _UsageError("cannot draw SVG: the drawing exceeds the float range") from exc
+
+
 def _cmd_standard(args) -> int:
     region, _, _ = _parse_region(args.region)
     if args.n < 1:
@@ -169,12 +176,13 @@ def _cmd_standard(args) -> int:
     print(f"standard dissection: n = {args.n}, {dissection.piece_count} pieces")
     if args.out:
         out = Path(args.out)
+        stem = f"standard_n{args.n}"
+        json_path = out / f"{stem}.json"
+        svg = _svg_text(dissection)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            stem = f"standard_n{args.n}"
-            json_path = out / f"{stem}.json"
             json_path.write_text(dissection_to_json_str(dissection))
-            (out / f"{stem}.svg").write_text(dissection_svg(dissection))
+            (out / f"{stem}.svg").write_text(svg)
         except OSError as exc:
             raise _UsageError(f"cannot write output: {exc}") from exc
         reloaded = dissection_from_json(json_path.read_text())
@@ -269,9 +277,10 @@ def _cmd_search(args) -> int:
             print(f"  result {t_idx}.{d_idx}:{tag} {dissection.piece_count} pieces")
             if out_dir is not None:
                 stem = f"result_{t_idx}_{d_idx}"
+                svg = _svg_text(dissection)
                 try:
                     (out_dir / f"{stem}.json").write_text(dissection_to_json_str(dissection))
-                    (out_dir / f"{stem}.svg").write_text(dissection_svg(dissection))
+                    (out_dir / f"{stem}.svg").write_text(svg)
                 except OSError as exc:
                     raise _UsageError(f"cannot write output: {exc}") from exc
     print(f"total: {report.total_dissections} dissection(s)")
@@ -317,15 +326,15 @@ def _cmd_boundary(args) -> int:
     )
     ok = True
     for idx, loop in enumerate(loops):
-        kind = "outer" if idx == 0 else "hole"
-        print(f"loop {idx} ({kind}): turning {loop.total_turning():+d}")
+        turning = loop.total_turning()  # +6 around cells, -6 around a hole
+        print(f"loop {idx} ({'outer' if turning > 0 else 'hole'}): turning {turning:+d}")
         for v, turn in zip(loop.vertices, loop.turns):
             angle_class = "convex" if turn > 0 else "reflex"
             print(f"  vertex {v}: turn {turn:+d} ({angle_class})")
         pattern = find_boundary_pattern(loop)
         if pattern is None:
             print("  pattern: none")
-            if idx == 0:
+            if turning > 0:
                 ok = False
         else:
             verts = ", ".join(str(v) for v in pattern.vertices)

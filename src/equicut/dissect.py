@@ -160,9 +160,9 @@ def _key(f: Fraction) -> _Key:
         return (inf if f > 0 else -inf), f
 
 
-def _corner(v: Pt, bits: int = 32) -> Tuple[_Key, _Key, _Key, _Key]:
+def _corner(v: Pt) -> Tuple[_Key, _Key, _Key, _Key]:
     """The ends (x lo, x hi, y lo, y hi) of v's coordinate intervals."""
-    x, y = v.x.interval(bits), v.y.interval(bits)
+    x, y = v.x.interval(32), v.y.interval(32)
     return _key(x.lo), _key(x.hi), _key(y.lo), _key(y.hi)
 
 

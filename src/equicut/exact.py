@@ -686,9 +686,6 @@ class TowerReal:
             n >>= 1
         return out
 
-    def sqrt(self) -> "TowerReal":
-        return sqrt_adjoin(self)
-
     # -- decisions ----------------------------------------------------------
 
     def interval(self, bits: int) -> RatInterval:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import inf, nextafter
 from typing import Optional, Sequence, Union
 
@@ -34,7 +34,6 @@ __all__ = [
     "Pt",
     "Triangle",
     "congruent",
-    "find_isometry",
     "orientation",
     "point_in_polygon",
     "point_in_triangle",
@@ -139,9 +138,6 @@ class Pt:
     def norm_sq(self) -> TowerReal:
         return self.dot(self)
 
-    def norm(self) -> TowerReal:
-        return sqrt_adjoin(self.norm_sq())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pt):
             return NotImplemented
@@ -227,9 +223,6 @@ class Triangle:
     def is_degenerate(self) -> bool:
         return self.signed_area().is_zero()
 
-    def is_ccw(self) -> bool:
-        return self.signed_area().sign() > 0
-
     def oriented(self) -> "Triangle":
         if self.signed_area().sign() >= 0:
             return self
@@ -244,9 +237,6 @@ class Triangle:
 
     def side_lengths(self) -> tuple[TowerReal, TowerReal, TowerReal]:
         return tuple(sqrt_adjoin(s) for s in self.sides_squared())
-
-    def sorted_sides_squared(self) -> tuple[TowerReal, TowerReal, TowerReal]:
-        return tuple(sorted(self.sides_squared()))
 
 
 def point_in_triangle(p: Pt, tri: Triangle) -> Location:
@@ -370,10 +360,6 @@ class Isometry:
     def apply_triangle(self, tri: Triangle) -> Triangle:
         return Triangle(self.apply(tri.va), self.apply(tri.vb), self.apply(tri.vc))
 
-    @property
-    def is_direct(self) -> bool:
-        return not self.reflect
-
 
 def _same_multiset(xs: Sequence, ys: Sequence) -> bool:
     """Whether xs and ys hold equal values equally often, by ``==`` alone."""
@@ -415,24 +401,11 @@ def _ordered_isometry(
     return None
 
 
-def find_isometry(src: Triangle, dst: Triangle) -> Optional[Isometry]:
-    """An exact isometry carrying src onto dst (vertex order free), if any."""
-    sv = src.vertices
-    dv = dst.vertices
-    for reflect in (False, True):
-        for start in range(3):
-            for step in (1, 2):
-                perm = [dv[(start + step * i) % 3] for i in range(3)]
-                iso = _ordered_isometry(sv, perm, reflect)
-                if iso is not None:
-                    return iso
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Exact angle comparison without square roots.
 
 
+@total_ordering
 class AngleVec:
     """The angle in (0, 2*pi) from vector u to vector w, counterclockwise,
     represented by the exact pair (dot, cross) plus |u|^2 |w|^2.
@@ -516,19 +489,10 @@ class AngleVec:
     def __lt__(self, other: "AngleVec") -> bool:
         return self.compare(other) < 0
 
-    def __le__(self, other: "AngleVec") -> bool:
-        return self.compare(other) <= 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AngleVec):
             return NotImplemented
         return self.compare(other) == 0
-
-    def __gt__(self, other: "AngleVec") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "AngleVec") -> bool:
-        return self.compare(other) >= 0
 
     def __repr__(self) -> str:
         import math

@@ -88,8 +88,8 @@ Value = Union[TowerReal, NumericReal, Fraction, int, float]
 
 class SearchSpaceError(ValueError):
     """The relation sweep refused an input whose search it cannot bound:
-    a half-table too large to allocate, or too many near-zero combinations
-    to certify."""
+    a half-table too large to allocate, too many near-zero combinations to
+    certify, or a value beyond the float range."""
 
 
 class RelationStatus(enum.Enum):
@@ -207,7 +207,10 @@ def _sweep(columns: Sequence[_Column], height: int, stats: Optional[dict] = None
         iv = col.enclosure(64)
         mids.append(iv.mid)
         errs.append(iv.width / 2)
-    floats = [float(m) for m in mids]
+    try:
+        floats = [float(m) for m in mids]
+    except OverflowError:
+        raise SearchSpaceError("a value is beyond the float range") from None
     # static error bound: per-value (enclosure width + float conversion) plus
     # float64 rounding across <= 2n + 1 operations at the sum's magnitude
     conv = [abs(Fraction(f) - m) for f, m in zip(floats, mids)]

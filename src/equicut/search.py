@@ -3,10 +3,13 @@
 Given a region triangle, a tile (a congruence class described by its sorted
 side lengths), and a piece count ``m``, :func:`search_dissections` enumerates
 every dissection of the region into ``m`` congruent copies of the tile.  The
-search runs entirely in exact arithmetic: all candidate vertices live in one
-fixed multiquadratic tower field generated up front from the region
-coordinates, the tile sides, the tile apex, and nothing else, so no numeric
-tolerance ever decides a branch.
+search runs entirely in exact arithmetic, so no numeric tolerance ever
+decides a branch.  All candidate vertices live in one tower field, which
+one ``FieldBuilder`` builds from the region's coordinates, its side lengths
+and the tile sides; the tower is nested when a generic region needs it.
+``_TileData.add_corners`` adjoins the root of Heron's value only once the
+root has passed the length rule, and nothing is adjoined after the search
+starts.
 
 The enumeration is a depth-first search on the uncovered region:
 

@@ -26,14 +26,6 @@ class TestCells:
         assert up(0, 0).vertices() == ((0, 0), (1, 0), (0, 1))
         assert down(0, 0).vertices() == ((1, 0), (1, 1), (0, 1))
 
-    def test_triple_round_trip(self):
-        for cell in (up(2, -1), down(0, 3)):
-            assert Cell.from_triple(cell.to_triple()) == cell
-        with pytest.raises(ValueError):
-            Cell.from_triple((1, 2, "sideways"))
-        with pytest.raises(ValueError):
-            Cell.from_triple((1, 2))
-
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 9), (4, 16)])
     def test_standard_cell_count(self, n, count):
         assert len(standard_cells(n)) == count

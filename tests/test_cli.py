@@ -22,6 +22,19 @@ from equicut.dissect import dissection_from_json, verify_dissection
 
 TWELVE_ROOTS = "sqrt(2 + " * 12 + "1" + ")" * 12
 
+# Two triangles whose drawings exceed the float range.  BEYOND_FLOAT is the
+# right triangle with legs 1 and (t*t - 1)/(2*t), t = 10**400, whose sides
+# and apex lie beyond it.  WIDE_VIEW has its apex near (1.73e308, 1.77e308),
+# inside it, but its padded view box is wider and taller than the largest
+# float, so the box's aspect ratio is NaN.
+_T = 10**400
+BEYOND_FLOAT = f"{_T * _T - 1}/{2 * _T},{_T * _T + 1}/{2 * _T}"
+WIDE_VIEW = f"{175 * 10**306}*sqrt(2) - 7/10,{175 * 10**306}*sqrt(2)"
+
+
+def one_error_line(err, head):
+    return err.startswith(f"error: {head}") and err.count("\n") == 1 and "Traceback" not in err
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -107,6 +120,11 @@ class TestAnalyze:
         )
         assert code == 2
         assert err.startswith("error: cannot certify squarefree part")
+
+    def test_value_beyond_the_float_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--region", BEYOND_FLOAT)
+        assert code == 2
+        assert out == "" and err == "error: a value is beyond the float range\n"
 
     def test_search_space_too_large_is_usage_error(self, capsys):
         # three angle columns at height 1100: a 2201**2-entry half-table
@@ -222,6 +240,22 @@ class TestStandard:
         code, out, _ = run(capsys, "standard", "--region", "1,1", "-n", "1")
         assert code == 0
         assert "1 pieces" in out
+
+    @pytest.mark.parametrize("region", [BEYOND_FLOAT, WIDE_VIEW], ids=["apex", "view"])
+    def test_out_beyond_the_float_range_writes_nothing(self, tmp_path, capsys, region):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "standard", "--region", region, "-n", "1", "--out", str(out_dir))
+        assert code == 2
+        assert one_error_line(err, "cannot draw SVG: the drawing exceeds the float range")
+        assert not out_dir.exists()
+        assert run(capsys, "standard", "--region", region, "-n", "1")[0] == 0
+
+    def test_out_under_a_regular_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+        code, _, err = run(capsys, "standard", "--region", "1,1", "-n", "1", "--out", str(out_dir))
+        assert code == 2
+        assert one_error_line(err, "cannot write output:")
 
     def test_n_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "standard", "--region", "1,1", "-n", "0")
@@ -541,6 +575,32 @@ class TestSearch:
         assert "note: same tile as tile[0]; its results are counted once" in out
         assert "total: 1 dissection(s)" in out
 
+    def test_out_beyond_the_float_range_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        argv = ["search", "--region", BEYOND_FLOAT, "--pieces", "4"]
+        code, _, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 2
+        assert one_error_line(err, "cannot draw SVG: the drawing exceeds the float range")
+        assert list(out_dir.iterdir()) == []
+        assert run(capsys, *argv)[0] == 0
+
+    def test_out_under_a_regular_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "results"
+        code, _, err = run(
+            capsys, "search", "--region", "1,1", "--pieces", "4", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert one_error_line(err, f"cannot create {out_dir}:")
+
+    def test_result_name_taken_by_a_directory_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "result_0_0.json").mkdir()
+        code, _, err = run(
+            capsys, "search", "--region", "1,1", "--pieces", "4", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert one_error_line(err, "cannot write output:")
+
     def test_zero_pieces_usage_error(self, capsys):
         code, _, err = run(capsys, "search", "--region", "1,1", "--pieces", "0")
         assert code == 2
@@ -622,6 +682,23 @@ class TestBoundary:
         assert "2 boundary loop(s)" in out
         assert "simply connected: False" in out
         assert "loop 1 (hole)" in out
+
+    def test_loops_pinched_at_a_vertex_are_both_outer(self, tmp_path, capsys):
+        # two up cells that share only the vertex (1, 0)
+        region = tmp_path / "pinched.txt"
+        region.write_text("0 0 up\n0 1 up\n")
+        code, out, _ = run(capsys, "boundary", str(region))
+        assert code == 0
+        assert "loop 0 (outer): turning +6" in out
+        assert "loop 1 (outer): turning +6" in out
+
+    def test_out_under_a_regular_file_is_usage_error(self, tmp_path, capsys):
+        region = tmp_path / "region.txt"
+        region.write_text("0 0 up\n")
+        svg_path = tmp_path / "region.txt" / "region.svg"
+        code, _, err = run(capsys, "boundary", str(region), "--out", str(svg_path))
+        assert code == 2
+        assert one_error_line(err, f"cannot write {svg_path}:")
 
     def test_bad_line_usage_error(self, tmp_path, capsys):
         region = tmp_path / "region.txt"

@@ -77,6 +77,10 @@ class TestIntegerRelationExact:
         with pytest.raises(SearchSpaceError, match="too many near-zero"):
             find_integer_relation([Fraction(1)] * 6, 8)
 
+    def test_value_beyond_the_float_range(self):
+        with pytest.raises(SearchSpaceError, match="beyond the float range"):
+            find_integer_relation([Fraction(10**400), 1], 1)
+
 
 def _outer_product_sweep(columns, height):
     """The full (2H+1)**n outer-product sweep that ``_sweep`` replaced,
