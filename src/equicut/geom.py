@@ -10,10 +10,12 @@ evaluate their 2x2 determinant once in floats from cached midpoints and radii
 (``Pt._centre``), and ``_fsign`` certifies its sign with one error bound
 (Shewchuk 1997; Meyer and Pion 2008).  When it cannot decide, or a value
 leaves the float range, the exact expression decides; ``AngleVec`` compares
-two cosines of one sign exactly.  Each point's cached float box
-(``exact._float_bounds``) is only compared, never computed with: it orders
-two coordinates (``point_in_polygon``'s half-open test) when their intervals
-are apart and rules a point off a segment whose ends' boxes it lies past.
+two cosines of one sign exactly.  ``_area_sign`` certifies a polygon's
+shoelace sign from the same midpoints with a bound of its own.  Each
+point's cached float box (``exact._float_bounds``) is only compared, never
+computed with: it orders two coordinates (``point_in_polygon``'s half-open
+test) when their intervals are apart and rules a point off a segment whose
+ends' boxes it lies past.
 """
 
 from __future__ import annotations
@@ -262,6 +264,48 @@ def polygon_area(vertices: Sequence[Pt]) -> TowerReal:
     for i in range(n):
         total = total + vertices[i].cross(vertices[(i + 1) % n])
     return total / 2
+
+
+def _area_sign(vertices: Sequence[Pt]) -> int:
+    """Sign of ``polygon_area(vertices)``, from the vertices' ``Pt._centre``
+    when a bound certifies it, else exactly.
+
+    Seen from the first centre (x0, y0), an exact float point, twice the
+    area is the sum over i of U_i x U_{i+1}, indices mod n, with U_i vertex
+    i minus (x0, y0).  The rounded u_i = x_i - x0 and v_i = y_i - y0 are off
+    from U_i's coordinates by at most t_i = r_i + eps*max(|u_i|, |v_i|): a
+    subtraction's error is a multiple of 2**-1074 and at most eps times its
+    result, so the rounded product still covers it.  Expanding,
+    |U_i x U_j - (u_i*v_j - v_i*u_j)| <= (|u_i| + |v_i|)*t_j + (|u_j| +
+    |v_j|)*t_i + 2*t_i*t_j.  The products p_i = fl(u_i*v_{i+1}) and q_i =
+    fl(v_i*u_{i+1}) are off by eps times themselves plus 2**-1075, d_i =
+    fl(p_i - q_i) by eps*|d_i|, and the running sum s of the d_i by at most
+    (n - 1)*eps*sum|d_i| in all, to first order.  So s is within (n +
+    2)*eps*sum(|p_i| + |q_i|) plus the sum of the bounds above plus 2*n *
+    2**-1075 of twice the area.  E is that sum in round-to-nearest, times 1
+    + 2**-40 plus 2**-1000: for at most 2**9 vertices that covers the
+    higher-order terms and the at most 3000 roundings of each term, each a
+    relative eps or a product's 2**-1075.  So |s| > E certifies the sign.
+    As in ``_fsign``, an overflow makes E infinite or NaN and fails the
+    test; a missing box or a longer polygon goes to the exact sum."""
+    n = len(vertices)
+    centres = [v._centre() for v in vertices]
+    if n <= 512 and all(centres):
+        x0, y0, _ = centres[0]
+        rel = [(x - x0, y - y0, r) for x, y, r in centres]
+        rel = [(u, v, r + _EPS * max(abs(u), abs(v)), abs(u) + abs(v)) for u, v, r in rel]
+        s = e = size = 0.0
+        u0, v0, t0, w0 = rel[-1]
+        for u1, v1, t1, w1 in rel:
+            p, q = u0 * v1, v0 * u1
+            s += p - q
+            size += abs(p) + abs(q)
+            e += w0 * t1 + w1 * t0 + 2 * t0 * t1
+            u0, v0, t0, w0 = u1, v1, t1, w1
+        e = ((n + 2) * _EPS * size + e) * (1 + 2.0**-40) + 2.0**-1000
+        if abs(s) > e:
+            return 1 if s > 0 else -1
+    return polygon_area(vertices).sign()
 
 
 def _coord_sign(a: Pt, b: Pt, k: int) -> int:

@@ -38,6 +38,16 @@ The enumeration is a depth-first search on the uncovered region:
     into the tile's half-plane.  So the sides along the edge partition it.
     Each frontier polygon is checked once, when it is made.
 
+Angles come from a per-search table of unit edge directions
+(``_Directions``).  Each frontier edge carries its direction's id, so the
+interior angle at a vertex is the pair (outgoing id, reversed incoming id),
+a placement adds tabled vectors to the vertex, and each comparison of two
+such angles is decided once per search, by certified or exact signs.
+Float boxes only skip tests that cannot succeed: ``_fits`` skips frontier
+edges whose boxes are apart from the placed triangle's, ``_subtract`` keeps
+such edges whole, and ``_merge_cycle``'s orientation check certifies its
+area sign from floats (``geom._area_sign``) before any exact sum.
+
 ``complete=True`` on the outcome certifies the returned list is exhaustive.
 """
 
@@ -47,20 +57,21 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
-    AngleVec,
+    _ORIGIN,
     Isometry,
     Pt,
     Triangle,
+    _area_sign,
     _coord_sign,
+    _fsign,
     _ordered_isometry,
     _separated,
-    orientation,
     point_on_segment,
-    polygon_area,
 )
 from .dissect import Dissection, _hashed_pieces, _piece_multiset_key, _point_key, verify_dissection
 
@@ -167,18 +178,177 @@ class CountReport:
 # Frontier polygons.
 
 
+_REVERSE = 6  # the turn by pi in ``_Directions.turned``
+
+
+class _Directions:
+    """The unit edge directions of one search.
+
+    Each direction is interned once, by its exact hashed key
+    (``_point_key``), and named by its index, its *id*.  ``turned(d, t)`` is
+    the id of direction d turned counterclockwise by the tile's angle t (t =
+    0, 1, 2), by pi minus the angle t - 3 (t = 3, 4, 5) or by pi (t =
+    ``_REVERSE``), each built on first use; ``scaled(d, j)`` is the vector
+    along d as long as tile side j.  Every value of one search comes from
+    its one ``FieldBuilder``, so equal directions there share an id; a
+    differing id proves nothing, and the signs below still decide.
+
+    An *angle* is a pair (a, b) of ids, the counterclockwise angle in
+    (0, 2*pi) from direction a to direction b.  ``turn`` gives the sign of
+    a cross product of two unit vectors, from ``_fsign`` when it certifies
+    one, else exactly; ``compare`` orders two angles by their halves of the
+    turn and then by their cosines a . b, which need no squares since the
+    vectors are units.  Both are memoised per search.
+    """
+
+    def __init__(self, tile: Optional[_TileData]):
+        self.tile = tile
+        self.vecs: List[Pt] = []
+        self.ids: dict = {}  # _point_key(unit vector) -> id
+        # id -> [the ids turned by t = 0..6, the vectors scaled by j = 0..2]
+        self.derived: List[list] = []
+        self.turns: dict = {}  # (a, b) -> sign of vecs[a] x vecs[b]
+        self.order: dict = {}  # (angle, angle) -> sign of their difference
+
+    def intern(self, vec: Pt) -> int:
+        key = _point_key(vec)
+        did = self.ids.get(key)
+        if did is None:
+            did = self.ids[key] = len(self.vecs)
+            self.vecs.append(vec)
+            self.derived.append([None] * 10)
+        return did
+
+    def edge(self, p: Pt, q: Pt, length: TowerReal) -> int:
+        """The id of the direction from p to q, ``length`` apart."""
+        return self.intern((q - p) / length)
+
+    def turned(self, did: int, t: int) -> int:
+        slots = self.derived[did]
+        out = slots[t]
+        if out is None:
+            u = self.vecs[did]
+            if t == _REVERSE:
+                out = self.intern(-u)
+                self.derived[out][_REVERSE] = did
+            else:
+                c, s = self.tile.cos[t % 3], self.tile.sin[t % 3]
+                if t >= 3:
+                    c = -c
+                out = self.intern(Pt(u.x * c - u.y * s, u.x * s + u.y * c))
+            slots[t] = out
+        return out
+
+    def reverse(self, did: int) -> int:
+        return self.turned(did, _REVERSE)
+
+    def scaled(self, did: int, j: int) -> Pt:
+        slots = self.derived[did]
+        out = slots[7 + j]
+        if out is None:
+            out = slots[7 + j] = self.vecs[did] * self.tile.s[j]
+        return out
+
+    def turn(self, a: int, b: int) -> int:
+        s = self.turns.get((a, b))
+        if s is None:
+            u, w = self.vecs[a], self.vecs[b]
+            s = 0 if a == b else _fsign(_ORIGIN, u._centre(), w._centre()) or u.cross(w).sign()
+            self.turns[(a, b)], self.turns[(b, a)] = s, -s
+        return s
+
+    def half(self, angle: Tuple[int, int]) -> Optional[int]:
+        """0 for an angle in (0, pi), 1 for pi, 2 for (pi, 2*pi), None for a
+        zero angle."""
+        a, b = angle
+        s = self.turn(a, b)
+        if s:
+            return 0 if s > 0 else 2
+        if a == b:
+            return None
+        u, w = self.vecs[a], self.vecs[b]
+        dot = _fsign(_ORIGIN, u._centre(), w._centre(), dot=True) or u.dot(w).sign()
+        return 1 if dot < 0 else None
+
+    def compare(self, x: Tuple[int, int], y: Tuple[int, int]) -> int:
+        """Sign of angle x minus angle y; neither may be zero."""
+        if x == y:
+            return 0
+        s = self.order.get((x, y))
+        if s is None:
+            hx, hy = self.half(x), self.half(y)
+            if hx is None or hy is None:
+                raise ValueError("zero angle has no direction")
+            if hx != hy:
+                s = 1 if hx > hy else -1
+            elif hx == 1:
+                s = 0
+            else:
+                (a, b), (c, d) = x, y
+                v = self.vecs
+                s = (v[c].dot(v[d]) - v[a].dot(v[b])).sign()
+                # the angle grows as its cosine falls in (0, pi), and as it
+                # rises in (pi, 2*pi)
+                if hx == 2:
+                    s = -s
+            self.order[(x, y)], self.order[(y, x)] = s, -s
+        return s
+
+    def sharpest(self, back: int, outs: Sequence[int]) -> int:
+        """The index in ``outs`` of the direction that leaves the least
+        angle (out, back), the sharpest left turn after arriving along the
+        reverse of ``back``."""
+        best = best_angle = None
+        for idx, out in enumerate(outs):
+            angle = (out, back)
+            if self.half(angle) is None:
+                raise RuntimeError("dangling boundary edge after subtraction")
+            s = -1 if best is None else self.compare(angle, best_angle)
+            if s == 0:
+                raise RuntimeError("ambiguous boundary continuation")
+            if s < 0:
+                best, best_angle = idx, angle
+        if best is None:
+            raise RuntimeError("open boundary chain after subtraction")
+        return best
+
+
 @dataclass(frozen=True)
 class _Poly:
     """A counterclockwise boundary cycle of one uncovered component.
 
     ``lens[i]`` caches the exact length of the edge from ``verts[i]`` to
-    ``verts[i+1]``; lengths always stay inside the search field because new
+    ``verts[i+1]``, and ``dirs[i]`` its direction's id in the search's
+    ``_Directions``; lengths always stay inside the search field because new
     edges are tile sides and splits/merges only rescale rationally.  The
     cycle may revisit a pinch vertex, but edges never properly cross.
     """
 
     verts: Tuple[Pt, ...]
     lens: Tuple[TowerReal, ...]
+    dirs: Tuple[int, ...]
+
+
+def _box_sides(points: Sequence[Pt], tri: Tuple[Pt, Pt, Pt], strict: bool) -> List[int]:
+    """Per point, a mask of the sides of ``tri``'s box (left, right, below,
+    above) that the point's box lies past, strictly or also when they touch;
+    0 when a box is missing.  A segment whose two ends share a bit lies in
+    a box that is apart from the triangle's, or touches it."""
+    boxes = [v._floats() for v in tri]
+    if not all(boxes):
+        return [0] * len(points)
+    xlo, xhi = min(b[0][0] for b in boxes), max(b[0][1] for b in boxes)
+    ylo, yhi = min(b[1][0] for b in boxes), max(b[1][1] for b in boxes)
+    masks = []
+    for p in points:
+        b = p._floats()
+        if not b:
+            masks.append(0)
+        elif strict:
+            masks.append((b[0][1] < xlo) | (b[0][0] > xhi) << 1 | (b[1][1] < ylo) << 2 | (b[1][0] > yhi) << 3)
+        else:
+            masks.append((b[0][1] <= xlo) | (b[0][0] >= xhi) << 1 | (b[1][1] <= ylo) << 2 | (b[1][0] >= yhi) << 3)
+    return masks
 
 
 def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
@@ -204,18 +374,32 @@ def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
     return pieces
 
 
-def _edge_sort_key(edge):
-    u, w, _ = edge
-    return (u.x, u.y, w.x, w.y)
+def _edge_order(a, b) -> int:
+    """Sign of edge a minus edge b in the order of (start x, start y, end
+    x, end y), each coordinate compared box first (``_coord_sign``)."""
+    for p, q in ((a[0], b[0]), (a[1], b[1])):
+        if p is not q:
+            s = _coord_sign(p, q, 0) or _coord_sign(p, q, 1)
+            if s:
+                return s
+    return 0
+
+
+_edge_sort_key = cmp_to_key(_edge_order)
 
 
 def _merge_cycle(segs) -> _Poly:
-    """Merge maximal collinear runs of a closed edge cycle into single
-    edges and return the resulting counterclockwise polygon."""
+    """Merge maximal collinear runs of a closed cycle of (start, end,
+    length, direction id) edges into single edges and return the resulting
+    counterclockwise polygon."""
     n = len(segs)
     # the edges are nondegenerate, so edge i - 1 runs straight on into edge i
-    # exactly when its end u lies on the segment from its start to w
-    straight = [point_on_segment(u, segs[i - 1][0], w) for i, (u, w, _) in enumerate(segs)]
+    # exactly when its end u lies on the segment from its start to w, as it
+    # does when the two share a direction id
+    straight = [
+        segs[i - 1][3] == did or point_on_segment(u, segs[i - 1][0], w)
+        for i, (u, w, _, did) in enumerate(segs)
+    ]
     start = next((i for i in range(n) if not straight[i]), None)
     if start is None:
         raise RuntimeError("boundary cycle degenerated to a line")
@@ -235,12 +419,18 @@ def _merge_cycle(segs) -> _Poly:
         lens.append(total)
     if len(verts) < 3:
         raise RuntimeError("boundary cycle with fewer than three corners")
-    if polygon_area(verts).sign() <= 0:
+    if _area_sign(verts) <= 0:
         raise RuntimeError("boundary cycle is not counterclockwise")
-    return _Poly(verts, tuple(lens))
+    return _Poly(verts, tuple(lens), tuple(segs[r[0]][3] for r in runs))
 
 
-def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, TowerReal, TowerReal]) -> List[_Poly]:
+def _subtract(
+    poly: _Poly,
+    tri: Tuple[Pt, Pt, Pt],
+    tri_lens: Tuple[TowerReal, TowerReal, TowerReal],
+    tri_dirs: Tuple[int, int, int],
+    dirs: _Directions,
+) -> List[_Poly]:
     """Remove a placed triangle from one frontier polygon.
 
     Precondition (established by the placement checks): the triangle lies in
@@ -251,69 +441,69 @@ def _subtract(poly: _Poly, tri: Tuple[Pt, Pt, Pt], tri_lens: Tuple[TowerReal, To
     the new boundary keeps the uncovered polygon pieces plus the reversed
     triangle pieces that run through the interior, stitched back into
     counterclockwise cycles by a walk that always takes the sharpest
-    available left turn, which keeps pinch wedges apart.
+    available left turn, which keeps pinch wedges apart.  Each piece keeps
+    its edge's direction id, reversed for a triangle piece.
+
+    A polygon vertex whose box is strictly apart from the triangle's box
+    lies on no triangle edge, and a polygon edge whose two ends lie past one
+    side of that box meets no triangle edge and no point that splits it, so
+    it is kept whole without a test.
 
     A piece is covered exactly when the other edge set has the same piece,
     found by the points' hashed keys.  Every value in one search comes from
     the search's one ``FieldBuilder``, so equal points there have equal keys;
     and the search keeps one ``Pt`` per key, so equal points are one object.
     """
-    n = len(poly.verts)
-    poly_edges = [
-        (poly.verts[i], poly.verts[(i + 1) % n], poly.lens[i]) for i in range(n)
+    verts, n = poly.verts, len(poly.verts)
+    past = _box_sides(verts, tri, strict=True)
+    near = [v for v, side in zip(verts, past) if not side]
+    tri_split = [
+        [piece + (did,) for piece in _split_edge(tri[k], tri[(k + 1) % 3], tri_lens[k], near)]
+        for k, did in enumerate(tri_dirs)
     ]
-    tri_edges = [
-        (tri[0], tri[1], tri_lens[0]),
-        (tri[1], tri[2], tri_lens[1]),
-        (tri[2], tri[0], tri_lens[2]),
-    ]
-    tri_split = [_split_edge(p, q, length, poly.verts) for p, q, length in tri_edges]
     # Polygon vertices inside a triangle edge.  A pinch vertex that a straight
     # pass merged away can also lie inside a polygon edge along that triangle
     # edge; splitting there too keeps the two sides' pieces identical.
-    inner = [u for pieces in tri_split for u, _, _ in pieces[1:]]
+    inner = [u for pieces in tri_split for u, _, _, _ in pieces[1:]]
     cuts = tri + tuple(inner)
-    poly_pieces = [piece for p, q, ln in poly_edges for piece in _split_edge(p, q, ln, cuts)]
+    kept, poly_pieces = [], []
+    for i in range(n):
+        p, q, did = verts[i], verts[(i + 1) % n], poly.dirs[i]
+        if past[i] & past[(i + 1) % n]:
+            kept.append((p, q, poly.lens[i], did))
+        else:
+            poly_pieces += [piece + (did,) for piece in _split_edge(p, q, poly.lens[i], cuts)]
     tri_pieces = [piece for pieces in tri_split for piece in pieces]
 
     def segments(pieces):  # undirected: a piece matches in either order
-        return [frozenset((_point_key(u), _point_key(w))) for u, w, _ in pieces]
+        return [frozenset((_point_key(u), _point_key(w))) for u, w, _, _ in pieces]
 
     poly_segs, tri_segs = segments(poly_pieces), segments(tri_pieces)
     on_tri, on_poly = set(tri_segs), set(poly_segs)
-    kept = [e for e, seg in zip(poly_pieces, poly_segs) if seg not in on_tri]
-    kept += [(w, u, ln) for (u, w, ln), seg in zip(tri_pieces, tri_segs) if seg not in on_poly]
+    kept += [e for e, seg in zip(poly_pieces, poly_segs) if seg not in on_tri]
+    kept += [
+        (w, u, ln, dirs.reverse(did))
+        for (u, w, ln, did), seg in zip(tri_pieces, tri_segs)
+        if seg not in on_poly
+    ]
 
     if not kept:
         return []
 
     edges = sorted(kept, key=_edge_sort_key)
     starts = {}  # start point key -> indices of the edges leaving it, ascending
-    for idx, (u, _, _) in enumerate(edges):
+    for idx, (u, _, _, _) in enumerate(edges):
         starts.setdefault(_point_key(u), []).append(idx)
 
     def successor(idx: int) -> int:
-        p, q, _ = edges[idx]
-        best = None
-        best_angle: Optional[AngleVec] = None
-        for jdx in starts.get(_point_key(q), ()):
-            w = edges[jdx][1]
-            if point_on_segment(w, q, p) or point_on_segment(p, q, w):
-                raise RuntimeError("dangling boundary edge after subtraction")
-            # The region lies in the wedge swept counterclockwise from the
-            # outgoing edge to the reversed incoming edge, so the true
-            # continuation bounds the smallest such wedge; a straight pass
-            # through a pinch vertex would claim a half-plane and swallow
-            # the wedge on the other side.  The outgoing edge starts at q,
-            # so the wedge is the angle at q from w round to p.
-            angle = AngleVec.interior(p, q, w)
-            if best_angle is None or angle < best_angle:
-                best, best_angle = jdx, angle
-            elif angle == best_angle:
-                raise RuntimeError("ambiguous boundary continuation")
-        if best is None:
-            raise RuntimeError("open boundary chain after subtraction")
-        return best
+        # The region lies in the wedge swept counterclockwise from the
+        # outgoing edge to the reversed incoming edge, so the true
+        # continuation bounds the smallest such wedge; a straight pass
+        # through a pinch vertex would claim a half-plane and swallow the
+        # wedge on the other side.
+        _, q, _, did = edges[idx]
+        leaving = starts.get(_point_key(q), ())
+        return leaving[dirs.sharpest(dirs.reverse(did), [edges[j][3] for j in leaving])]
 
     used = [False] * len(edges)
     cycles: List[List[int]] = []
@@ -361,21 +551,17 @@ class _TileData:
             raise ValueError("tile sides violate the triangle inequality")
 
     def add_corners(self, builder: FieldBuilder) -> None:
-        """The cosines, sines and angles of the corners, and the least angle."""
+        """The cosines and sines of the corners.  The sides are sorted, so
+        corner 0 has the least angle."""
         sq = self.sq
         sqrt_h = builder.sqrt(self.heron16)
         self.cos = []
         self.sin = []
-        self.angles = []
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
             denom = 2 * self.s[i] * self.s[j]
-            cos_k = (sq[i] + sq[j] - sq[k]) / denom
-            sin_k = sqrt_h / denom
-            self.cos.append(cos_k)
-            self.sin.append(sin_k)
-            self.angles.append(AngleVec.between(Pt(1, 0), Pt(cos_k, sin_k)))
-        self.min_angle = min(self.angles)
+            self.cos.append((sq[i] + sq[j] - sq[k]) / denom)
+            self.sin.append(sqrt_h / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +633,9 @@ class _Searcher:
         # one Pt per distinct point, so equal points are one object: boxes are
         # built once, and the verifier in _emit meets shared vertices and edges
         self.points = {_point_key(p): p for p in v}
-        root = _Poly(
-            (v[0], v[1], v[2]),
-            (self.side_lens[0], self.side_lens[1], self.side_lens[2]),
-        )
+        self.dirs = _Directions(t)
+        lens = tuple(self.side_lens)
+        root = _Poly(v, lens, tuple(self.dirs.edge(v[i], v[(i + 1) % 3], lens[i]) for i in range(3)))
         if self._lengths_fit([root]):
             t.add_corners(self.builder)
             # depth first on an explicit stack of expansions, so the depth is
@@ -492,11 +677,9 @@ class _Searcher:
         if not self.spec.prune_lengths:
             return True
         for poly in polys:
-            verts, n = poly.verts, len(poly.verts)
-            convex = [
-                orientation(verts[i - 1], verts[i], verts[(i + 1) % n]) > 0
-                for i in range(n)
-            ]
+            n = len(poly.verts)
+            # vertex i is convex when its outgoing edge turns left
+            convex = [self.dirs.turn(poly.dirs[i - 1], poly.dirs[i]) > 0 for i in range(n)]
             for i in range(n):
                 if convex[i] and convex[(i + 1) % n] and not self._representable(poly.lens[i]):
                     self.cuts["lengths"] += 1
@@ -552,48 +735,51 @@ class _Searcher:
             self._emit(pieces)
             return
 
-        pi, vi, phi = self._canonical_vertex(frontier)
+        pi, vi = self._canonical_vertex(frontier)
         poly = frontier[pi]
-        n = len(poly.verts)
         v_at = poly.verts[vi]
-        v_next = poly.verts[(vi + 1) % n]
-        v_prev = poly.verts[(vi - 1) % n]
-        out_len = poly.lens[vi]
-        e = (v_next - v_at) / out_len
-        prev_vec = v_prev - v_at
+        dirs = self.dirs
+        # phi is the angle (e, r): from the outgoing edge round to the
+        # reversed incoming one.  A counterclockwise cycle turns through
+        # 2*pi in all, so some corner is convex, and so is the least one.
+        e, r = poly.dirs[vi], dirs.reverse(poly.dirs[vi - 1])
+        if dirs.turn(e, r) <= 0:
+            raise RuntimeError("the least frontier angle is not convex")
 
         tile = self.tile
         seen: List[Tuple[Pt, Pt]] = []
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
-            orders = [(tile.s[j], tile.s[i])]
+            orders = [(j, i)]
             if self.spec.allow_reflections:
-                orders.append((tile.s[i], tile.s[j]))
-            theta = tile.angles[k]
-            cmp = theta.compare(phi)
+                orders.append((i, j))
+            cmp = self._corner_cmp(e, r, k)
             if cmp > 0:
                 continue
-            d_dir = Pt(
-                e.x * tile.cos[k] - e.y * tile.sin[k],
-                e.x * tile.sin[k] + e.y * tile.cos[k],
-            )
-            if cmp < 0 and self.spec.prune_remainder:
-                remainder = AngleVec.between(d_dir, prev_vec)
-                if remainder < tile.min_angle:
-                    self.cuts["remainder"] += 1
-                    continue
-            for along_len, other_len in orders:
+            d = dirs.turned(e, k)
+            if cmp < 0 and self.spec.prune_remainder and self._remainder_narrow(d, r):
+                self.cuts["remainder"] += 1
+                continue
+            # the piece's sides run along e, along e turned by pi minus the
+            # corner opposite the other side, and back along d
+            for along, other in orders:
                 if self.truncated:
                     return
-                a_pt = self._shared(v_at + e * along_len)
-                x_pt = self._shared(v_at + d_dir * other_len)
+                a_pt = self._shared(v_at + dirs.scaled(e, along))
+                x_pt = self._shared(v_at + dirs.scaled(d, other))
                 if any(a_pt is a2 and x_pt is x2 for (a2, x2) in seen):
                     continue
                 seen.append((a_pt, x_pt))
                 tri = (v_at, a_pt, x_pt)
                 if not self._fits(poly, tri):
                     continue
-                new_polys = _subtract(poly, tri, (along_len, tile.s[k], other_len))
+                new_polys = _subtract(
+                    poly,
+                    tri,
+                    (tile.s[along], tile.s[k], tile.s[other]),
+                    (e, dirs.turned(e, 3 + other), dirs.reverse(d)),
+                    dirs,
+                )
                 if not self._lengths_fit(new_polys):
                     continue
                 child = frontier[:pi] + new_polys + frontier[pi + 1 :]
@@ -605,20 +791,37 @@ class _Searcher:
         """The search's one ``Pt`` equal to ``p``."""
         return self.points.setdefault(_point_key(p), p)
 
-    def _canonical_vertex(self, frontier: List[_Poly]):
-        best = None
+    def _canonical_vertex(self, frontier: List[_Poly]) -> Tuple[int, int]:
+        """(polygon index, vertex index) of the frontier vertex with the
+        least interior angle, ties broken by the vertex's x and then y."""
+        dirs = self.dirs
+        best = best_angle = best_pt = None
         for pi, poly in enumerate(frontier):
-            n = len(poly.verts)
-            for vi in range(n):
-                angle = AngleVec.interior(
-                    poly.verts[(vi - 1) % n],
-                    poly.verts[vi],
-                    poly.verts[(vi + 1) % n],
-                )
-                key = (angle, poly.verts[vi])
-                if best is None or _angle_point_less(key, best[0]):
-                    best = (key, pi, vi)
-        return best[1], best[2], best[0][0]
+            ds = poly.dirs
+            for vi, v in enumerate(poly.verts):
+                angle = (ds[vi], dirs.reverse(ds[vi - 1]))
+                if best is not None:
+                    s = dirs.compare(angle, best_angle) or _coord_sign(v, best_pt, 0) or _coord_sign(v, best_pt, 1)
+                    if s >= 0:
+                        continue
+                best, best_angle, best_pt = (pi, vi), angle, v
+        return best
+
+    def _corner_cmp(self, e: int, r: int, k: int) -> int:
+        """Sign of theta_k - phi, tile corner k's angle against the convex
+        angle phi = (e, r).  Both lie in (0, pi), so d = e turned by theta_k
+        equals r or lies clockwise of it exactly when theta_k - phi is 0 or
+        positive."""
+        d = self.dirs.turned(e, k)
+        return 0 if d == r else -self.dirs.turn(d, r)
+
+    def _remainder_narrow(self, d: int, r: int) -> bool:
+        """Whether the wedge (d, r) left beside a corner placed strictly
+        inside a convex angle is narrower than corner 0's angle, the tile's
+        least.  Both lie in (0, pi), so the wedge is narrower exactly when r
+        lies strictly clockwise of d turned by corner 0's angle."""
+        m = self.dirs.turned(d, 0)
+        return m != r and self.dirs.turn(m, r) < 0
 
     def _fits(self, poly: _Poly, tri: Tuple[Pt, Pt, Pt]) -> bool:
         """Whether the placed triangle ``tri`` lies inside ``poly`` with no
@@ -642,7 +845,10 @@ class _Searcher:
         meets its open interior, so such a placement is refused here.
         """
         n = len(poly.verts)
+        past = _box_sides(poly.verts, tri, strict=False)
         for idx in range(n):
+            if past[idx] & past[(idx + 1) % n]:
+                continue  # the edge's box is apart from the triangle's or touches it
             seg = (poly.verts[idx], poly.verts[(idx + 1) % n])
             if not (_separated(tri, 1, seg) or _separated(seg, 1, tri)):
                 return False
@@ -664,13 +870,6 @@ class _Searcher:
             and len(self.results) >= self.spec.max_results
         ):
             self.truncated_by = "results"
-
-
-def _angle_point_less(key_a, key_b) -> bool:
-    """Whether the (angle, vertex) key_a sorts first: by angle, then by the
-    vertex's x and y."""
-    (angle_a, a), (angle_b, b) = key_a, key_b
-    return (angle_a.compare(angle_b) or _coord_sign(a, b, 0) or _coord_sign(a, b, 1)) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -713,6 +713,30 @@ class TestFilterDifferential:
                         assert _outcome(x._region) == _outcome(y._region), (kind, k)
         assert decided > 0
 
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_area_sign(self, radicands, exact_calls):
+        """``_area_sign`` agrees with the exact shoelace sum on seeded
+        polygons of 3 to 7 corners, either way round, at every scale; it
+        decides generic ones in range without exact products, and falls back
+        on collinear and near-collinear triangles and out of range."""
+        cases = _FilterCases(radicands, seed=60 + len(radicands))
+        decided = 0
+        for kind in ("generic", "collinear", "near_collinear"):
+            if kind == "near_collinear" and not cases.pell:
+                continue
+            for size in range(3, 8):
+                base = getattr(cases, kind)() if size == 3 else [cases.point() for _ in range(size)]
+                for k in FILTER_SCALES:
+                    pts = _scaled(base, k)
+                    for verts in (pts, pts[::-1], pts[1:] + pts[:1]):
+                        want = polygon_area(verts).sign()
+                        got, fell_back = _fell_back(exact_calls, geom._area_sign, verts)
+                        assert got == want, (kind, size, k)
+                        if k in OUT_OF_RANGE or (size == 3 and kind != "generic"):
+                            assert fell_back, (kind, size, k)
+                        decided += not fell_back
+        assert decided > 0
+
     def test_nested_coordinates_filter(self, exact_calls):
         """Nested coordinates have float boxes too: generic cases are decided
         by the float bound and agree with the exact path; a collinear one
@@ -818,3 +842,28 @@ class TestFilterDifferential:
                 mids = [list(m) for m in good]
                 mids[k][j] = bad
                 assert geom._fsign(*mids) == 0 and geom._fsign(*mids, dot=True) == 0, (k, j)
+
+
+class TestAreaSign:
+    """``_area_sign`` on hand-built polygons: the float bound decides a
+    plain one, and the exact sum decides one too thin for the bound and one
+    beyond the float range."""
+
+    SQUARE = [P(0, 0), P(1, 0), P(1, 1), P(0, 1)]
+
+    def test_decided_by_the_bound(self, exact_calls):
+        for verts, want in ((self.SQUARE, 1), (self.SQUARE[::-1], -1)):
+            assert _fell_back(exact_calls, geom._area_sign, verts) == (want, False)
+
+    def test_too_thin_for_the_bound(self, exact_calls):
+        sliver = [P(0, 0), P(1, 0), Pt(Fraction(1, 2), Fraction(1, 10**40))]
+        line = [P(0, 0), P(1, 0), P(2, 0)]
+        for verts, want in ((sliver, 1), (sliver[::-1], -1), (line, 0)):
+            assert polygon_area(verts).sign() == want
+            assert _fell_back(exact_calls, geom._area_sign, verts) == (want, True)
+
+    def test_beyond_the_float_range(self, exact_calls):
+        big = [Pt(p.x * 10**400, p.y * 10**400) for p in self.SQUARE]
+        assert big[1]._centre() is None
+        for verts, want in ((big, 1), (big[::-1], -1)):
+            assert _fell_back(exact_calls, geom._area_sign, verts) == (want, True)

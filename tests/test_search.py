@@ -50,12 +50,14 @@ from equicut.geom import (
     Location,
     Pt,
     Triangle,
+    _area_sign,
     orientation,
     point_in_polygon,
     point_on_segment,
     polygon_area,
 )
 from equicut.search import (
+    _Directions,
     _edge_sort_key,
     _Poly,
     _Searcher,
@@ -312,6 +314,12 @@ class TestNamedTrianglePins:
         "legs-1:2": LEGS_ONE_TWO,
         "right-isoceles": RIGHT_ISOCELES,
     }
+    COUNTS = {
+        "30-60-90": (2, 3, 4),
+        "equilateral": (2, 3, 4, 5, 9),
+        "legs-1:2": (2, 3, 4),
+        "right-isoceles": (3, 8),
+    }
 
     @pytest.mark.parametrize(
         "name,m,nodes,results",
@@ -362,6 +370,29 @@ class TestNamedTrianglePins:
         out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
         assert out.complete
         assert (out.nodes, len(out.dissections)) == (nodes, results)
+
+
+class TestSearchesPastTheFloatRange:
+    """Right triangles whose points have no float box (coordinates near
+    10**400), or whose float products underflow (a leg near 2*10**-200), so
+    every box and float filter of the search falls through to its exact
+    test.  The counts were taken before the search had float filters."""
+
+    def test_no_box(self):
+        t = 10**400
+        region = canonical_triangle(Fraction(t * t - 1, 2 * t), Fraction(t * t + 1, 2 * t))
+        assert any(not v._floats() for v in region.vertices)
+        out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, 4), m=4))
+        assert out.complete and (out.nodes, len(out.dissections)) == (7, 2)
+        assert out.stats["cuts"] == {"remainder": 0, "lengths": 1}
+
+    @pytest.mark.parametrize("m, nodes, results, lengths", [(2, 0, 0, 1), (4, 8, 2, 2), (9, 43, 8, 12)])
+    def test_underflow(self, m, nodes, results, lengths):
+        t = 10**200
+        region = canonical_triangle(Fraction(t * t - 1, t * t + 1), Fraction(2 * t, t * t + 1))
+        out = search_dissections(SearchSpec(region=region, tile=similar_tile(region, m), m=m))
+        assert out.complete and (out.nodes, len(out.dissections)) == (nodes, results)
+        assert out.stats["cuts"] == {"remainder": 0, "lengths": lengths}
 
 
 class TestPruningSoundness:
@@ -1093,7 +1124,7 @@ def _merge_cycle_reference(segs):
         raise RuntimeError("boundary cycle with fewer than three corners")
     if polygon_area(verts).sign() <= 0:
         raise RuntimeError("boundary cycle is not counterclockwise")
-    return _Poly(verts, tuple(lens))
+    return _Poly(verts, tuple(lens), ())
 
 
 def _subtract_reference(poly, tri, tri_lens):
@@ -1181,17 +1212,121 @@ SUBTRACT_CASES = (
 
 
 
+def _edge_dirs(dirs, verts, lens):
+    """The direction ids of a cycle's edges, each from its length."""
+    n = len(verts)
+    return tuple(dirs.edge(verts[i], verts[(i + 1) % n], lens[i]) for i in range(n))
+
+
+def _assert_grounded(dirs, polys):
+    """Each edge's direction id names the edge's own unit vector."""
+    for poly in polys:
+        n = len(poly.verts)
+        for i in range(n):
+            edge = poly.verts[(i + 1) % n] - poly.verts[i]
+            assert dirs.vecs[poly.dirs[i]] * poly.lens[i] == edge
+
+
+def _tile_angle(tile, k):
+    return AngleVec.between(Pt(1, 0), Pt(tile.cos[k], tile.sin[k]))
+
+
+def _canonical_reference(frontier):
+    """``_Searcher._canonical_vertex`` as it was before the direction table:
+    the least ``AngleVec.interior`` of the points, ties broken by exact x
+    and then y."""
+    best = None
+    for pi, poly in enumerate(frontier):
+        n = len(poly.verts)
+        for vi, v in enumerate(poly.verts):
+            angle = AngleVec.interior(poly.verts[vi - 1], v, poly.verts[(vi + 1) % n])
+            if best is None or (
+                angle.compare(best[0]) or (v.x - best[1].x).sign() or (v.y - best[1].y).sign()
+            ) < 0:
+                best = (angle, v, (pi, vi))
+    return best[2]
+
+
+def _sharpest_reference(dirs, back, outs):
+    """The least ``AngleVec.between(out, back)``, as ``_subtract``'s walk
+    chose it before the direction table."""
+    angles = [AngleVec.between(dirs.vecs[o], dirs.vecs[back]) for o in outs]
+    best = min(range(len(outs)), key=lambda idx: angles[idx])
+    assert sum(angle == angles[best] for angle in angles) == 1
+    return best
+
+
+def _checked_decisions(patch, calls):
+    """Patch the search's angle decisions so each is checked against an
+    ``AngleVec`` reference on the points or on the table's unit vectors,
+    counting each kind in ``calls``.  The canonical vertex is checked on the
+    frontier's points, with every edge's direction id grounded in its own
+    edge; each corner's theta-vs-phi sign, each remainder verdict and each
+    continuation of ``_subtract``'s walk on the table's unit vectors."""
+    canonical = _Searcher._canonical_vertex
+    corner_cmp = _Searcher._corner_cmp
+    narrow = _Searcher._remainder_narrow
+    sharpest = _Directions.sharpest
+    phis = set()  # the (e, r) angles of the canonical vertices met
+
+    def checked_canonical(self, frontier):
+        out = canonical(self, frontier)
+        assert out == _canonical_reference(frontier)
+        _assert_grounded(self.dirs, frontier)
+        poly = frontier[out[0]]
+        e, back = poly.dirs[out[1]], poly.dirs[out[1] - 1]
+        r = self.dirs.reverse(back)
+        assert self.dirs.vecs[r] == -self.dirs.vecs[back]
+        phis.add((e, r))
+        calls["canonical"] += 1
+        return out
+
+    def checked_corner_cmp(self, e, r, k):
+        out = corner_cmp(self, e, r, k)
+        assert (e, r) in phis
+        u, d = self.dirs.vecs[e], self.dirs.vecs[self.dirs.turned(e, k)]
+        c, s = self.tile.cos[k], self.tile.sin[k]
+        assert d == Pt(u.x * c - u.y * s, u.x * s + u.y * c)
+        phi = AngleVec.between(u, self.dirs.vecs[r])
+        assert out == _tile_angle(self.tile, k).compare(phi)
+        calls["corner"] += 1
+        return out
+
+    def checked_narrow(self, d, r):
+        out = narrow(self, d, r)
+        least = min(_tile_angle(self.tile, k) for k in range(3))
+        assert out == (AngleVec.between(self.dirs.vecs[d], self.dirs.vecs[r]) < least)
+        calls["remainder"] += 1
+        return out
+
+    def checked_sharpest(self, back, outs):
+        out = sharpest(self, back, outs)
+        assert out == _sharpest_reference(self, back, outs)
+        calls["successor"] += 1
+        return out
+
+    patch.setattr(_Searcher, "_canonical_vertex", checked_canonical)
+    patch.setattr(_Searcher, "_corner_cmp", checked_corner_cmp)
+    patch.setattr(_Searcher, "_remainder_narrow", checked_narrow)
+    patch.setattr(_Directions, "sharpest", checked_sharpest)
+
+
+_DECISIONS = ("canonical", "corner", "remainder", "successor")
+
+
 @pytest.fixture(scope="module")
 def checked_calls():
     """Run the ``SUBTRACT_CASES`` searches once with ``_subtract``,
     ``_Searcher._fits`` and ``_merge_cycle`` each checked against its
-    reference on every call; the number of calls of each."""
-    calls = {"subtract": 0, "fits": 0, "merge": 0}
+    reference on every call, and with the angle decisions checked by
+    ``_checked_decisions``; the number of calls of each."""
+    calls = dict.fromkeys(("subtract", "fits", "merge") + _DECISIONS, 0)
     subtract, fits, merge = search_module._subtract, _Searcher._fits, search_module._merge_cycle
 
-    def checked_subtract(poly, tri, tri_lens):
-        out = subtract(poly, tri, tri_lens)
+    def checked_subtract(poly, tri, tri_lens, tri_dirs, dirs):
+        out = subtract(poly, tri, tri_lens, tri_dirs, dirs)
         assert _polygons(out) == _polygons(_subtract_reference(poly, tri, tri_lens))
+        _assert_grounded(dirs, out)
         calls["subtract"] += 1
         return out
 
@@ -1203,7 +1338,8 @@ def checked_calls():
 
     def checked_merge(segs):
         out = merge(segs)
-        assert _polygons([out]) == _polygons([_merge_cycle_reference(segs)])
+        assert _polygons([out]) == _polygons([_merge_cycle_reference([s[:3] for s in segs])])
+        assert _area_sign(out.verts) == polygon_area(out.verts).sign()
         calls["merge"] += 1
         return out
 
@@ -1211,12 +1347,35 @@ def checked_calls():
         patch.setattr(search_module, "_subtract", checked_subtract)
         patch.setattr(_Searcher, "_fits", checked_fits)
         patch.setattr(search_module, "_merge_cycle", checked_merge)
+        _checked_decisions(patch, calls)
         for region, m in SUBTRACT_CASES:
             search_dissections(
                 SearchSpec(
                     region=region, tile=similar_tile(region, m), m=m, prune_lengths=False
                 )
             )
+    return calls
+
+
+@pytest.fixture(scope="module")
+def checked_pins():
+    """The ``TestNamedTrianglePins`` searches, with the length prune off and
+    on, with the angle decisions checked by ``_checked_decisions``; the
+    number of decisions of each kind."""
+    calls = dict.fromkeys(_DECISIONS, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        _checked_decisions(patch, calls)
+        for name, region in TestNamedTrianglePins.REGIONS.items():
+            for m in TestNamedTrianglePins.COUNTS[name]:
+                for prune_lengths in (False, True):
+                    search_dissections(
+                        SearchSpec(
+                            region=region,
+                            tile=similar_tile(region, m),
+                            m=m,
+                            prune_lengths=prune_lengths,
+                        )
+                    )
     return calls
 
 
@@ -1230,6 +1389,13 @@ class TestSubtractAgainstReference:
     def test_every_merge_of_the_searches(self, checked_calls):
         assert checked_calls["merge"] == 628
 
+    def test_every_angle_decision_of_the_searches(self, checked_calls):
+        assert [checked_calls[k] for k in _DECISIONS] == [653, 1959, 681, 3889]
+
+    def test_every_angle_decision_of_the_named_pins(self, checked_pins):
+        # one canonical vertex per node with a frontier left, three corners each
+        assert [checked_pins[k] for k in _DECISIONS] == [215, 645, 153, 1112]
+
     def test_pinch_vertex_inside_a_straight_edge(self):
         # The frontier touches itself at (2, 0): a wedge below meets the
         # straight edge from (0, 0) to (4, 0) there, a vertex of one pass and
@@ -1238,12 +1404,17 @@ class TestSubtractAgainstReference:
         coords = [(0, -2), (5, -2), (5, 2), (0, 2), (0, 0), (4, 0), (4, -1), (3, -1),
                   (2, 0), (1, -1), (0, -1)]
         lens = [5, 4, 5, 2, 4, 1, 1, r2, r2, 1, 1]
-        poly = _Poly(tuple(Pt(x, y) for x, y in coords), tuple(exactify(ln) for ln in lens))
+        verts = tuple(Pt(x, y) for x, y in coords)
+        lens = tuple(exactify(ln) for ln in lens)
         tri = (Pt(1, 0), Pt(3, 0), Pt(2, 1))
         tri_lens = (exactify(2), r2, r2)
+        dirs = _Directions(None)
+        poly = _Poly(verts, lens, _edge_dirs(dirs, verts, lens))
         want = _subtract_reference(poly, tri, tri_lens)
         assert len(want) == 1 and len(want[0].verts) == 14
-        assert _polygons(search_module._subtract(poly, tri, tri_lens)) == _polygons(want)
+        got = search_module._subtract(poly, tri, tri_lens, _edge_dirs(dirs, tri, tri_lens), dirs)
+        assert _polygons(got) == _polygons(want)
+        _assert_grounded(dirs, got)
 
 
 # (name, segment, whether the open segment meets the open interior of
@@ -1275,4 +1446,4 @@ class TestPlacementAgainstReference:
             tri = tuple(corners[r:] + corners[:r])
             for a, b in ((p, q), (q, p)):
                 assert _segment_meets_triangle_interior(a, b, tri) == meets
-                assert _Searcher._fits(None, _Poly((a, b), ()), tri) == (not meets)
+                assert _Searcher._fits(None, _Poly((a, b), (), ()), tri) == (not meets)
