@@ -4,12 +4,14 @@ triangular tiles, for small m.
 
 For each (region, m) pair the search places one similar tile of the right
 area at a time, always at the uncovered corner with the smallest angle, so
-every dissection is found exactly once.  Three sound rules cut branches
-that cannot complete.  One of them is a length rule: an uncovered edge
-between two convex corners must be a sum of whole tile sides.  A non-square
-m often fails it at the root, so the search there expands no node at all;
-the last column gives the node count with that rule switched off.  Small
-piece counts are already interesting:
+every dissection is found exactly once.  Two sound rules cut branches
+that cannot complete.  The remainder rule: a corner placed at a vertex
+must leave a wedge no narrower than the tile's least angle.  The length
+rule: an uncovered edge between two convex corners must be a sum of whole
+tile sides.  A non-square m often fails the length rule at the root, so
+the search there expands no node at all; the last column gives the node
+count with that rule switched off.  Small piece counts are already
+interesting:
 
   * m=2 works only when the region is isoceles or right (cut along an
     axis of symmetry or an altitude);

@@ -401,9 +401,6 @@ class Isometry:
             self.sin_t * x + self.cos_t * y + self.ty,
         )
 
-    def apply_triangle(self, tri: Triangle) -> Triangle:
-        return Triangle(self.apply(tri.va), self.apply(tri.vb), self.apply(tri.vc))
-
 
 def _same_multiset(xs: Sequence, ys: Sequence) -> bool:
     """Whether xs and ys hold equal values equally often, by ``==`` alone."""

@@ -42,11 +42,16 @@ Angles come from a per-search table of unit edge directions
 (``_Directions``).  Each frontier edge carries its direction's id, so the
 interior angle at a vertex is the pair (outgoing id, reversed incoming id),
 a placement adds tabled vectors to the vertex, and each comparison of two
-such angles is decided once per search, by certified or exact signs.
-Float boxes only skip tests that cannot succeed: ``_fits`` skips frontier
-edges whose boxes are apart from the placed triangle's, ``_subtract`` keeps
-such edges whole, and ``_merge_cycle``'s orientation check certifies its
-area sign from floats (``geom._area_sign``) before any exact sum.
+such angles is decided once per search, by ``AngleVec``.  All values of a
+search come from one ``FieldBuilder`` chain, where ``_value_key`` is
+canonical, and the search interns by it: two ids are equal exactly when
+their directions are, and equal points are one ``Pt``.  So ``_merge_cycle``
+merges edges that share an id, and ``_subtract`` matches points by
+identity.  Float boxes only skip tests that cannot succeed: ``_fits``
+skips frontier edges whose boxes are apart from the placed triangle's,
+``_subtract`` keeps such edges whole, and ``_merge_cycle``'s orientation
+check certifies its area sign from floats (``geom._area_sign``) before any
+exact sum.
 
 ``complete=True`` on the outcome certifies the returned list is exhaustive.
 """
@@ -63,6 +68,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
     _ORIGIN,
+    AngleVec,
     Isometry,
     Pt,
     Triangle,
@@ -190,15 +196,15 @@ class _Directions:
     0, 1, 2), by pi minus the angle t - 3 (t = 3, 4, 5) or by pi (t =
     ``_REVERSE``), each built on first use; ``scaled(d, j)`` is the vector
     along d as long as tile side j.  Every value of one search comes from
-    its one ``FieldBuilder``, so equal directions there share an id; a
-    differing id proves nothing, and the signs below still decide.
+    its one ``FieldBuilder`` chain, where ``_value_key`` is canonical, so
+    equal directions have equal keys: two ids are equal exactly when their
+    directions are.
 
     An *angle* is a pair (a, b) of ids, the counterclockwise angle in
-    (0, 2*pi) from direction a to direction b.  ``turn`` gives the sign of
-    a cross product of two unit vectors, from ``_fsign`` when it certifies
-    one, else exactly; ``compare`` orders two angles by their halves of the
-    turn and then by their cosines a . b, which need no squares since the
-    vectors are units.  Both are memoised per search.
+    (0, 2*pi) from direction a to direction b; it is zero exactly when a ==
+    b.  ``turn`` gives the sign of a cross product of two unit vectors,
+    from ``_fsign`` when it certifies one, else exactly; ``compare`` orders
+    two angles by ``AngleVec.between``.  Both are memoised per search.
     """
 
     def __init__(self, tile: Optional[_TileData]):
@@ -257,40 +263,14 @@ class _Directions:
             self.turns[(a, b)], self.turns[(b, a)] = s, -s
         return s
 
-    def half(self, angle: Tuple[int, int]) -> Optional[int]:
-        """0 for an angle in (0, pi), 1 for pi, 2 for (pi, 2*pi), None for a
-        zero angle."""
-        a, b = angle
-        s = self.turn(a, b)
-        if s:
-            return 0 if s > 0 else 2
-        if a == b:
-            return None
-        u, w = self.vecs[a], self.vecs[b]
-        dot = _fsign(_ORIGIN, u._centre(), w._centre(), dot=True) or u.dot(w).sign()
-        return 1 if dot < 0 else None
-
     def compare(self, x: Tuple[int, int], y: Tuple[int, int]) -> int:
         """Sign of angle x minus angle y; neither may be zero."""
         if x == y:
             return 0
         s = self.order.get((x, y))
         if s is None:
-            hx, hy = self.half(x), self.half(y)
-            if hx is None or hy is None:
-                raise ValueError("zero angle has no direction")
-            if hx != hy:
-                s = 1 if hx > hy else -1
-            elif hx == 1:
-                s = 0
-            else:
-                (a, b), (c, d) = x, y
-                v = self.vecs
-                s = (v[c].dot(v[d]) - v[a].dot(v[b])).sign()
-                # the angle grows as its cosine falls in (0, pi), and as it
-                # rises in (pi, 2*pi)
-                if hx == 2:
-                    s = -s
+            v = self.vecs
+            s = AngleVec.between(v[x[0]], v[x[1]]).compare(AngleVec.between(v[y[0]], v[y[1]]))
             self.order[(x, y)], self.order[(y, x)] = s, -s
         return s
 
@@ -300,9 +280,9 @@ class _Directions:
         reverse of ``back``."""
         best = best_angle = None
         for idx, out in enumerate(outs):
-            angle = (out, back)
-            if self.half(angle) is None:
+            if out == back:
                 raise RuntimeError("dangling boundary edge after subtraction")
+            angle = (out, back)
             s = -1 if best is None else self.compare(angle, best_angle)
             if s == 0:
                 raise RuntimeError("ambiguous boundary continuation")
@@ -320,7 +300,8 @@ class _Poly:
     ``lens[i]`` caches the exact length of the edge from ``verts[i]`` to
     ``verts[i+1]``, and ``dirs[i]`` its direction's id in the search's
     ``_Directions``; lengths always stay inside the search field because new
-    edges are tile sides and splits/merges only rescale rationally.  The
+    edges are tile sides, a split piece's length is a difference of dot
+    products with a tabled unit vector, and a merge adds lengths.  The
     cycle may revisit a pinch vertex, but edges never properly cross.
     """
 
@@ -351,10 +332,13 @@ def _box_sides(points: Sequence[Pt], tri: Tuple[Pt, Pt, Pt], strict: bool) -> Li
     return masks
 
 
-def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
-    """Split the directed segment (p, q) at every candidate point strictly
-    inside it, returning consecutive (start, end, exact length) pieces.
-    Points are told apart by identity: a search keeps one ``Pt`` per point."""
+def _split_edge(p: Pt, q: Pt, length: TowerReal, unit: Pt, candidates: Sequence[Pt]):
+    """Split the directed segment (p, q), ``length`` long along the unit
+    vector ``unit``, at every candidate point strictly inside it, returning
+    consecutive (start, end, exact length) pieces.  An inner point c lies
+    t = (c - p) . unit along the segment, so the pieces' lengths are the
+    differences of t.  Points are told apart by identity: a search keeps
+    one ``Pt`` per point."""
     inside = []
     for c in candidates:
         if c is p or c is q or any(c is s for s in inside):
@@ -363,14 +347,11 @@ def _split_edge(p: Pt, q: Pt, length: TowerReal, candidates: Sequence[Pt]):
             inside.append(c)
     if not inside:
         return [(p, q, length)]
-    dvec = q - p
-    den = dvec.norm_sq()
-    inside.sort(key=lambda c: (c - p).dot(dvec))
-    points = [p] + inside + [q]
-    pieces = []
-    for u, w in zip(points, points[1:]):
-        piece_len = length * ((w - u).dot(dvec)) / den
-        pieces.append((u, w, piece_len))
+    cut = sorted((((c - p).dot(unit), c) for c in inside), key=lambda tc: tc[0])
+    pieces, u, t_u = [], p, 0
+    for t_w, w in cut + [(length, q)]:
+        pieces.append((u, w, t_w - t_u))
+        u, t_u = w, t_w
     return pieces
 
 
@@ -393,13 +374,9 @@ def _merge_cycle(segs) -> _Poly:
     length, direction id) edges into single edges and return the resulting
     counterclockwise polygon."""
     n = len(segs)
-    # the edges are nondegenerate, so edge i - 1 runs straight on into edge i
-    # exactly when its end u lies on the segment from its start to w, as it
-    # does when the two share a direction id
-    straight = [
-        segs[i - 1][3] == did or point_on_segment(u, segs[i - 1][0], w)
-        for i, (u, w, _, did) in enumerate(segs)
-    ]
+    # edge i - 1 runs straight on into edge i exactly when the two share a
+    # direction id, since a search's ids name its directions one to one
+    straight = [segs[i - 1][3] == seg[3] for i, seg in enumerate(segs)]
     start = next((i for i in range(n) if not straight[i]), None)
     if start is None:
         raise RuntimeError("boundary cycle degenerated to a line")
@@ -450,17 +427,20 @@ def _subtract(
     it is kept whole without a test.
 
     A piece is covered exactly when the other edge set has the same piece,
-    found by the points' hashed keys.  Every value in one search comes from
-    the search's one ``FieldBuilder``, so equal points there have equal keys;
-    and the search keeps one ``Pt`` per key, so equal points are one object.
+    and the walk continues from an edge's end along the edges that start at
+    that point; both match points by identity.  Every value in one search
+    comes from the search's one ``FieldBuilder`` chain, where ``_value_key``
+    is canonical, and the search keeps one ``Pt`` per key, so equal points
+    are one object.
     """
     verts, n = poly.verts, len(poly.verts)
     past = _box_sides(verts, tri, strict=True)
     near = [v for v, side in zip(verts, past) if not side]
-    tri_split = [
-        [piece + (did,) for piece in _split_edge(tri[k], tri[(k + 1) % 3], tri_lens[k], near)]
-        for k, did in enumerate(tri_dirs)
-    ]
+
+    def split(p, q, length, did, at):
+        return [piece + (did,) for piece in _split_edge(p, q, length, dirs.vecs[did], at)]
+
+    tri_split = [split(tri[k], tri[(k + 1) % 3], tri_lens[k], did, near) for k, did in enumerate(tri_dirs)]
     # Polygon vertices inside a triangle edge.  A pinch vertex that a straight
     # pass merged away can also lie inside a polygon edge along that triangle
     # edge; splitting there too keeps the two sides' pieces identical.
@@ -472,11 +452,11 @@ def _subtract(
         if past[i] & past[(i + 1) % n]:
             kept.append((p, q, poly.lens[i], did))
         else:
-            poly_pieces += [piece + (did,) for piece in _split_edge(p, q, poly.lens[i], cuts)]
+            poly_pieces += split(p, q, poly.lens[i], did, cuts)
     tri_pieces = [piece for pieces in tri_split for piece in pieces]
 
     def segments(pieces):  # undirected: a piece matches in either order
-        return [frozenset((_point_key(u), _point_key(w))) for u, w, _, _ in pieces]
+        return [frozenset((id(u), id(w))) for u, w, _, _ in pieces]
 
     poly_segs, tri_segs = segments(poly_pieces), segments(tri_pieces)
     on_tri, on_poly = set(tri_segs), set(poly_segs)
@@ -491,9 +471,9 @@ def _subtract(
         return []
 
     edges = sorted(kept, key=_edge_sort_key)
-    starts = {}  # start point key -> indices of the edges leaving it, ascending
+    starts = {}  # id(start point) -> indices of the edges leaving it, ascending
     for idx, (u, _, _, _) in enumerate(edges):
-        starts.setdefault(_point_key(u), []).append(idx)
+        starts.setdefault(id(u), []).append(idx)
 
     def successor(idx: int) -> int:
         # The region lies in the wedge swept counterclockwise from the
@@ -502,7 +482,7 @@ def _subtract(
         # through a pinch vertex would claim a half-plane and swallow the
         # wedge on the other side.
         _, q, _, did = edges[idx]
-        leaving = starts.get(_point_key(q), ())
+        leaving = starts.get(id(q), ())
         return leaving[dirs.sharpest(dirs.reverse(did), [edges[j][3] for j in leaving])]
 
     used = [False] * len(edges)

@@ -302,7 +302,7 @@ class TestCongruence:
             TowerReal.from_rational(2),
             TowerReal.from_rational(-1),
         )
-        assert congruent(UNIT_RIGHT, rot.apply_triangle(UNIT_RIGHT))
+        assert congruent(UNIT_RIGHT, Triangle(*map(rot.apply, UNIT_RIGHT.vertices)))
 
     def test_reflection_counts(self):
         scalene = Triangle(P(0, 0), P(3, 0), P(1, 2))
@@ -324,7 +324,7 @@ class TestCongruence:
     def test_irrational_rotation(self):
         r2 = sqrt_adjoin(2)
         rot = Isometry(r2 / 2, r2 / 2, False, TowerReal.from_rational(0), TowerReal.from_rational(0))
-        assert congruent(UNIT_RIGHT, rot.apply_triangle(UNIT_RIGHT))
+        assert congruent(UNIT_RIGHT, Triangle(*map(rot.apply, UNIT_RIGHT.vertices)))
 
 
 class TestIsometry:

@@ -61,7 +61,6 @@ from equicut.search import (
     _edge_sort_key,
     _Poly,
     _Searcher,
-    _split_edge,
     SearchSpec,
     region_symmetries,
     search_dissections,
@@ -859,7 +858,8 @@ def _min_key_quotient(region, results):
     kept, seen_keys = [], []
     for d in results:
         orbit_key = min(
-            (_piece_multiset_key([iso.apply_triangle(p) for p in d.pieces]) for iso in group)
+            _piece_multiset_key([Triangle(*map(iso.apply, p.vertices)) for p in d.pieces])
+            for iso in group
         )
         if not any(orbit_key == k for k in seen_keys):
             seen_keys.append(orbit_key)
@@ -905,7 +905,7 @@ def _per_piece_quotient(region, results):
     kept, seen = [], set()
     for d in results:
         orbit = frozenset(
-            frozenset(_hashed_pieces([iso.apply_triangle(p) for p in d.pieces]).items())
+            frozenset(_hashed_pieces([Triangle(*map(iso.apply, p.vertices)) for p in d.pieces]).items())
             for iso in group
         )
         if orbit not in seen:
@@ -1127,8 +1127,27 @@ def _merge_cycle_reference(segs):
     return _Poly(verts, tuple(lens), ())
 
 
+def _split_edge_reference(p, q, length, candidates):
+    """``search._split_edge`` as it was before it took the edge's unit
+    vector: inner points ordered along q - p, and each piece's length a
+    share of the edge's by a division."""
+    inside = []
+    for c in candidates:
+        if c is p or c is q or any(c is s for s in inside):
+            continue
+        if point_on_segment(c, p, q):
+            inside.append(c)
+    if not inside:
+        return [(p, q, length)]
+    dvec = q - p
+    den = dvec.norm_sq()
+    inside.sort(key=lambda c: (c - p).dot(dvec))
+    points = [p] + inside + [q]
+    return [(u, w, length * (w - u).dot(dvec) / den) for u, w in zip(points, points[1:])]
+
+
 def _subtract_reference(poly, tri, tri_lens):
-    """``search._subtract`` as it was before it matched pieces by point keys:
+    """``search._subtract`` as it was before it matched pieces by their ends:
     a piece is covered when its midpoint lies on an edge of the other set,
     and a boundary walk scans every edge for a continuation."""
     n = len(poly.verts)
@@ -1142,12 +1161,12 @@ def _subtract_reference(poly, tri, tri_lens):
     ]
     kept = []
     for p, q, length in poly_edges:
-        for u, w, piece_len in _split_edge(p, q, length, list(tri)):
+        for u, w, piece_len in _split_edge_reference(p, q, length, list(tri)):
             mid = (u + w) / 2
             if not any(point_on_segment(mid, t0, t1) for (t0, t1, _) in tri_edges):
                 kept.append((u, w, piece_len))
     for p, q, length in tri_edges:
-        for u, w, piece_len in _split_edge(p, q, length, list(poly.verts)):
+        for u, w, piece_len in _split_edge_reference(p, q, length, list(poly.verts)):
             mid = (u + w) / 2
             if not any(point_on_segment(mid, e0, e1) for (e0, e1, _) in poly_edges):
                 kept.append((w, u, piece_len))
@@ -1256,13 +1275,23 @@ def _sharpest_reference(dirs, back, outs):
     return best
 
 
+def _assert_table(dirs):
+    """The table's vectors are units and pairwise unequal, so two ids are
+    equal exactly when their directions are."""
+    vecs = dirs.vecs
+    assert all(v.norm_sq() == 1 for v in vecs)
+    assert not any(u == w for k, u in enumerate(vecs) for w in vecs[:k])
+
+
 def _checked_decisions(patch, calls):
     """Patch the search's angle decisions so each is checked against an
     ``AngleVec`` reference on the points or on the table's unit vectors,
     counting each kind in ``calls``.  The canonical vertex is checked on the
     frontier's points, with every edge's direction id grounded in its own
     edge; each corner's theta-vs-phi sign, each remainder verdict and each
-    continuation of ``_subtract``'s walk on the table's unit vectors."""
+    continuation of ``_subtract``'s walk on the table's unit vectors.  After
+    each search, its direction table is checked by ``_assert_table``."""
+    run = _Searcher.run
     canonical = _Searcher._canonical_vertex
     corner_cmp = _Searcher._corner_cmp
     narrow = _Searcher._remainder_narrow
@@ -1305,6 +1334,14 @@ def _checked_decisions(patch, calls):
         calls["successor"] += 1
         return out
 
+    def checked_run(self):
+        out = run(self)
+        if self.tile is not None:
+            _assert_table(self.dirs)
+            calls["tables"] += 1
+        return out
+
+    patch.setattr(_Searcher, "run", checked_run)
     patch.setattr(_Searcher, "_canonical_vertex", checked_canonical)
     patch.setattr(_Searcher, "_corner_cmp", checked_corner_cmp)
     patch.setattr(_Searcher, "_remainder_narrow", checked_narrow)
@@ -1320,7 +1357,7 @@ def checked_calls():
     ``_Searcher._fits`` and ``_merge_cycle`` each checked against its
     reference on every call, and with the angle decisions checked by
     ``_checked_decisions``; the number of calls of each."""
-    calls = dict.fromkeys(("subtract", "fits", "merge") + _DECISIONS, 0)
+    calls = dict.fromkeys(("subtract", "fits", "merge", "tables") + _DECISIONS, 0)
     subtract, fits, merge = search_module._subtract, _Searcher._fits, search_module._merge_cycle
 
     def checked_subtract(poly, tri, tri_lens, tri_dirs, dirs):
@@ -1361,8 +1398,8 @@ def checked_calls():
 def checked_pins():
     """The ``TestNamedTrianglePins`` searches, with the length prune off and
     on, with the angle decisions checked by ``_checked_decisions``; the
-    number of decisions of each kind."""
-    calls = dict.fromkeys(_DECISIONS, 0)
+    number of decisions of each kind and of tables checked."""
+    calls = dict.fromkeys(("tables",) + _DECISIONS, 0)
     with pytest.MonkeyPatch.context() as patch:
         _checked_decisions(patch, calls)
         for name, region in TestNamedTrianglePins.REGIONS.items():
@@ -1395,6 +1432,12 @@ class TestSubtractAgainstReference:
     def test_every_angle_decision_of_the_named_pins(self, checked_pins):
         # one canonical vertex per node with a frontier left, three corners each
         assert [checked_pins[k] for k in _DECISIONS] == [215, 645, 153, 1112]
+
+    def test_every_direction_table(self, checked_calls, checked_pins):
+        # one table per search, each of units that are pairwise unequal; the
+        # pins are 13 (triangle, m) pairs, each with the length prune off and on
+        assert checked_calls["tables"] == len(SUBTRACT_CASES)
+        assert checked_pins["tables"] == 26
 
     def test_pinch_vertex_inside_a_straight_edge(self):
         # The frontier touches itself at (2, 0): a wedge below meets the
