@@ -161,11 +161,22 @@ def _cmd_analyze(args) -> int:
 # standard
 
 
-def _svg_text(dissection) -> str:
+def _write_pair(out: Path, stem: str, dissection) -> Path:
+    """Write ``stem``.json and ``stem``.svg into ``out``, made if missing,
+    and return the JSON's path.  The SVG is drawn first, so a drawing past
+    the float range writes nothing."""
     try:
-        return dissection_svg(dissection)
+        svg = dissection_svg(dissection)
     except (OverflowError, ValueError) as exc:  # ValueError: a NaN view box
         raise _UsageError("cannot draw SVG: the drawing exceeds the float range") from exc
+    json_path = out / f"{stem}.json"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        json_path.write_text(dissection_to_json_str(dissection))
+        (out / f"{stem}.svg").write_text(svg)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output: {exc}") from exc
+    return json_path
 
 
 def _cmd_standard(args) -> int:
@@ -175,21 +186,12 @@ def _cmd_standard(args) -> int:
     dissection = standard_from_region(region, args.n)
     print(f"standard dissection: n = {args.n}, {dissection.piece_count} pieces")
     if args.out:
-        out = Path(args.out)
-        stem = f"standard_n{args.n}"
-        json_path = out / f"{stem}.json"
-        svg = _svg_text(dissection)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            json_path.write_text(dissection_to_json_str(dissection))
-            (out / f"{stem}.svg").write_text(svg)
-        except OSError as exc:
-            raise _UsageError(f"cannot write output: {exc}") from exc
+        json_path = _write_pair(Path(args.out), f"standard_n{args.n}", dissection)
         reloaded = dissection_from_json(json_path.read_text())
         if not verify_dissection(reloaded).ok:
             print("written file failed re-verification", file=sys.stderr)
             return 1
-        print(f"wrote {out / (stem + '.json')} and {out / (stem + '.svg')}")
+        print(f"wrote {json_path} and {json_path.with_suffix('.svg')}")
     return 0
 
 
@@ -197,14 +199,18 @@ def _cmd_standard(args) -> int:
 # verify
 
 
-def _cmd_verify(args) -> int:
-    path = Path(args.file)
+def _read_input(name: str) -> str:
+    path = Path(name)
     try:
-        data = path.read_text()
+        return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _cmd_verify(args) -> int:
+    text = _read_input(args.file)
     try:
-        dissection = dissection_from_json(data)
+        dissection = dissection_from_json(text)
     except (ValueError, ParseError) as exc:
         raise _UsageError(f"bad dissection file: {exc}") from exc
     result = verify_dissection(dissection)
@@ -276,13 +282,7 @@ def _cmd_search(args) -> int:
             tag = " standard" if is_standard(dissection) else ""
             print(f"  result {t_idx}.{d_idx}:{tag} {dissection.piece_count} pieces")
             if out_dir is not None:
-                stem = f"result_{t_idx}_{d_idx}"
-                svg = _svg_text(dissection)
-                try:
-                    (out_dir / f"{stem}.json").write_text(dissection_to_json_str(dissection))
-                    (out_dir / f"{stem}.svg").write_text(svg)
-                except OSError as exc:
-                    raise _UsageError(f"cannot write output: {exc}") from exc
+                _write_pair(out_dir, f"result_{t_idx}_{d_idx}", dissection)
     print(f"total: {report.total_dissections} dissection(s)")
     return 0
 
@@ -313,12 +313,7 @@ def _parse_region_file(text: str) -> List[Cell]:
 
 
 def _cmd_boundary(args) -> int:
-    path = Path(args.file)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    cells = _parse_region_file(text)
+    cells = _parse_region_file(_read_input(args.file))
     loops = boundary_loops(cells)
     print(
         f"{len(cells)} cells, {len(loops)} boundary loop(s), "

@@ -258,7 +258,7 @@ def verify_dissection(dissection: Dissection) -> VerificationResult:
 
     def magnitude(piece: Triangle) -> TowerReal:
         area = piece.signed_area()
-        return -area if area.sign() < 0 else area
+        return -area if piece._turn < 0 else area
 
     if all_congruent:
         area = magnitude(pieces[0])

@@ -4,13 +4,15 @@ Every predicate returns a certified answer with no epsilons anywhere:
 orientation, points on segments, point location, interior-disjointness of
 triangles, congruence, and sqrt-free comparison of angles.
 
-``orientation`` (which also decides ``triangles_interior_disjoint``),
+``orientation`` (which also decides ``triangles_interior_disjoint`` and,
+cached as ``Triangle._turn``, a triangle's orientation and degeneracy),
 ``point_on_segment``'s dot test and ``AngleVec``'s dot and cross signs
 evaluate their 2x2 determinant once in floats from cached midpoints and radii
 (``Pt._centre``), and ``_fsign`` certifies its sign with one error bound
 (Shewchuk 1997; Meyer and Pion 2008).  When it cannot decide, or a value
 leaves the float range, the exact expression decides; ``AngleVec`` compares
-two cosines of one sign exactly.  ``_area_sign`` certifies a polygon's
+two cosines of one sign exactly.  These are the only callers of ``_fsign``:
+other modules take a vector sign from ``orientation`` or ``AngleVec``.  ``_area_sign`` certifies a polygon's
 shoelace sign from the same midpoints with a bound of its own.  Each
 point's cached float box (``exact._float_bounds``) is only compared, never
 computed with: it orders two coordinates (``point_in_polygon``'s half-open
@@ -209,24 +211,20 @@ class Triangle:
     def vertices(self) -> tuple[Pt, Pt, Pt]:
         return (self.va, self.vb, self.vc)
 
-    # cached: signed_area, is_degenerate and oriented share one exact area
-    @cached_property
-    def _signed_area(self) -> TowerReal:
-        return (self.vb - self.va).cross(self.vc - self.va) / 2
-
-    # cached: the verifier tests each piece against all its neighbours
+    # cached: is_degenerate, oriented and the verifier's pair tests share one
+    # filtered orientation; the exact area is built only by signed_area
     @cached_property
     def _turn(self) -> int:
         return orientation(self.va, self.vb, self.vc)
 
     def signed_area(self) -> TowerReal:
-        return self._signed_area
+        return (self.vb - self.va).cross(self.vc - self.va) / 2
 
     def is_degenerate(self) -> bool:
-        return self.signed_area().is_zero()
+        return self._turn == 0
 
     def oriented(self) -> "Triangle":
-        if self.signed_area().sign() >= 0:
+        if self._turn >= 0:
             return self
         return Triangle(self.va, self.vc, self.vb)
 
@@ -448,52 +446,41 @@ def _ordered_isometry(
 
 @total_ordering
 class AngleVec:
-    """The angle in (0, 2*pi) from vector u to vector w, counterclockwise,
-    represented by the exact pair (dot, cross) plus |u|^2 |w|^2.
+    """The angle in (0, 2*pi) from vector u to vector w, counterclockwise.
 
     Total order agrees with the numeric angle but needs no square roots or
     transcendentals: first by region (0,pi) / pi / (pi,2*pi), then by the
     signs of the cosines, then by a cross-multiplied comparison of squared
-    cosines.  ``between`` takes the two vectors; ``interior`` takes three
-    corner points and keeps them.  ``_fsign`` certifies the signs of the
-    dot and the cross from the points' ``Pt._centre``, seen from the corner
-    point or from the exact origin; d, c and m, with the vectors ``interior``
-    needs for them, are computed only when it cannot, or when two cosines
-    of one sign are compared.
+    cosines.  ``between`` is the one constructor.  ``_fsign`` certifies the
+    signs of the dot and the cross u x w from the vectors' ``Pt._centre``,
+    seen from the exact origin.  The exact cross is built only when it
+    cannot; the exact dot d = u . w and m = |u|^2 |w|^2 only when it cannot
+    certify the dot's sign, or when two cosines of one sign are compared,
+    and then once each.
     """
 
-    __slots__ = ("d", "c", "m", "_at", "_uw")
+    __slots__ = ("_uw", "_dm")
 
     @classmethod
     def between(cls, u: Pt, w: Pt) -> "AngleVec":
         out = cls.__new__(cls)
-        out._at, out._uw = None, (u, w)
+        out._uw, out._dm = (u, w), [None, None]
         return out
 
-    @classmethod
-    def interior(cls, prev_pt: Pt, at: Pt, next_pt: Pt) -> "AngleVec":
-        """Interior angle of a counterclockwise polygon at ``at``: the angle
-        from next_pt - at to prev_pt - at."""
-        out = cls.__new__(cls)
-        out._at, out._uw = at, (next_pt, prev_pt)
+    def _exact(self, k: int) -> TowerReal:
+        """d (k = 0) or m (k = 1), built on first use."""
+        out = self._dm[k]
+        if out is None:
+            u, w = self._uw
+            out = self._dm[k] = u.dot(w) if k == 0 else u.norm_sq() * w.norm_sq()
         return out
-
-    def __getattr__(self, name: str):
-        # called only while the slots d, c and m are unset
-        if name not in ("d", "c", "m"):
-            raise AttributeError(name)
-        (u, w), at = self._uw, self._at
-        if at is not None:  # u and w are points seen from at
-            u, w = u - at, w - at
-        self.d, self.c, self.m = u.dot(w), u.cross(w), u.norm_sq() * w.norm_sq()
-        return getattr(self, name)
 
     def _sign(self, k: int) -> int:
-        """Sign of d (k = 0) or c (k = 1), from ``_fsign`` when it
+        """Sign of d (k = 0) or of u x w (k = 1), from ``_fsign`` when it
         certifies one, else exactly."""
-        (u, w), at = self._uw, self._at
-        o = _ORIGIN if at is None else at._centre()
-        return _fsign(o, u._centre(), w._centre(), dot=not k) or (self.c if k else self.d).sign()
+        u, w = self._uw
+        s = _fsign(_ORIGIN, u._centre(), w._centre(), dot=not k)
+        return s or (u.cross(w) if k else self._exact(0)).sign()
 
     def _region(self) -> int:
         cs = self._sign(1)
@@ -512,7 +499,8 @@ class AngleVec:
             return 1 if s1 > s2 else -1
         if s1 == 0:
             return 0
-        diff = (self.d * self.d * other.m - other.d * other.d * self.m).sign()
+        d1, d2 = self._exact(0), other._exact(0)
+        diff = (d1 * d1 * other._exact(1) - d2 * d2 * self._exact(1)).sign()
         # for positive cosines, larger square means larger cosine;
         # for negative cosines the order flips
         return diff * s1
@@ -538,7 +526,8 @@ class AngleVec:
     def __repr__(self) -> str:
         import math
 
-        approx = math.atan2(float(self.c), float(self.d))
+        u, w = self._uw
+        approx = math.atan2(float(u.cross(w)), float(u.dot(w)))
         if approx < 0:
             approx += 2 * math.pi
         return f"AngleVec(~{approx:.6f} rad)"

@@ -67,14 +67,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exact import FieldBuilder, TowerReal, _value_key, exactify, sqrt_adjoin
 from .geom import (
-    _ORIGIN,
     AngleVec,
     Isometry,
     Pt,
     Triangle,
     _area_sign,
     _coord_sign,
-    _fsign,
     _ordered_isometry,
     _separated,
     point_on_segment,
@@ -202,9 +200,9 @@ class _Directions:
 
     An *angle* is a pair (a, b) of ids, the counterclockwise angle in
     (0, 2*pi) from direction a to direction b; it is zero exactly when a ==
-    b.  ``turn`` gives the sign of a cross product of two unit vectors,
-    from ``_fsign`` when it certifies one, else exactly; ``compare`` orders
-    two angles by ``AngleVec.between``.  Both are memoised per search.
+    b.  ``turn`` gives the sign of a cross product of two unit vectors and
+    ``compare`` orders two angles, both by ``AngleVec.between``, and both
+    are memoised per search.
     """
 
     def __init__(self, tile: Optional[_TileData]):
@@ -258,8 +256,7 @@ class _Directions:
     def turn(self, a: int, b: int) -> int:
         s = self.turns.get((a, b))
         if s is None:
-            u, w = self.vecs[a], self.vecs[b]
-            s = 0 if a == b else _fsign(_ORIGIN, u._centre(), w._centre()) or u.cross(w).sign()
+            s = 0 if a == b else AngleVec.between(self.vecs[a], self.vecs[b])._sign(1)
             self.turns[(a, b)], self.turns[(b, a)] = s, -s
         return s
 

@@ -173,3 +173,14 @@ def test_no_environment_configuration():
     reads = {path.name: _environment_reads(ast.parse(path.read_text(), str(path))) for path in SRC}
     assert len(SRC) > 10
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_vector_signs_have_one_home():
+    """``_fsign`` and ``_ORIGIN`` are named only in geom.py: any other module
+    takes a vector sign from ``orientation`` or ``AngleVec``, so each sign
+    is decided by one path."""
+    names = ("_fsign", "_ORIGIN")
+    refs = {path.name: _references(ast.parse(path.read_text(), str(path))) for path in SRC}
+    assert all(refs["geom.py"][name] > 1 for name in names)
+    outside = {path: [n for n in names if r[n]] for path, r in refs.items() if path != "geom.py"}
+    assert {path: found for path, found in outside.items() if found} == {}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import verifier_reference as reference
 from equicut import geom
+from equicut.dissect import Dissection, verify_dissection
 from equicut.exact import FieldBuilder, TowerReal, sqrt_adjoin
 from equicut.literals import parse_number
 from equicut.geom import (
@@ -375,9 +376,9 @@ class TestAngleVec:
         r3 = sqrt_adjoin(3)
         a, b, c = P(0, 0), P(2, 0), Pt(1, r3)
         angles = [
-            AngleVec.interior(c, a, b),
-            AngleVec.interior(a, b, c),
-            AngleVec.interior(b, c, a),
+            AngleVec.between(b - a, c - a),
+            AngleVec.between(c - b, a - b),
+            AngleVec.between(a - c, b - c),
         ]
         assert angles[0] == angles[1] == angles[2]
         assert angles[0] < self.deg90
@@ -542,22 +543,23 @@ def _scaled(pts, k):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts the exact products (Pt.cross and Pt.dot) and difference
-    vectors (Pt.__sub__) the predicates build."""
-    count = [0]
+    """Lists, by name, the exact products (Pt.cross and Pt.dot, which
+    Pt.norm_sq calls) and difference vectors (Pt.__sub__) the predicates
+    build."""
+    calls = []
     for name in ("cross", "dot", "__sub__"):
-        def counted(self, other, _original=getattr(Pt, name)):
-            count[0] += 1
+        def counted(self, other, _original=getattr(Pt, name), _name=name):
+            calls.append(_name)
             return _original(self, other)
 
         monkeypatch.setattr(Pt, name, counted)
-    return count
+    return calls
 
 
-def _fell_back(count, call, *args):
-    before = count[0]
+def _fell_back(calls, call, *args):
+    before = len(calls)
     result = call(*args)
-    return result, count[0] > before
+    return result, len(calls) > before
 
 
 def _outcome(call, *args):
@@ -670,12 +672,12 @@ class TestFilterDifferential:
 
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_interior_angles_match_between(self, radicands, exact_calls):
-        """``AngleVec.interior(prev, at, next)`` keeps the three points and
-        certifies its signs from them directly; it must answer as
-        ``between(next - at, prev - at)`` on generic, straight, zero and
-        equal angles.  A generic pair builds no exact vector exactly when
-        the regions or the cosine signs differ: equal ones are compared by
-        the exact squared cosines."""
+        """The interior angle at ``at`` of a corner (prev, at, next) is
+        ``between(next - at, prev - at)``; on generic, straight, zero and
+        equal angles it must order as the eager exact reference, at every
+        scale.  A generic pair builds no exact product exactly when the
+        regions or the cosine signs differ: equal ones are compared by the
+        exact squared cosines."""
         cases = _FilterCases(radicands, seed=30 + len(radicands))
         rng = cases.rng
         decided = 0
@@ -696,22 +698,37 @@ class TestFilterDifferential:
                 else:
                     second = getattr(cases, kind)()
                 for k in [0] + sorted(OUT_OF_RANGE):
-                    corners = [_scaled(first, k), _scaled(second, k)]
-                    eager = [AngleVec.between(n - at, p - at) for p, at, n in corners]
-                    # built inside the count, so an eager vector would show
+                    vecs = [(n - at, p - at) for p, at, n in (_scaled(first, k), _scaled(second, k))]
+                    want = _exact_angle_compare(*vecs[0], *vecs[1])
+                    # built inside the count, so an eager product would show
                     got, fell_back = _fell_back(exact_calls, lambda: _outcome(
-                        AngleVec.interior(*corners[0]).compare, AngleVec.interior(*corners[1])))
-                    assert got == _outcome(eager[0].compare, eager[1]), (kind, k)
+                        AngleVec.between(*vecs[0]).compare, AngleVec.between(*vecs[1])))
+                    assert got == (ValueError if want is None else want), (kind, k)
                     if kind == "generic" and k == 0:
-                        (r1, s1), (r2, s2) = (_region_and_cos(e._uw[0], e._uw[1]) for e in eager)
+                        (r1, s1), (r2, s2) = (_region_and_cos(u, w) for u, w in vecs)
                         assert fell_back == (r1 == r2 and s1 == s2), (r1, s1, r2, s2)
                     if k in OUT_OF_RANGE:
                         assert fell_back, (kind, k)
                     decided += not fell_back
-                    lazy = [AngleVec.interior(*c) for c in corners]
-                    for x, y in zip(lazy, eager):
-                        assert _outcome(x._region) == _outcome(y._region), (kind, k)
         assert decided > 0
+
+    def test_angles_build_only_what_they_decide_by(self, exact_calls):
+        """A pair whose cosine signs differ is ordered from floats alone; a
+        pair whose cosines share a sign builds the dots and the norms |u|^2
+        |w|^2, each once, but no cross, since the filter certifies both
+        regions."""
+        r3 = sqrt_adjoin(3)
+        e = Pt(1, 0)
+        deg30, deg45, deg135 = Pt(r3, 1), Pt(1, 1), Pt(-1, 1)
+        got, fell_back = _fell_back(exact_calls, AngleVec.between(e, deg45).compare,
+                                    AngleVec.between(e, deg135))
+        assert (got, fell_back) == (-1, False)
+        del exact_calls[:]
+        first, second = AngleVec.between(e, deg30), AngleVec.between(e, deg45)
+        assert first.compare(second) == -1 and second.compare(first) == 1
+        assert "cross" not in exact_calls and "__sub__" not in exact_calls
+        # one dot and two for the norms per angle, reused by the second compare
+        assert exact_calls == ["dot", "dot", "dot", "dot", "dot", "dot"]
 
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_area_sign(self, radicands, exact_calls):
@@ -736,6 +753,33 @@ class TestFilterDifferential:
                             assert fell_back, (kind, size, k)
                         decided += not fell_back
         assert decided > 0
+
+    @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
+    def test_triangle_orientation(self, radicands):
+        """``Triangle.oriented``, ``is_degenerate`` and the verifier's area
+        sign read the cached filtered orientation ``_turn``; each agrees with
+        the sign of the exact ``signed_area`` on generic, collinear and
+        near-collinear triangles, either way round, in range and at every
+        out-of-range scale, and on degenerate ones made of a repeated point
+        object or of three collinear lattice points.  The verifier's sign
+        shows in a one-piece dissection of a triangle by itself: its piece
+        area must equal the region's."""
+        cases = _FilterCases(radicands, seed=70 + len(radicands))
+        lattice = (P(1, 1), P(2, 3), P(4, 7))
+        bases = [lattice] + [getattr(cases, kind)() for kind in ("generic", "collinear") for _ in range(3)]
+        if cases.pell:
+            bases += [cases.near_collinear() for _ in range(3)]
+        for base in bases:
+            for k in [0] + sorted(OUT_OF_RANGE):
+                a, b, c = _scaled(base, k)
+                for t in (Triangle(a, b, c), Triangle(a, c, b), Triangle(a, b, a), Triangle(b, c, c)):
+                    want = t.signed_area().sign()
+                    assert t.is_degenerate() == (want == 0), k
+                    oriented = t.oriented()
+                    assert oriented.signed_area().sign() == abs(want), k
+                    assert oriented.vertices == (t.vertices if want >= 0 else (t.va, t.vc, t.vb)), k
+                    if want != 0:
+                        assert verify_dissection(Dissection(t, (t,))).ok, k
 
     def test_nested_coordinates_filter(self, exact_calls):
         """Nested coordinates have float boxes too: generic cases are decided
@@ -785,10 +829,10 @@ class TestFilterDifferential:
 
     @pytest.mark.parametrize("radicands", FILTER_RADICANDS)
     def test_angle_signs_against_interval_chain(self, radicands, exact_calls):
-        """``AngleVec._sign`` never certifies a wrong dot or cross sign, for
-        ``between`` (seen from the exact origin) and ``interior`` (seen from
-        the corner point) alike, and it certifies every sign that the
-        interval chain on the same boxes certifies, except at 10**-160."""
+        """``AngleVec._sign`` never certifies a wrong dot or cross sign of
+        the corner (o, a, b), as ``between(a - o, b - o)``, and it certifies
+        every sign that the interval chain certifies on the vectors' boxes
+        or on the points' boxes, except at 10**-160."""
         cases = _FilterCases(radicands, seed=50 + len(radicands))
         decided = 0
         for kind in ("generic", "collinear", "near_collinear"):
@@ -804,15 +848,13 @@ class TestFilterDifferential:
                             (0, u.dot(w), reference._fdot, _chain_dot),
                             (1, u.cross(w), reference._fcross, _chain_orientation),
                         ):
-                            for angle, certified in (
-                                (AngleVec.between(u, w), _chain_sign(f, u, w)),
-                                (AngleVec.interior(b, o, a), _chain_sign(chain, o, a, b)),
-                            ):
-                                got, fell_back = _fell_back(exact_calls, angle._sign, j)
-                                assert got == exact.sign(), (kind, k, j)
-                                if k != -160:
-                                    assert not (certified and fell_back), (kind, k, j)
-                                decided += not fell_back
+                            certified = _chain_sign(f, u, w) or _chain_sign(chain, o, a, b)
+                            angle = AngleVec.between(u, w)
+                            got, fell_back = _fell_back(exact_calls, angle._sign, j)
+                            assert got == exact.sign(), (kind, k, j)
+                            if k != -160:
+                                assert not (certified and fell_back), (kind, k, j)
+                            decided += not fell_back
         assert decided > 0
 
     def test_no_infinity_or_nan_decides(self):

@@ -1252,13 +1252,13 @@ def _tile_angle(tile, k):
 
 def _canonical_reference(frontier):
     """``_Searcher._canonical_vertex`` as it was before the direction table:
-    the least ``AngleVec.interior`` of the points, ties broken by exact x
-    and then y."""
+    the least interior angle ``AngleVec.between(next - v, prev - v)`` of
+    the points, ties broken by exact x and then y."""
     best = None
     for pi, poly in enumerate(frontier):
         n = len(poly.verts)
         for vi, v in enumerate(poly.verts):
-            angle = AngleVec.interior(poly.verts[vi - 1], v, poly.verts[(vi + 1) % n])
+            angle = AngleVec.between(poly.verts[(vi + 1) % n] - v, poly.verts[vi - 1] - v)
             if best is None or (
                 angle.compare(best[0]) or (v.x - best[1].x).sign() or (v.y - best[1].y).sign()
             ) < 0:
